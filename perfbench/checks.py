@@ -27,7 +27,15 @@ fixed from the dtype before anything runs:
   that starts at 0 and never gets a gradient (a dead ReLU channel)
   stays exactly 0 under Adam, which puts every padded position of the
   CNN exactly on ReLU's kink, where no finite difference is a
-  reference.
+  reference. A kink can still lie within the step on one side: a
+  trained CNN read a central difference of 0.1156889 against a tape
+  derivative of 0.1156919 (3.3 times the allowed error), with the
+  forward difference at 0.1156860 and the backward one at 0.1156919.
+  So the derivative passes if it agrees with the central or either
+  one-sided difference; a wrong backward disagrees with all three.
+* ``predict_text``'s class equals the reference's argmax wherever the
+  reference's top two are further apart than twice the text's measured
+  probability error, which the float32 model cannot reorder.
 * an artifact round trip reproduces probabilities bit for bit.
 * ``evaluate``'s accuracy equals a recount of the same documents.
 """
@@ -218,11 +226,16 @@ def check_gradients(model, token_ids, labels) -> CheckResult:
             values.append(loss().item())
         for n in names:
             params[n].data = base[n]
-        numeric = (values[0] - values[1]) / (2.0 * FD_STEP)
+        centre = value.item()
+        # a ReLU kink within the step on one side spoils the central and
+        # that side's difference, but not the other side's
+        numerics = ((values[0] - values[1]) / (2.0 * FD_STEP), (values[0] - centre) / FD_STEP,
+                    (centre - values[1]) / FD_STEP)
         # share of the allowed error: relative part plus the difference's rounding
-        allowed = GRAD_RTOL * max(abs(analytic), abs(numeric)) + ROUND_ULPS * F64_EPS * abs(
-            value.item()) / FD_STEP
-        errors[group] = abs(analytic - numeric) / allowed
+        errors[group] = min(
+            abs(analytic - numeric) / (GRAD_RTOL * max(abs(analytic), abs(numeric))
+                                       + ROUND_ULPS * F64_EPS * abs(centre) / FD_STEP)
+            for numeric in numerics)
     worst = max(errors, key=errors.get)
     return CheckResult("directional_gradients", errors[worst] <= 1.0,
                        f"groups={len(groups)} loss={value.item():.6f} worst={worst} "
@@ -241,19 +254,22 @@ def check_accuracy(model, docs, batch_size) -> CheckResult:
 
 def check_predicted_class(model, texts) -> CheckResult:
     """``predict_text`` against the reference: probabilities within tolerance,
-    and the same class wherever the reference's top two are further apart
-    than that tolerance."""
+    and the reference's class on every text whose reference top two are more
+    than twice the text's own probability error apart. There the model's
+    ranking cannot differ from the reference's, however near uniform the
+    model is; a check that compared no class fails."""
     worst, compared = 0.0, 0
     ok = True
     for text in texts:
         cls, probs = model.predict_text(text)
         ref = reference_probs(model, reference_ids(model, text))[0][0]
-        worst = max(worst, float(np.abs(probs - ref).max()))
+        err = float(np.abs(probs - ref).max())
+        worst = max(worst, err)
         top2 = np.sort(ref)[-2:]
-        if top2[1] - top2[0] > PROB_TOL:
+        if top2[1] - top2[0] > 2.0 * err:
             compared += 1
             ok &= cls == int(ref.argmax())
-    ok &= worst <= PROB_TOL
+    ok &= worst <= PROB_TOL and compared > 0
     return CheckResult("predicted_class", ok,
                        f"texts={len(texts)} class_compared={compared} max_err={worst:.3e}")
 

@@ -69,18 +69,16 @@ def marker_words(classes: int) -> list[list[str]]:
 class Document:
     text: str
     label: int
-    tokens: int  # whitespace-separated tokens in ``text``
 
 
-def generate(count: int, classes: int, profile: LengthProfile, seed: int,
-             stream: int = 0) -> list[Document]:
+def generate(count: int, classes: int, profile: LengthProfile, seed: int) -> list[Document]:
     """``count`` labelled documents; the same arguments give the same documents.
 
     Each document gets two or three markers of its own class and, one
     time in four, a single marker of another class, so the label is
     always the majority marker class.
     """
-    rng = np.random.default_rng([seed, stream, classes])
+    rng = np.random.default_rng([seed, classes])
     markers = marker_words(classes)
     lengths = np.clip(np.rint(rng.normal(profile.mean, profile.sd, count)),
                       profile.low, profile.high).astype(int)
@@ -100,5 +98,5 @@ def generate(count: int, classes: int, profile: LengthProfile, seed: int,
         # distinct positions, so no marker overwrites another
         for word, pos in zip(planted, rng.choice(len(words), size=len(planted), replace=False)):
             words[pos] = word
-        docs.append(Document(text=" ".join(words), label=int(label), tokens=len(words)))
+        docs.append(Document(text=" ".join(words), label=int(label)))
     return docs

@@ -76,8 +76,27 @@ def test_traced_bgcapsule_step_names_every_gru_direction(tmp_path):
 
 def test_missing_function_is_reported_absent_not_fatal():
     empty = types.SimpleNamespace()
-    tracer = Tracer({"layers": empty, "model": empty, "tensor": empty, "training": empty})
+    tracer = Tracer({"layers": empty, "model": empty, "tensor": empty, "training": empty}, {})
     with tracer.installed():
         pass
     assert "layers.run_gru" in tracer.absent and "tensor.Tape.backward" in tracer.absent
     assert tracer.metrics()["tensor.backward_ms"] == 0.0
+
+
+def test_gru_call_is_named_by_its_weights_not_its_order():
+    import numpy as np
+    from bgcapsule import layers, model as model_mod, tensor, training
+    from bgcapsule.tensor import Tensor
+
+    rng = np.random.default_rng(0)
+    fwd, bwd = layers.init_gru(rng, 3, 4), layers.init_gru(rng, 3, 4)
+    stray = layers.init_gru(rng, 3, 4)
+    params = dict(fwd.named("bigru2_fwd"))
+    params.update(bwd.named("bigru1_bwd"))
+    tracer = Tracer({"layers": layers, "model": model_mod, "tensor": tensor,
+                     "training": training}, params)
+    seq = Tensor(rng.standard_normal((1, 2, 3)).astype(np.float32))
+    with tracer.installed():
+        for gru in (bwd, stray, fwd):
+            layers.run_gru(seq, gru)
+    assert set(tracer.fwd) == {"layers.bigru1_bwd", "layers.run_gru", "layers.bigru2_fwd"}

@@ -12,7 +12,11 @@ functions is tape bookkeeping.
 
 A wrapped function that no longer exists is reported as absent and its
 metrics read zero, so a refactor that renames a layer does not break
-the benchmark.
+the benchmark. A ``run_gru`` call is named after the model parameters
+it was given, not after its place in the forward pass, so a change to
+the number or order of GRU calls cannot charge one direction's time to
+another; a call on weights that are no GRU direction of the model goes
+to ``layers.run_gru``.
 """
 
 from __future__ import annotations
@@ -21,14 +25,15 @@ import time
 from collections import defaultdict
 from contextlib import contextmanager
 
-GRU_SPANS = ("layers.bigru1_fwd", "layers.bigru1_bwd", "layers.bigru2_fwd", "layers.bigru2_bwd")
 OTHER = "other"
+# a run_gru call on weights that are not one of the model's GRU directions
+GRU_UNMATCHED = "layers.run_gru"
 
-# (module, attribute path, span); run_gru calls are named by their order
-# within a forward pass, which is the order ensemble_forward makes them.
+# (module, attribute path, span); a span of None is named per call by
+# _gru_span, from the weights the call was given.
 STAGES = (
     ("layers", "embedding_forward", "layers.embedding"),
-    ("layers", "run_gru", GRU_SPANS),
+    ("layers", "run_gru", None),
     ("layers", "cnn_feature_extractor", "layers.cnn"),
     ("layers", "primary_capsules", "layers.primary_caps"),
     ("layers", "predict_vectors", "layers.votes"),
@@ -52,8 +57,13 @@ def _resolve(module, path):
 class Tracer:
     """Per-unit (one training step or one prediction) span and node accounting."""
 
-    def __init__(self, modules: dict):
+    def __init__(self, modules: dict, params: dict):
+        """``params`` are the traced model's named parameters; a ``run_gru``
+        call is charged to ``layers.<prefix>`` of the GRU whose ``w_z`` it
+        was given (``layers.bigru1_fwd`` for ``bigru1_fwd.w_z``)."""
         self.modules = modules
+        self.gru_spans = {id(t): "layers." + name[:-len(".w_z")]
+                          for name, t in params.items() if name.endswith(".w_z")}
         self.absent: list[str] = []
         self.reset()
 
@@ -65,7 +75,6 @@ class Tracer:
         self.tape_nodes = 0
         self._owner: dict[int, str] = {}
         self._children = [0.0]
-        self._gru_calls = 0
 
     # -- wrappers -----------------------------------------------------
 
@@ -75,10 +84,7 @@ class Tracer:
 
     def _stage(self, fn, span):
         def wrapper(*args, **kwargs):
-            name = span
-            if isinstance(span, tuple):
-                name = span[self._gru_calls % len(span)]
-                self._gru_calls += 1
+            name = span or self._gru_span(args, kwargs)
             tape = self._active_tape()
             first = len(tape.nodes) if tape is not None else 0
             self._children.append(0.0)
@@ -96,6 +102,10 @@ class Tracer:
                             self._owner[i] = name
                             self.nodes[name] += 1
         return wrapper
+
+    def _gru_span(self, args, kwargs):
+        params = kwargs.get("params", args[1] if len(args) > 1 else None)
+        return self.gru_spans.get(id(getattr(params, "w_z", None)), GRU_UNMATCHED)
 
     def _timed_node(self, fn, owner):
         def backward(grad):

@@ -48,8 +48,7 @@ class Workload:
     profile: corpus.LengthProfile
     batch_size: int  # ModelConfig.batch_size: the evaluate batch, and the train batch
     step_docs: int  # documents per training.train call
-    predicts_per_round: int
-    min_predicts: int  # a run goes on past its seconds until it has this many predictions
+    predicts_per_round: int  # enough that MIN_PREDICTS are timed within the run's seconds
     from_artifact: bool  # set-up is load_model of a saved artifact, not a build from raw text
     trace_unit: str  # "train_step" or "predict": what one traced unit is
     traced_per_round: int
@@ -57,13 +56,13 @@ class Workload:
 
 WORKLOADS = {w.name: w for w in (
     Workload("train_bgcapsule", "bgcapsule", 2, corpus.MR_LIKE, batch_size=32, step_docs=32,
-             predicts_per_round=6, min_predicts=0, from_artifact=False,
+             predicts_per_round=30, from_artifact=False,
              trace_unit="train_step", traced_per_round=1),
     Workload("train_cnn_capsule", "cnn_capsule", 4, corpus.AG_LIKE, batch_size=128, step_docs=128,
-             predicts_per_round=30, min_predicts=0, from_artifact=False,
+             predicts_per_round=30, from_artifact=False,
              trace_unit="train_step", traced_per_round=1),
     Workload("predict_bgcapsule", "bgcapsule", 2, corpus.YELP_LIKE, batch_size=32, step_docs=4,
-             predicts_per_round=21, min_predicts=100, from_artifact=True,
+             predicts_per_round=21, from_artifact=True,
              trace_unit="predict", traced_per_round=5),
 )}
 
@@ -87,6 +86,9 @@ TOY = Scale(config=dict(max_len=24, embed_dim=8, bigru_sizes=[6, 5], caps_dim=4,
 
 FAILED = object()
 SLICES = 3  # set-ups per round; a single set-up varies too much to stand for the run
+# an untraced run goes on past its seconds until it has timed this many
+# predictions, so p90 has ten samples beyond it
+MIN_PREDICTS = 100
 
 
 class Recorder:
@@ -210,7 +212,7 @@ def run(w: Workload, seed: int, seconds: float, trace: bool, out_dir: Path,
 
         unit = train_step if w.trace_unit == "train_step" else predict
         tracer = Tracer({"layers": layers, "model": model_mod, "tensor": tensor,
-                         "training": training})
+                         "training": training}, model.parameters())
         traced = []
         start = time.perf_counter()
         while True:
@@ -235,7 +237,7 @@ def run(w: Workload, seed: int, seconds: float, trace: bool, out_dir: Path,
                         kind, fn, sample = heavy
                         rec.op(kind, fn, sample=sample)
             if (time.perf_counter() - start >= seconds
-                    and (trace or len(rec.samples["predict"]) >= w.min_predicts)):
+                    and (trace or len(rec.samples["predict"]) >= MIN_PREDICTS)):
                 break
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         if trace:
