@@ -3,14 +3,18 @@
 Layout: 4-byte magic ``BGC1``, a u64 little-endian length plus JSON
 header (config, variant knobs, vocabulary), then a u64 record count and
 one record per tensor: u64 name length, name bytes, u64 rank, u64 dims,
-float32 little-endian payload in row-major order. Loading validates
-everything before touching any model state, so a bad file is rejected
-rather than half-applied. Round-trips are bitwise.
+float32 little-endian payload in row-major order. Loading checks every
+length against the bytes left in the file before allocating, reads each
+payload straight into its final array, and validates everything before
+touching any model state, so a bad file is rejected with a
+``DataError`` rather than half-applied. Round-trips are bitwise.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -28,15 +32,41 @@ def _write_u64(handle, value: int) -> None:
     handle.write(struct.pack("<Q", value))
 
 
-def _read_exact(handle, count: int, what: str) -> bytes:
-    data = handle.read(count)
-    if len(data) != count:
-        raise DataError(f"truncated model artifact while reading {what}")
-    return data
+class _Reader:
+    """Reads records of an open artifact, checking every length against
+    the bytes left in the file before anything is allocated."""
 
+    def __init__(self, handle, path):
+        self.handle = handle
+        self.path = path
+        self.left = os.fstat(handle.fileno()).st_size - handle.tell()
 
-def _read_u64(handle, what: str) -> int:
-    return struct.unpack("<Q", _read_exact(handle, 8, what))[0]
+    def _claim(self, count: int, what: str) -> None:
+        if count > self.left:
+            raise DataError(
+                f"{self.path}: {what} needs {count} bytes but only {self.left} are left"
+            )
+        self.left -= count
+
+    def read(self, count: int, what: str) -> bytes:
+        self._claim(count, what)
+        data = self.handle.read(count)
+        if len(data) != count:
+            raise DataError(f"{self.path}: truncated while reading {what}")
+        return data
+
+    def u64s(self, count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}Q", self.read(8 * count, what))
+
+    def u64(self, what: str) -> int:
+        return self.u64s(1, what)[0]
+
+    def float32s(self, dims: tuple[int, ...], what: str) -> np.ndarray:
+        self._claim(4 * math.prod(dims), what)
+        out = np.empty(dims, dtype="<f4")
+        if self.handle.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+            raise DataError(f"{self.path}: truncated while reading {what}")
+        return out.astype(np.float32, copy=False)
 
 
 def save_model(model: TextClassifier, path) -> None:
@@ -65,12 +95,13 @@ def save_model(model: TextClassifier, path) -> None:
 
 def load_model(path) -> TextClassifier:
     with open(path, "rb") as handle:
-        magic = _read_exact(handle, 4, "magic")
+        reader = _Reader(handle, path)
+        magic = reader.read(4, "magic")
         if magic != MAGIC:
             raise DataError(f"{path}: not a model artifact (magic {magic!r})")
-        header_len = _read_u64(handle, "header length")
+        header_len = reader.u64("header length")
         try:
-            header = json.loads(_read_exact(handle, header_len, "header").decode("utf-8"))
+            header = json.loads(reader.read(header_len, "header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt header: {exc}") from exc
         if header.get("version") != FORMAT_VERSION:
@@ -78,17 +109,18 @@ def load_model(path) -> TextClassifier:
         for key in ("config", "ablation", "vocab"):
             if key not in header:
                 raise DataError(f"{path}: header missing {key!r}")
-        count = _read_u64(handle, "tensor count")
+        count = reader.u64("tensor count")
         arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            name_len = _read_u64(handle, "name length")
-            name = _read_exact(handle, name_len, "tensor name").decode("utf-8")
-            rank = _read_u64(handle, "rank")
-            dims = tuple(_read_u64(handle, "dims") for _ in range(rank))
-            payload_len = 4 * int(np.prod(dims, dtype=np.int64))
-            raw = _read_exact(handle, payload_len, f"payload of {name}")
-            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
-        if handle.read(1):
+        for index in range(count):
+            raw_name = reader.read(reader.u64(f"name length of tensor {index}"),
+                                   f"name of tensor {index}")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: corrupt name of tensor {index}: {exc}") from exc
+            dims = reader.u64s(reader.u64(f"rank of tensor {name}"), f"dims of tensor {name}")
+            arrays[name] = reader.float32s(dims, f"payload of tensor {name}")
+        if reader.left:
             raise DataError(f"{path}: trailing bytes after tensor records")
 
     config = ModelConfig.from_dict(header["config"])

@@ -81,14 +81,21 @@ def _op_checks() -> list[GradCheckReport]:
     p_bwd = L.init_gru(rng, 3, 2, np.float64)
     check("bigru/seq", lambda t: _sq(L.bigru_forward(t, p_fwd, p_bwd)), seq.data)
 
-    def bigru_wrt_wz(t):
-        original = p_fwd.w_z
-        p_fwd.w_z = t
-        out = _sq(L.bigru_forward(seq, p_fwd, p_bwd))
-        p_fwd.w_z = original
-        return out
+    for attr in ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
+        original = getattr(p_fwd, attr)
 
-    check("bigru/w_z", bigru_wrt_wz, p_fwd.w_z.data)
+        def bigru_wrt_param(t, attr=attr, original=original):
+            setattr(p_fwd, attr, t)
+            out = _sq(L.bigru_forward(seq, p_fwd, p_bwd))
+            setattr(p_fwd, attr, original)
+            return out
+
+        check(f"bigru/{attr}", bigru_wrt_param, original.data)
+
+    # recurrent dropout: the mask scales the state seen by gates and candidate
+    masks = tuple(Tensor(rng.choice([0.0, 2.0], size=(2, 2)), dtype=np.float64) for _ in range(2))
+    check("bigru/masked_seq", lambda t: _sq(L.bigru_forward(t, p_fwd, p_bwd, masks)),
+          rng.normal(size=(2, 4, 3)))
 
     u = Tensor(rng.normal(size=(1, 3, 3)), dtype=np.float64)
     check("predict_vectors/shared", lambda t: _sq(L.predict_vectors(u, t)),

@@ -112,19 +112,94 @@ def gru_step(x_t: Tensor, h_prev: Tensor, params: GruParams, h_mask: Tensor | No
 
 def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
             h_mask: Tensor | None = None) -> Tensor:
-    """Unroll a GRU over [N,T,F] -> [N,T,H], starting from h = 0.
+    """Scan a GRU over [N,T,F] -> [N,T,H] from h = 0, as one tape op.
 
-    With ``reverse`` the scan runs right-to-left but outputs stay at
-    their original positions.
+    The math is ``gru_step``'s at every position. With ``reverse`` the
+    scan runs right-to-left but outputs stay at their original
+    positions. ``h_mask`` (recurrent dropout, [N,H]) multiplies the
+    state seen by the gates and the candidate; it gets no gradient.
+
+    Forward: each weight splits into h-rows ``U`` and x-rows ``W``. One
+    [T*N,F]x[F,3H] GEMM over ``W_z|W_r|W_h`` plus the biases projects
+    every position before the loop; each step then adds one
+    ``h_in.[U_z|U_r]`` and one ``(r*h_in).U_h`` GEMM. Saved for the
+    backward, all time-major: the gate outputs z|r|c as [T,N,3H], the
+    states as [T+1,N,H] (position t reads its previous state from one
+    end and writes its own to the other), and the masked states h_in
+    as [T,N,H] when there is a mask.
+
+    Backward: BPTT runs the steps in reverse scan order, writing the
+    gradients of the gate pre-activations into one [T,N,3H] buffer and
+    carrying only dh between steps. dW, db and d(seq) then come from a
+    few GEMMs over that buffer flattened to [T*N,3H].
     """
-    n, t_len, _ = seq.shape
-    h = T.zeros((n, params.hidden_size), seq.dtype)
+    if seq.ndim != 3 or seq.shape[2] + params.hidden_size != params.w_z.shape[0]:
+        raise DimensionError(
+            f"GRU with weights {params.w_z.shape} cannot scan a sequence of shape {seq.shape}"
+        )
+    n, t_len, feat = seq.shape
+    hid = params.hidden_size
+    dtype = seq.dtype
+    weights = (params.w_z, params.w_r, params.w_h)
+    w_x = np.concatenate([w.data[hid:] for w in weights], axis=1)
+    u_zr = np.concatenate([w.data[:hid] for w in weights[:2]], axis=1)
+    u_h = params.w_h.data[:hid]
+    bias = np.concatenate([params.b_z.data, params.b_r.data, params.b_h.data])
+    x_flat = np.ascontiguousarray(seq.data.transpose(1, 0, 2)).reshape(t_len * n, feat)
+    proj = (x_flat @ w_x + bias).reshape(t_len, n, 3 * hid)
+
+    mask = None if h_mask is None else h_mask.data
+    # position t reads h_prev from states[t + src] and writes h to states[t + dst]
+    src, dst = (1, 0) if reverse else (0, 1)
     steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    outputs: list[Tensor | None] = [None] * t_len
-    for t in steps:
-        h = gru_step(T.take(seq, 1, t), h, params, h_mask)
-        outputs[t] = T.reshape(h, (n, 1, params.hidden_size))
-    return T.concat(outputs, axis=1)
+    states = np.zeros((t_len + 1, n, hid), dtype)
+    gates = np.empty((t_len, n, 3 * hid), dtype)  # z | r | c
+    h_in_all = states[src:src + t_len] if mask is None else np.empty((t_len, n, hid), dtype)
+    with np.errstate(over="ignore"):
+        for t in steps:
+            h_prev = states[t + src]
+            h_in = h_prev if mask is None else np.multiply(h_prev, mask, out=h_in_all[t])
+            zrc = gates[t]
+            pre = h_in @ u_zr
+            pre += proj[t, :, :2 * hid]
+            zrc[:, :2 * hid] = 1.0 / (1.0 + np.exp(-pre))
+            z, r = zrc[:, :hid], zrc[:, hid:2 * hid]
+            pre = (r * h_in) @ u_h
+            pre += proj[t, :, 2 * hid:]
+            c = np.tanh(pre, out=zrc[:, 2 * hid:])
+            states[t + dst] = (1.0 - z) * h_prev + z * c
+    out = np.ascontiguousarray(states[dst:dst + t_len].transpose(1, 0, 2))
+
+    def back(g):
+        g_tm = g.transpose(1, 0, 2)
+        d_pre = np.empty((t_len, n, 3 * hid), dtype)  # d(pre-activation) of z | r | c
+        dh = np.zeros((n, hid), dtype)
+        for t in reversed(steps):
+            z, r, c = gates[t, :, :hid], gates[t, :, hid:2 * hid], gates[t, :, 2 * hid:]
+            h_in = h_in_all[t]
+            d = d_pre[t]
+            dh = dh + g_tm[t]
+            d[:, :hid] = dh * (c - states[t + src]) * z * (1.0 - z)
+            d[:, 2 * hid:] = dh * z * (1.0 - c * c)
+            d_rh = d[:, 2 * hid:] @ u_h.T
+            d[:, hid:2 * hid] = d_rh * h_in * r * (1.0 - r)
+            dh_in = d_rh * r + d[:, :2 * hid] @ u_zr.T
+            dh = dh * (1.0 - z) + (dh_in if mask is None else dh_in * mask)
+
+        flat = d_pre.reshape(t_len * n, 3 * hid)
+        rh = gates[:, :, hid:2 * hid] * h_in_all
+        d_u = np.concatenate([
+            h_in_all.reshape(t_len * n, hid).T @ flat[:, :2 * hid],
+            rh.reshape(t_len * n, hid).T @ flat[:, 2 * hid:],
+        ], axis=1)
+        d_wx = x_flat.T @ flat
+        d_w = [np.concatenate([d_u[:, k * hid:(k + 1) * hid], d_wx[:, k * hid:(k + 1) * hid]])
+               for k in range(3)]
+        d_b = np.split(flat.sum(axis=0), 3)
+        d_seq = (flat @ w_x.T).reshape(t_len, n, feat).transpose(1, 0, 2)
+        return (d_seq, *d_w, *d_b)
+
+    return record_op(out, (seq, *weights, params.b_z, params.b_r, params.b_h), back)
 
 
 def bigru_forward(seq: Tensor, params_fwd: GruParams, params_bwd: GruParams,

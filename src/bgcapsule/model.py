@@ -38,7 +38,7 @@ class TextClassifier:
                 f"embedding table has {embeddings.vectors.shape[0]} rows for a "
                 f"{len(vocab)}-token vocabulary"
             )
-        self.embedding = Tensor(embeddings.vectors.astype(self.dtype))
+        self.embedding = Tensor(embeddings.vectors.astype(self.dtype, copy=False))
         self.last_routing: L.RoutingInfo | None = None
         self._build(np.random.default_rng([config.seed, 0]))
 

@@ -348,21 +348,6 @@ def slice_axis(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return record_op(t.data[index], (t,), back)
 
 
-def take(t: Tensor, axis: int, i: int) -> Tensor:
-    """Select index ``i`` along ``axis``, dropping that axis."""
-    axis = _check_axis(t, axis)
-    if not 0 <= i < t.shape[axis]:
-        raise DimensionError(f"index {i} out of range for axis {axis} of {t.shape}")
-    index = (slice(None),) * axis + (i,)
-
-    def back(g):
-        full = np.zeros(t.shape, dtype=g.dtype)
-        full[index] = g
-        return (full,)
-
-    return record_op(t.data[index], (t,), back)
-
-
 def reshape(t: Tensor, shape) -> Tensor:
     out = t.data.reshape(shape)
     return record_op(out, (t,), lambda g: (g.reshape(t.shape),))

@@ -161,6 +161,56 @@ def test_bigru_time_reversal_equivariance():
                         atol=1e-9)
 
 
+def unrolled_gru(seq, params, reverse=False, h_mask=None):
+    """Reference scan: one taped ``gru_step`` per position."""
+    n, t_len, feat = seq.shape
+    h = T.zeros((n, params.hidden_size), seq.dtype)
+    outputs = [None] * t_len
+    for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
+        x_t = T.reshape(T.slice_axis(seq, 1, t, t + 1), (n, feat))
+        h = L.gru_step(x_t, h, params, h_mask)
+        outputs[t] = T.reshape(h, (n, 1, params.hidden_size))
+    return T.concat(outputs, axis=1)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_run_gru_matches_gru_step_unroll(reverse, masked):
+    rng = np.random.default_rng(11)
+    n, t_len, feat, hidden = 3, 6, 4, 5
+    seq = f64(rng.normal(size=(n, t_len, feat)))
+    params = make_gru(rng, feat, hidden)
+    for name in ("b_z", "b_r", "b_h"):
+        setattr(params, name, f64(rng.normal(size=hidden)))
+    mask = f64((rng.random((n, hidden)) >= 0.4) / 0.6) if masked else None
+    weight = f64(rng.normal(size=(n, t_len, hidden)))
+    leaves = [seq, params.w_z, params.w_r, params.w_h, params.b_z, params.b_r, params.b_h]
+    results = []
+    for scan in (L.run_gru, unrolled_gru):
+        with T.Tape() as tape:
+            tape.watch(*leaves)
+            out = scan(seq, params, reverse, mask)
+            tape.backward(T.reduce_sum(T.mul(out, weight)))
+            results.append([out.data] + [tape.grad(leaf).data for leaf in leaves])
+    for got, want in zip(*results):
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_run_gru_is_one_tape_op_and_keeps_dtype():
+    rng = np.random.default_rng(12)
+    seq = T.Tensor(rng.normal(size=(2, 7, 3)).astype(np.float32))
+    with T.Tape() as tape:
+        out = L.run_gru(seq, make_gru(rng, 3, 4, np.float32), reverse=True)
+    assert len(tape.nodes) == 1
+    assert out.shape == (2, 7, 4) and out.dtype == np.float32
+
+
+def test_run_gru_rejects_input_width_its_weights_do_not_take():
+    params = make_gru(np.random.default_rng(13), 3, 2)
+    with pytest.raises(DimensionError):
+        L.run_gru(f64(np.zeros((1, 2, 4))), params)
+
+
 def test_ensemble_channel_counts_and_concat_fidelity():
     rng = np.random.default_rng(8)
     seq = f64(rng.normal(size=(1, 3, 2)))

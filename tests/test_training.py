@@ -187,6 +187,22 @@ def test_pad_embedding_row_stays_zero_through_training(separable_docs):
     npt.assert_array_equal(model.embedding.data[0], np.zeros(model.config.embed_dim))
 
 
+def test_trainable_embeddings_leave_callers_table_unchanged(separable_docs):
+    # the model shares the caller's float32 table; training must rebind, never write into it
+    from bgcapsule.model import TextClassifier
+    from bgcapsule.text import build_vocab, encode_docs, random_embeddings, tokenize_lower
+
+    config = toy_config(epochs=2)
+    vocab = build_vocab(tokenize_lower(d.text) for d in separable_docs)
+    table = random_embeddings(vocab, config.embed_dim, config.seed)
+    before = table.vectors.copy()
+    model = TextClassifier(config, vocab, table)
+    encoded = encode_docs(separable_docs, vocab, config.max_len)
+    training.train(model, encoded[:160], encoded[160:], config)
+    assert not np.array_equal(model.embedding.data, before)
+    npt.assert_array_equal(table.vectors, before)
+
+
 def test_frozen_embeddings_unchanged(separable_docs):
     model, encoded = build_toy_model(separable_docs, toy_config(epochs=1, embed_trainable=False))
     before = model.embedding.data.copy()
