@@ -1,8 +1,9 @@
 """BiGRU-ensemble capsule network for text classification.
 
 Everything runs on the package's own numpy-backed gradient tape; no
-deep-learning framework is required. See the README for the CLI and
-the data formats.
+deep-learning framework is required. ``text`` reads the data formats,
+``training`` trains and evaluates, and ``artifact`` saves and loads
+models.
 """
 
 from .errors import (

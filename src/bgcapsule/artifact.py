@@ -7,11 +7,13 @@ float32 little-endian payload in row-major order. Loading checks every
 length against the bytes left in the file before allocating, reads each
 payload straight into its final array, and validates everything before
 touching any model state, so a bad file is rejected with a
-``DataError`` rather than half-applied. Round-trips are bitwise.
+``DataError`` rather than half-applied. Saving replaces the file
+whole or not at all. Round-trips are bitwise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -20,7 +22,7 @@ import struct
 import numpy as np
 
 from .config import AblationConfig, ModelConfig
-from .errors import DataError
+from .errors import ContractError, DataError
 from .model import TextClassifier
 from .text import EmbeddingTable, Vocabulary
 
@@ -70,6 +72,19 @@ class _Reader:
 
 
 def save_model(model: TextClassifier, path) -> None:
+    """Write a float32 model to ``path``, replacing any file there whole.
+
+    The artifact goes to a temporary file in the same directory that is
+    renamed over ``path`` only once complete, so a failed save leaves
+    the previous file as it was. Any other dtype raises ``ContractError``
+    rather than being narrowed.
+    """
+    tensors = model.state_tensors()
+    for name, tensor in tensors.items():
+        if tensor.dtype != np.float32:
+            raise ContractError(
+                f"{path}: artifacts store float32, but tensor {name} is {tensor.dtype}"
+            )
     header = {
         "version": FORMAT_VERSION,
         "config": model.config.to_dict(),
@@ -77,20 +92,26 @@ def save_model(model: TextClassifier, path) -> None:
         "vocab": model.vocab.token_to_index,
     }
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    tensors = model.state_tensors()
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        _write_u64(handle, len(header_bytes))
-        handle.write(header_bytes)
-        _write_u64(handle, len(tensors))
-        for name, tensor in tensors.items():
-            name_bytes = name.encode("utf-8")
-            _write_u64(handle, len(name_bytes))
-            handle.write(name_bytes)
-            _write_u64(handle, tensor.ndim)
-            for extent in tensor.shape:
-                _write_u64(handle, extent)
-            handle.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+    partial = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as handle:
+            handle.write(MAGIC)
+            _write_u64(handle, len(header_bytes))
+            handle.write(header_bytes)
+            _write_u64(handle, len(tensors))
+            for name, tensor in tensors.items():
+                name_bytes = name.encode("utf-8")
+                _write_u64(handle, len(name_bytes))
+                handle.write(name_bytes)
+                _write_u64(handle, tensor.ndim)
+                for extent in tensor.shape:
+                    _write_u64(handle, extent)
+                handle.write(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(partial)
+        raise
 
 
 def load_model(path) -> TextClassifier:

@@ -1,8 +1,9 @@
 """Finite-difference verification of every differentiable operation.
 
 Runs each op at small shapes in float64 and sweeps every parameter of a
-tiny model end to end, one central difference per element. The CLI
-``gradcheck`` command and the acceptance tests both drive this module.
+tiny model end to end, one central difference per element. Run it with
+``gradsuite.run_suite(log=print)``; ``tests/test_gradsuite.py`` requires
+every check to pass.
 """
 
 from __future__ import annotations
@@ -96,6 +97,21 @@ def _op_checks() -> list[GradCheckReport]:
     masks = tuple(Tensor(rng.choice([0.0, 2.0], size=(2, 2)), dtype=np.float64) for _ in range(2))
     check("bigru/masked_seq", lambda t: _sq(L.bigru_forward(t, p_fwd, p_bwd, masks)),
           rng.normal(size=(2, 4, 3)))
+
+    # pre-padded input, half of it all-zero rows: they skip the input projection and dW_x
+    padded = np.random.default_rng(7).normal(size=(2, 5, 3))
+    padded[0, :3] = padded[1, :1] = padded[1, 3] = 0.0
+    check("bigru/padded_seq", lambda t: _sq(L.bigru_forward(t, p_fwd, p_bwd)), padded)
+    padded_seq = Tensor(padded, dtype=np.float64)
+    original_w_z = p_fwd.w_z
+
+    def padded_wrt_w_z(t):
+        p_fwd.w_z = t
+        out = _sq(L.bigru_forward(padded_seq, p_fwd, p_bwd))
+        p_fwd.w_z = original_w_z
+        return out
+
+    check("bigru/padded_w_z", padded_wrt_w_z, original_w_z.data)
 
     u = Tensor(rng.normal(size=(1, 3, 3)), dtype=np.float64)
     check("predict_vectors/shared", lambda t: _sq(L.predict_vectors(u, t)),

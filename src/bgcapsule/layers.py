@@ -120,18 +120,23 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     state seen by the gates and the candidate; it gets no gradient.
 
     Forward: each weight splits into h-rows ``U`` and x-rows ``W``. One
-    [T*N,F]x[F,3H] GEMM over ``W_z|W_r|W_h`` plus the biases projects
-    every position before the loop; each step then adds one
-    ``h_in.[U_z|U_r]`` and one ``(r*h_in).U_h`` GEMM. Saved for the
-    backward, all time-major: the gate outputs z|r|c as [T,N,3H], the
-    states as [T+1,N,H] (position t reads its previous state from one
-    end and writes its own to the other), and the masked states h_in
-    as [T,N,H] when there is a mask.
+    [L,F]x[F,3H] GEMM over ``W_z|W_r|W_h`` plus the biases projects the
+    positions before the loop. L is T*N, or, when all-zero (padding)
+    input rows are half of them or more, the live rows only; a padding
+    row then gets the biases alone, which is what the GEMM gives it.
+    Each step adds one ``h_in.[U_z|U_r]`` and one ``(r*h_in).U_h`` GEMM.
+    Saved for the backward, all time-major: the L projected input rows,
+    the gate outputs z|r|c as [T,N,3H], the states as [T+1,N,H]
+    (position t reads its previous state from one end and writes its
+    own to the other), and the masked states h_in as [T,N,H] when there
+    is a mask.
 
     Backward: BPTT runs the steps in reverse scan order, writing the
     gradients of the gate pre-activations into one [T,N,3H] buffer and
     carrying only dh between steps. dW, db and d(seq) then come from a
-    few GEMMs over that buffer flattened to [T*N,3H].
+    few GEMMs over that buffer flattened to [T*N,3H]; dW_x reads the
+    same L rows, and d(seq) is skipped when ``seq`` needs no gradient
+    (``tensor.needs_grad``), as for a frozen embedding.
     """
     if seq.ndim != 3 or seq.shape[2] + params.hidden_size != params.w_z.shape[0]:
         raise DimensionError(
@@ -145,8 +150,24 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     u_zr = np.concatenate([w.data[:hid] for w in weights[:2]], axis=1)
     u_h = params.w_h.data[:hid]
     bias = np.concatenate([params.b_z.data, params.b_r.data, params.b_h.data])
-    x_flat = np.ascontiguousarray(seq.data.transpose(1, 0, 2)).reshape(t_len * n, feat)
-    proj = (x_flat @ w_x + bias).reshape(t_len, n, 3 * hid)
+    rows = t_len * n
+    x_rows = np.ascontiguousarray(seq.data.transpose(1, 0, 2)).reshape(rows, feat)
+    live = np.flatnonzero(x_rows.any(axis=1))
+    if 2 * len(live) > rows:
+        # gathering and scattering a row costs a third to a half as much as
+        # projecting it (F=300, H=200-256), so padding is skipped only
+        # where it fills half the rows or more
+        live = slice(None)
+    x_rows = x_rows[live]  # all dW_x needs; the full copy is freed
+    proj = x_rows @ w_x
+    proj += bias
+    if len(x_rows) < rows:
+        full = np.empty((rows, 3 * hid), proj.dtype)
+        full[:] = bias  # what the GEMM gives an all-zero (padding) row
+        full[live] = proj
+        proj = full
+    proj = proj.reshape(t_len, n, 3 * hid)
+    seq_grad = T.needs_grad(seq)
 
     mask = None if h_mask is None else h_mask.data
     # position t reads h_prev from states[t + src] and writes h to states[t + dst]
@@ -186,17 +207,17 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
             dh_in = d_rh * r + d[:, :2 * hid] @ u_zr.T
             dh = dh * (1.0 - z) + (dh_in if mask is None else dh_in * mask)
 
-        flat = d_pre.reshape(t_len * n, 3 * hid)
+        flat = d_pre.reshape(rows, 3 * hid)
         rh = gates[:, :, hid:2 * hid] * h_in_all
         d_u = np.concatenate([
-            h_in_all.reshape(t_len * n, hid).T @ flat[:, :2 * hid],
-            rh.reshape(t_len * n, hid).T @ flat[:, 2 * hid:],
+            h_in_all.reshape(rows, hid).T @ flat[:, :2 * hid],
+            rh.reshape(rows, hid).T @ flat[:, 2 * hid:],
         ], axis=1)
-        d_wx = x_flat.T @ flat
+        d_wx = x_rows.T @ flat[live]
         d_w = [np.concatenate([d_u[:, k * hid:(k + 1) * hid], d_wx[:, k * hid:(k + 1) * hid]])
                for k in range(3)]
         d_b = np.split(flat.sum(axis=0), 3)
-        d_seq = (flat @ w_x.T).reshape(t_len, n, feat).transpose(1, 0, 2)
+        d_seq = (flat @ w_x.T).reshape(t_len, n, feat).transpose(1, 0, 2) if seq_grad else None
         return (d_seq, *d_w, *d_b)
 
     return record_op(out, (seq, *weights, params.b_z, params.b_r, params.b_h), back)
@@ -401,7 +422,8 @@ def max_pool_routing(features: Tensor, window: int = 4) -> Tensor:
 def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """1-d convolution over positions with zero same-padding.
 
-    [N,T,F] with kernel [w,F,K] -> [N,T,K].
+    [N,T,F] with kernel [w,F,K] -> [N,T,K]. The input gradient is
+    skipped when ``x`` needs none (``tensor.needs_grad``).
     """
     if kernel.ndim != 3 or kernel.shape[1] != x.shape[2]:
         raise DimensionError(f"conv kernel {kernel.shape} does not match input {x.shape}")
@@ -413,9 +435,13 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)  # [N,T,F,w]
     out = np.einsum("ntfw,wfk->ntk", windows, kernel.data, optimize=True) + bias.data
 
+    x_grad = T.needs_grad(x)
+
     def back(g):
         grad_k = np.einsum("ntfw,ntk->wfk", windows, g, optimize=True)
         grad_b = g.sum(axis=(0, 1))
+        if not x_grad:
+            return (None, grad_k, grad_b)
         grad_pad = np.zeros_like(padded)
         for d in range(width):
             grad_pad[:, d:d + t_len, :] += np.einsum(

@@ -135,7 +135,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self.gradients: dict[int, np.ndarray] = {}
-        self._watched: list[Tensor] = []
+        self._watched: dict[int, Tensor] = {}
 
     def __enter__(self) -> "Tape":
         stack = getattr(_state, "tapes", None)
@@ -149,8 +149,21 @@ class Tape:
         return False
 
     def watch(self, *tensors: Tensor) -> None:
-        """Register leaves so ``grad`` reports zeros when loss ignores them."""
-        self._watched.extend(tensors)
+        """Mark leaves whose gradients will be read; see ``needs_grad``.
+
+        Watch a leaf before any recorded op consumes it: an op may skip
+        the gradient of an input that was neither watched nor recorded
+        when it ran, so watching it later raises ``ContractError``
+        instead of letting its gradient read as zero.
+        """
+        if self.nodes:
+            consumed = {id(t) for node in self.nodes for t in node.inputs}
+            late = [t for t in tensors if id(t) in consumed]
+            if late:
+                raise ContractError(
+                    f"watch() after a recorded op consumed {late[0]!r}; watch leaves first"
+                )
+        self._watched.update((id(t), t) for t in tensors)
 
     def record(self, output: Tensor, inputs, backward) -> None:
         output.node_id = len(self.nodes)
@@ -185,15 +198,22 @@ def active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def backward(tape: Tape, loss: Tensor) -> None:
-    tape.backward(loss)
+def needs_grad(t: Tensor) -> bool:
+    """True when a tape is active and ``t`` is watched or a recorded op's output.
+
+    Anything else is a constant to the active tape, so no gradient of it
+    can be read.
+    """
+    tape = active_tape()
+    return tape is not None and (t.node_id is not None or id(t) in tape._watched)
 
 
 def record_op(out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     """Wrap an op result and record it on the active tape, if any.
 
-    ``backward_fn(grad_out)`` must return one gradient array (or None)
-    per input, each matching that input's shape.
+    ``backward_fn(grad_out)`` must return one gradient array per input,
+    each matching that input's shape, or None for no gradient. An input
+    for which ``needs_grad`` was false when the op ran may get None.
     """
     if _check_finite and not np.all(np.isfinite(out_data)):
         raise FloatingPointError("non-finite value in op output")
@@ -391,10 +411,6 @@ def norm(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.where(nk > 0, gk * x / safe, 0.0).astype(t.dtype, copy=False),)
 
     return record_op(n, (t,), back)
-
-
-def mean(t: Tensor) -> Tensor:
-    return scale(reduce_sum(t), 1.0 / t.size)
 
 
 # ---------------------------------------------------------------------------

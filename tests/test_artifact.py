@@ -5,8 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from bgcapsule import artifact
 from bgcapsule.artifact import load_model, save_model
-from bgcapsule.errors import DataError
+from bgcapsule.errors import ContractError, DataError
 
 from conftest import build_toy_model
 
@@ -100,3 +101,30 @@ def test_trailing_bytes_rejected(saved):
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(DataError, match="trailing"):
         load_model(path)
+
+
+def test_failed_save_leaves_previous_artifact_byte_identical(saved, monkeypatch):
+    model, path, _ = saved
+    before = path.read_bytes()
+    writes = []
+    real_write = artifact._write_u64
+
+    def failing_write(handle, value):
+        writes.append(value)
+        if len(writes) == 10:
+            raise OSError("disk full")
+        real_write(handle, value)
+
+    monkeypatch.setattr(artifact, "_write_u64", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(model, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_save_refuses_a_model_that_is_not_float32(separable_docs, tmp_path):
+    model, _ = build_toy_model(separable_docs, dtype=np.float64)
+    path = tmp_path / "wide.bgc"
+    with pytest.raises(ContractError, match="float64"):
+        save_model(model, path)
+    assert not path.exists()

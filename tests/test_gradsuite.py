@@ -5,7 +5,8 @@ def test_every_gradsuite_check_passes():
     reports = gradsuite.run_suite()
     names = [r.name for r in reports]
     assert len(names) == len(set(names))
-    for attr in ("seq", "masked_seq", "w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
+    for attr in ("seq", "masked_seq", "padded_seq", "padded_w_z",
+                 "w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
         assert f"bigru/{attr}" in names
     failed = [r.line() for r in reports if not r.passed]
     assert not failed, "\n".join(failed)

@@ -173,12 +173,10 @@ def unrolled_gru(seq, params, reverse=False, h_mask=None):
     return T.concat(outputs, axis=1)
 
 
-@pytest.mark.parametrize("masked", [False, True])
-@pytest.mark.parametrize("reverse", [False, True])
-def test_run_gru_matches_gru_step_unroll(reverse, masked):
-    rng = np.random.default_rng(11)
-    n, t_len, feat, hidden = 3, 6, 4, 5
-    seq = f64(rng.normal(size=(n, t_len, feat)))
+def assert_run_gru_matches_unroll(rng, seq, reverse, masked):
+    """Output and all seven gradients of ``run_gru`` vs the ``gru_step`` unroll."""
+    n, t_len, feat = seq.shape
+    hidden = 5
     params = make_gru(rng, feat, hidden)
     for name in ("b_z", "b_r", "b_h"):
         setattr(params, name, f64(rng.normal(size=hidden)))
@@ -194,6 +192,50 @@ def test_run_gru_matches_gru_step_unroll(reverse, masked):
             results.append([out.data] + [tape.grad(leaf).data for leaf in leaves])
     for got, want in zip(*results):
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_run_gru_matches_gru_step_unroll(reverse, masked):
+    rng = np.random.default_rng(11)
+    assert_run_gru_matches_unroll(rng, f64(rng.normal(size=(3, 6, 4))), reverse, masked)
+
+
+def padded_sequence(rng, leads=(2, 4, 5)):
+    """[3,7,4] with ``leads`` leading all-zero rows per row and one zero row mid-sequence.
+
+    The default makes 12 of 21 positions padding, so ``run_gru`` skips
+    them; with (0, 1, 2) it projects every row.
+    """
+    seq = rng.normal(size=(3, 7, 4))
+    for row, lead in enumerate(leads):
+        seq[row, :lead] = 0.0
+    seq[0, 4] = 0.0
+    return f64(seq)
+
+
+@pytest.mark.parametrize("leads", [(2, 4, 5), (0, 1, 2)])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_run_gru_on_padded_rows_matches_gru_step_unroll(reverse, masked, leads):
+    rng = np.random.default_rng(14)
+    assert_run_gru_matches_unroll(rng, padded_sequence(rng, leads), reverse, masked)
+
+
+def test_run_gru_skips_gradient_of_a_constant_sequence():
+    rng = np.random.default_rng(15)
+    seq = padded_sequence(rng)
+    params = make_gru(rng, 4, 5)
+    leaves = [params.w_z, params.w_r, params.w_h, params.b_z, params.b_r, params.b_h]
+    results = []
+    for watched in ([seq], []):
+        with T.Tape() as tape:
+            tape.watch(*watched, *leaves)
+            tape.backward(T.reduce_sum(L.run_gru(seq, params, reverse=True)))
+        results.append([tape.gradients[id(leaf)] for leaf in leaves])
+    assert id(seq) not in tape.gradients
+    for got, want in zip(*results):
+        npt.assert_array_equal(got, want)
 
 
 def test_run_gru_is_one_tape_op_and_keeps_dtype():
@@ -545,6 +587,22 @@ def test_conv1d_gradients():
         return T.reduce_sum(T.mul(y, y))
 
     assert T.grad_check(wrt_k, f64(k), name="conv-k").passed
+
+
+def test_conv1d_skips_gradient_of_a_constant_input():
+    rng = np.random.default_rng(30)
+    x = f64(rng.normal(size=(2, 6, 2)))
+    kernel, bias = f64(rng.normal(size=(3, 2, 3))), f64(rng.normal(size=3))
+    results = []
+    for watched in ([x], []):
+        with T.Tape() as tape:
+            tape.watch(*watched, kernel, bias)
+            y = L.conv1d_same(x, kernel, bias)
+            tape.backward(T.reduce_sum(T.mul(y, y)))
+        results.append([tape.gradients[id(kernel)], tape.gradients[id(bias)]])
+    assert id(x) not in tape.gradients
+    for got, want in zip(*results):
+        npt.assert_array_equal(got, want)
 
 
 def test_cnn_feature_extractor_concat_width():

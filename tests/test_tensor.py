@@ -165,6 +165,27 @@ def test_untouched_tensor_gets_zero_gradient():
         npt.assert_array_equal(tape.grad(unused).data, [0.0])
 
 
+def test_needs_grad_only_for_watched_or_recorded_tensors_on_a_tape():
+    x, const = T.Tensor([1.0, 2.0]), T.Tensor([3.0, 4.0])
+    assert not T.needs_grad(x)
+    with T.Tape() as tape:
+        tape.watch(x)
+        y = T.mul(x, const)
+        assert T.needs_grad(x) and T.needs_grad(y)
+        assert not T.needs_grad(const)
+    assert not T.needs_grad(x)
+
+
+def test_watch_after_an_op_consumed_the_tensor_raises():
+    with T.Tape() as tape:
+        x, late = T.Tensor([1.0, 2.0]), T.Tensor([3.0, 4.0])
+        tape.watch(x)
+        T.mul(x, late)
+        tape.watch(T.Tensor([5.0]))  # not consumed yet: fine
+        with pytest.raises(ContractError, match="watch"):
+            tape.watch(late)
+
+
 def test_backward_replay_is_deterministic():
     rng = np.random.default_rng(3)
     with T.Tape() as tape:
