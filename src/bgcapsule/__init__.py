@@ -12,7 +12,6 @@ from .errors import (
     ContractError,
     DataError,
     DimensionError,
-    ModelDataMismatch,
     ParseError,
 )
 from .tensor import Tape, Tensor, grad_check
@@ -23,7 +22,6 @@ __all__ = [
     "ContractError",
     "DataError",
     "DimensionError",
-    "ModelDataMismatch",
     "ParseError",
     "Tape",
     "Tensor",

@@ -1,9 +1,11 @@
 """Trains the three architecture variants under one controlled harness.
 
 All variants see identical data order and share the base seed, so the
-comparison isolates the feature extractor and the routing stage. The
-result renders as an aligned text table and as ``dataset,variant,accuracy``
-CSV rows.
+comparison isolates the feature extractor and the routing stage. Each
+variant keeps its best epoch on a seeded holdout of the training docs
+and is then evaluated once on the test docs, which no choice has seen.
+The result renders as an aligned text table and as
+``dataset,variant,accuracy`` CSV rows.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 
-from .config import VARIANTS, AblationConfig, ModelConfig
+from .config import AblationConfig, ModelConfig
 from .model import TextClassifier
-from .text import DatasetSplit, build_vocab, encode_docs, holdout_split, load_glove, \
-    random_embeddings, tokenize_lower
-from .training import evaluate, train
+from .text import DatasetSplit, holdout_split
+from .training import evaluate, prepare_split, train
 
 COLUMN_TITLES = {
     "bigru_maxpool": "BiGRU + Max Pooling",
@@ -67,26 +68,23 @@ def run_ablation(split: DatasetSplit, config: ModelConfig, dataset_name: str = "
                  val_fraction: float = 0.1, log=None) -> AblationResult:
     """Train every variant on the same split and report test accuracies.
 
+    A seeded ``val_fraction`` of the training docs picks the best epoch.
     When the split has no test portion, a seeded holdout of the training
-    set stands in for it.
+    set is taken for it first.
     """
     base_ablation = base_ablation or AblationConfig()
     train_raw, test_raw = split.train, split.test
     if not test_raw:
         train_raw, test_raw = holdout_split(train_raw, val_fraction, config.seed)
-    vocab = build_vocab(tokenize_lower(d.text) for d in train_raw)
-    if glove_path is not None:
-        table, _ = load_glove(glove_path, vocab, config.embed_dim, config.seed)
-    else:
-        table = random_embeddings(vocab, config.embed_dim, config.seed)
-    enc_train = encode_docs(train_raw, vocab, config.max_len, config.truncate_keep)
-    enc_test = encode_docs(test_raw, vocab, config.max_len, config.truncate_keep)
+    fit_raw, val_raw = holdout_split(train_raw, val_fraction, config.seed)
+    vocab, table, enc_fit, (enc_val, enc_test) = prepare_split(
+        fit_raw, [val_raw, test_raw], config, glove_path)
 
     results: dict[str, VariantResult] = {}
     for variant in VARIANT_ORDER:
         ablation = replace(base_ablation, variant=variant)
         model = TextClassifier(config, vocab, table, ablation)
-        outcome = train(model, enc_train, enc_test, config)
+        outcome = train(model, enc_fit, enc_val, config)
         metrics = evaluate(model, enc_test, config.batch_size)
         results[variant] = VariantResult(
             variant=variant,

@@ -6,9 +6,9 @@ one record per tensor: u64 name length, name bytes, u64 rank, u64 dims,
 float32 little-endian payload in row-major order. Loading checks every
 length against the bytes left in the file before allocating, reads each
 payload straight into its final array, and validates everything before
-touching any model state, so a bad file is rejected with a
-``DataError`` rather than half-applied. Saving replaces the file
-whole or not at all. Round-trips are bitwise.
+touching any model state, so a bad file, header values included, is
+rejected with a ``DataError`` naming it rather than half-applied.
+Saving replaces the file whole or not at all. Round-trips are bitwise.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import struct
 import numpy as np
 
 from .config import AblationConfig, ModelConfig
-from .errors import ContractError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .model import TextClassifier
 from .text import EmbeddingTable, Vocabulary
 
@@ -125,6 +125,8 @@ def load_model(path) -> TextClassifier:
             header = json.loads(reader.read(header_len, "header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise DataError(f"{path}: header is not a JSON object")
         if header.get("version") != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported artifact version {header.get('version')!r}")
         for key in ("config", "ablation", "vocab"):
@@ -144,13 +146,15 @@ def load_model(path) -> TextClassifier:
         if reader.left:
             raise DataError(f"{path}: trailing bytes after tensor records")
 
-    config = ModelConfig.from_dict(header["config"])
-    ablation = AblationConfig.from_dict(header["ablation"])
-    vocab = Vocabulary(header["vocab"])
     if "embedding" not in arrays:
         raise DataError(f"{path}: artifact has no embedding table")
-    table = EmbeddingTable(vectors=arrays["embedding"], dim=config.embed_dim)
-    model = TextClassifier(config, vocab, table, ablation)
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        table = EmbeddingTable(vectors=arrays["embedding"], dim=config.embed_dim)
+        model = TextClassifier(config, Vocabulary(header["vocab"]), table,
+                               AblationConfig.from_dict(header["ablation"]))
+    except (ConfigError, DataError) as exc:
+        raise DataError(f"{path}: bad header: {exc}") from exc
     expected = model.state_tensors()
     missing = sorted(set(expected) - set(arrays))
     extra = sorted(set(arrays) - set(expected))

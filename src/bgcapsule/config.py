@@ -1,11 +1,14 @@
 """Model and run configuration, plus the flat ``key = value`` file format.
 
 Unknown keys in a config file are hard errors so typos in sweeps fail
-loudly instead of silently training the default.
+loudly instead of silently training the default. ``from_dict`` also
+checks each value's type against its field, so a config read from JSON
+fails with ``ConfigError``, never a ``TypeError`` from deep inside.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
@@ -16,12 +19,43 @@ TRUNCATION_SIDES = ("first", "last")
 VARIANTS = ("bgcapsule", "bigru_maxpool", "cnn_capsule")
 
 
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
+def _has_type(value, type_name: str) -> bool:
+    """Whether ``value`` fits a field annotated ``type_name``; a bool is no number."""
+    if type_name.startswith("list"):
+        return isinstance(value, list) and all(_has_type(v, "int") for v in value)
+    return (isinstance(value, _FIELD_TYPES[type_name])
+            and isinstance(value, bool) == (type_name == "bool"))
+
+
+class _DictConvertible:
+    """``to_dict`` and a checked ``from_dict`` for the config dataclasses."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ConfigError(f"{cls.__name__} needs a mapping, got {type(data).__name__}")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if not _has_type(value, types[key]):
+                raise ConfigError(f"{cls.__name__}.{key} must be {types[key]}, got {value!r}")
+        return cls(**data).validate()
+
+
 @dataclass
-class ModelConfig:
+class ModelConfig(_DictConvertible):
     """Every architectural and training hyperparameter.
 
     Defaults are desk-scale where that differs from the published
-    setup; ``paper_scale()`` restores the full-size values.
+    setup; the published one trains at batch 1000.
     """
 
     max_len: int = 200
@@ -58,8 +92,8 @@ class ModelConfig:
             raise ConfigError(f"bigru_sizes needs two positive sizes, got {self.bigru_sizes}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.head_activation not in HEAD_ACTIVATIONS:
             raise ConfigError(f"head_activation must be one of {HEAD_ACTIVATIONS}")
         if self.softmax_axis not in SOFTMAX_AXES:
@@ -68,25 +102,9 @@ class ModelConfig:
             raise ConfigError(f"truncate_keep must be one of {TRUNCATION_SIDES}")
         return self
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data).validate()
-
-
-def paper_scale() -> ModelConfig:
-    """The published training setup (batch 1000, full widths)."""
-    return ModelConfig(batch_size=1000, epochs=20)
-
 
 @dataclass
-class AblationConfig:
+class AblationConfig(_DictConvertible):
     """Which architecture variant to build, plus its knobs."""
 
     variant: str = "bgcapsule"
@@ -105,42 +123,20 @@ class AblationConfig:
             raise ConfigError(f"pool_window must be >= 1, got {self.pool_window}")
         return self
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AblationConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown ablation keys: {sorted(unknown)}")
-        return cls(**data).validate()
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_value(field_type, raw: str, key: str):
+def _parse_value(field_type: str, raw: str, where: str):
     raw = raw.strip()
-    if field_type == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-    if field_type == "int":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-    if field_type == "float":
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-    if field_type.startswith("list"):
-        try:
+    try:
+        if field_type == "bool":
+            return _BOOL_WORDS[raw.lower()]
+        if field_type.startswith("list"):
             return [int(part) for part in raw.split(",") if part.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"{key}: expected comma-separated integers, got {raw!r}") from exc
-    return raw
+        return {"int": int, "float": float, "str": str}[field_type](raw)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected {field_type}, got {raw!r}") from exc
 
 
 def load_config_file(path) -> ModelConfig:
@@ -158,7 +154,7 @@ def load_config_file(path) -> ModelConfig:
             key = key.strip()
             if key not in type_by_name:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-            values[key] = _parse_value(str(type_by_name[key]), raw, key)
+            values[key] = _parse_value(type_by_name[key], raw, f"{path}:{line_no}: {key}")
     return ModelConfig.from_dict(values)
 
 

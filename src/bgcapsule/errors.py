@@ -24,6 +24,3 @@ class ParseError(DataError):
 class ContractError(BgcError):
     """Caller violated a documented precondition."""
 
-
-class ModelDataMismatch(BgcError):
-    """A loaded model cannot be applied to the given data."""

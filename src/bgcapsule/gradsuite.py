@@ -15,8 +15,8 @@ from . import tensor as T
 from .config import AblationConfig, ModelConfig
 from .model import TextClassifier
 from .tensor import GradCheckReport, Tape, Tensor, error_stats, grad_check
-from .text import LabeledText, build_vocab, encode_docs, random_embeddings, tokenize_lower
-from .training import cross_entropy
+from .text import LabeledText
+from .training import cross_entropy, prepare_split, softmax_cross_entropy
 
 OP_TOL = 1e-4
 MODEL_TOL = 1e-3
@@ -24,6 +24,20 @@ MODEL_TOL = 1e-3
 
 def _sq(t):
     return T.reduce_sum(T.mul(t, t))
+
+
+def _wrt(owner, attr: str, loss):
+    """``loss()`` as a function of the tensor at ``owner.attr``, for ``grad_check``."""
+    original = getattr(owner, attr)
+
+    def target(t):
+        setattr(owner, attr, t)
+        try:
+            return loss()
+        finally:
+            setattr(owner, attr, original)
+
+    return target
 
 
 def _op_checks() -> list[GradCheckReport]:
@@ -67,15 +81,8 @@ def _op_checks() -> list[GradCheckReport]:
     check("gru_step/x", lambda t: _sq(L.gru_step(t, h_prev, params)), x_t.data)
     check("gru_step/h", lambda t: _sq(L.gru_step(x_t, t, params)), h_prev.data)
     for attr in ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
-        original = getattr(params, attr)
-
-        def wrt_param(t, attr=attr, original=original):
-            setattr(params, attr, t)
-            out = _sq(L.gru_step(x_t, h_prev, params))
-            setattr(params, attr, original)
-            return out
-
-        check(f"gru_step/{attr}", wrt_param, original.data)
+        check(f"gru_step/{attr}", _wrt(params, attr, lambda: _sq(L.gru_step(x_t, h_prev, params))),
+              getattr(params, attr).data)
 
     seq = Tensor(rng.normal(size=(1, 4, 3)), dtype=np.float64)
     p_fwd = L.init_gru(rng, 3, 2, np.float64)
@@ -83,15 +90,8 @@ def _op_checks() -> list[GradCheckReport]:
     check("bigru/seq", lambda t: _sq(L.bigru_forward(t, p_fwd, p_bwd)), seq.data)
 
     for attr in ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
-        original = getattr(p_fwd, attr)
-
-        def bigru_wrt_param(t, attr=attr, original=original):
-            setattr(p_fwd, attr, t)
-            out = _sq(L.bigru_forward(seq, p_fwd, p_bwd))
-            setattr(p_fwd, attr, original)
-            return out
-
-        check(f"bigru/{attr}", bigru_wrt_param, original.data)
+        check(f"bigru/{attr}", _wrt(p_fwd, attr, lambda: _sq(L.bigru_forward(seq, p_fwd, p_bwd))),
+              getattr(p_fwd, attr).data)
 
     # recurrent dropout: the mask scales the state seen by gates and candidate
     masks = tuple(Tensor(rng.choice([0.0, 2.0], size=(2, 2)), dtype=np.float64) for _ in range(2))
@@ -103,15 +103,9 @@ def _op_checks() -> list[GradCheckReport]:
     padded[0, :3] = padded[1, :1] = padded[1, 3] = 0.0
     check("bigru/padded_seq", lambda t: _sq(L.bigru_forward(t, p_fwd, p_bwd)), padded)
     padded_seq = Tensor(padded, dtype=np.float64)
-    original_w_z = p_fwd.w_z
-
-    def padded_wrt_w_z(t):
-        p_fwd.w_z = t
-        out = _sq(L.bigru_forward(padded_seq, p_fwd, p_bwd))
-        p_fwd.w_z = original_w_z
-        return out
-
-    check("bigru/padded_w_z", padded_wrt_w_z, original_w_z.data)
+    check("bigru/padded_w_z",
+          _wrt(p_fwd, "w_z", lambda: _sq(L.bigru_forward(padded_seq, p_fwd, p_bwd))),
+          p_fwd.w_z.data)
 
     u = Tensor(rng.normal(size=(1, 3, 3)), dtype=np.float64)
     check("predict_vectors/shared", lambda t: _sq(L.predict_vectors(u, t)),
@@ -132,19 +126,17 @@ def _op_checks() -> list[GradCheckReport]:
     labels = np.array([0, 2])
     for activation in ("relu", "selu"):
         check(f"dense_head/{activation}/x",
-              lambda t, a=activation: cross_entropy(L.dense_head(t, head, a), labels),
+              lambda t, a=activation: softmax_cross_entropy(L.dense_head(t, head, a), labels),
               head_x.data)
 
-    def head_wrt_w1(t):
-        original = head.w1
-        head.w1 = t
-        out = cross_entropy(L.dense_head(head_x, head, "relu"), labels)
-        head.w1 = original
-        return out
-
-    check("dense_head/w1", head_wrt_w1, head.w1.data)
+    check("dense_head/w1",
+          _wrt(head, "w1", lambda: softmax_cross_entropy(L.dense_head(head_x, head), labels)),
+          head.w1.data)
     check("softmax_xent", lambda t: cross_entropy(T.softmax(t, axis=1), labels),
           rng.normal(size=(2, 4)))
+    # logits far apart, as in a confident prediction
+    check("softmax_cross_entropy", lambda t: softmax_cross_entropy(t, labels),
+          rng.normal(size=(2, 4)) * np.array([[1.0], [60.0]]))
 
     kernel = Tensor(rng.normal(size=(3, 2, 3)), dtype=np.float64)
     conv_bias = Tensor(rng.normal(size=(3,)), dtype=np.float64)
@@ -176,13 +168,11 @@ def _toy_model(variant: str) -> tuple[TextClassifier, np.ndarray, np.ndarray]:
     ablation = AblationConfig(variant=variant, cnn_filter_widths=[2, 3], cnn_filter_count=3,
                               pool_window=3)
     docs = _toy_corpus()
-    vocab = build_vocab(tokenize_lower(d.text) for d in docs)
-    table = random_embeddings(vocab, config.embed_dim, config.seed)
+    vocab, table, _, (encoded,) = prepare_split(docs, [docs[:2]], config)
     # at the default +-0.05 embedding scale the double squash collapses
     # activations below the finite-difference step; check at a healthy scale
     table.vectors = table.vectors * 20.0
     model = TextClassifier(config, vocab, table, ablation, dtype=np.float64)
-    encoded = encode_docs(docs[:2], vocab, config.max_len)
     ids = np.array([d.tokens for d in encoded], dtype=np.int32)
     labels = np.array([d.label for d in encoded], dtype=np.int64)
     return model, ids, labels
@@ -194,12 +184,12 @@ def _full_model_checks(variant: str, step: float = 1e-5) -> list[GradCheckReport
     params = model.parameters()
     with Tape() as tape:
         tape.watch(*params.values())
-        loss = cross_entropy(model.forward(ids), labels)
+        loss = softmax_cross_entropy(model.logits(ids), labels)
         tape.backward(loss)
         analytic = {name: tape.grad(p).data.copy() for name, p in params.items()}
 
     def loss_value() -> float:
-        return cross_entropy(model.forward(ids), labels).item()
+        return softmax_cross_entropy(model.logits(ids), labels).item()
 
     reports = []
     for name, param in params.items():

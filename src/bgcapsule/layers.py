@@ -1,5 +1,5 @@
 """Forward stack: embedding lookup, GRU/BiGRU ensemble, capsules with
-agreement routing, and the dense softmax head.
+agreement routing, and the dense head that gives class logits.
 
 Shapes use N for batch, T for sequence length, F for features, I/J for
 capsule counts in the lower/upper layer, and D for capsule dimension.
@@ -382,11 +382,10 @@ def init_head(rng, in_size: int, hidden: int, classes: int, dtype=np.float32) ->
 
 
 def dense_head(x: Tensor, params: HeadParams, activation: str = "relu") -> Tensor:
-    """Hidden layer + linear + softmax -> class probabilities [N, C]."""
+    """Hidden layer + linear -> class logits [N, C]."""
     act = T.relu if activation == "relu" else T.selu
     hidden = act(T.add_bias(T.matmul(x, params.w1), params.b1))
-    logits = T.add_bias(T.matmul(hidden, params.w2), params.b2)
-    return T.softmax(logits, axis=1)
+    return T.add_bias(T.matmul(hidden, params.w2), params.b2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""Assembles the classifier variants from the layer building blocks.
+"""Assembles the classifier from stages: embedding -> extractor -> aggregator -> head.
 
-All three variants share the embedding stage and the dense head; the
-capsule/routing path is literally the same code for the bgcapsule and
-cnn_capsule variants, which is what makes the ablation comparison an
-apples-to-apples one.
+The extractor is the BiGRU ensemble or the CNN, the aggregator capsule
+routing or max pooling. A variant is one ``(extractor, aggregator)``
+entry in ``VARIANT_STAGES``; every other stage is the same code for all
+variants, which is what makes the ablation comparison a fair one.
+
+A stage is built from the config, the ablation knobs, its input width
+and the model's rng, so parameters are drawn in stage order. It holds
+``params`` (its tensors under their artifact names, in draw order),
+``width`` (of its output features) and ``forward``.
 """
 
 from __future__ import annotations
@@ -19,8 +24,118 @@ from .text import EmbeddingTable, Vocabulary, pad_prepend, tokenize_lower
 from .training import recurrent_dropout_mask
 
 
+class BiGruEnsemble:
+    """Two BiGRUs over the same input, channel-concatenated [N,T,2*H1+2*H2].
+
+    In training, with a dropout rate and an rng, each direction gets a
+    recurrent-dropout mask drawn per batch.
+    """
+
+    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, rng, dtype):
+        self.bigru1, self.bigru2 = [(L.init_gru(rng, in_width, h, dtype),
+                                     L.init_gru(rng, in_width, h, dtype)) for h in cfg.bigru_sizes]
+        self.params = {}
+        for tag, pair in (("bigru1", self.bigru1), ("bigru2", self.bigru2)):
+            for direction, gru in zip(("fwd", "bwd"), pair):
+                self.params.update(gru.named(f"{tag}_{direction}"))
+        self.width = 2 * sum(cfg.bigru_sizes)
+        self.dropout = cfg.dropout
+
+    def forward(self, embedded: Tensor, training: bool, rng) -> Tensor:
+        def mask(gru):
+            if not training or self.dropout == 0.0 or rng is None:
+                return None
+            shape = (embedded.shape[0], gru.hidden_size)
+            return Tensor(recurrent_dropout_mask(shape, self.dropout, rng).astype(embedded.dtype))
+
+        masks = [(mask(fwd), mask(bwd)) for fwd, bwd in (self.bigru1, self.bigru2)]
+        return L.ensemble_forward(embedded, self.bigru1, self.bigru2, masks)
+
+
+class CnnExtractor:
+    """Same-padded convolutions of each filter width, ReLU, concatenated."""
+
+    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, rng, dtype):
+        widths, count = ablation.cnn_filter_widths, ablation.cnn_filter_count
+        self.kernels = [L.glorot_uniform(rng, (w, in_width, count), dtype) for w in widths]
+        self.biases = [T.zeros((count,), dtype) for _ in widths]
+        self.params = {}
+        for i, (kernel, bias) in enumerate(zip(self.kernels, self.biases)):
+            self.params.update({f"cnn{i}.kernel": kernel, f"cnn{i}.bias": bias})
+        self.width = len(widths) * count
+
+    def forward(self, embedded: Tensor, training: bool, rng) -> Tensor:
+        return L.cnn_feature_extractor(embedded, self.kernels, self.biases)
+
+
+class CapsuleRouting:
+    """Primary capsules per position, votes, agreement routing, flattened.
+
+    ``last_routing`` holds the couplings of the latest forward pass.
+    """
+
+    last_routing: L.RoutingInfo | None = None
+
+    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, rng, dtype):
+        self.cfg = cfg
+        caps_out = cfg.primary_caps_per_pos * cfg.caps_dim
+        self.caps_w = L.glorot_uniform(rng, (in_width, caps_out), dtype)
+        self.caps_b = T.zeros((caps_out,), dtype)
+        inputs = () if cfg.share_pair_weights else (cfg.max_len * cfg.primary_caps_per_pos,)
+        pair_shape = (cfg.routed_caps, *inputs, cfg.caps_dim, cfg.routed_caps_dim)
+        self.pair_w = L.glorot_uniform(rng, pair_shape, dtype)
+        self.params = {"primary_caps.w": self.caps_w, "primary_caps.b": self.caps_b,
+                       "routing.pair_w": self.pair_w}
+        self.width = cfg.routed_caps * cfg.routed_caps_dim
+
+    def forward(self, features: Tensor) -> Tensor:
+        cfg = self.cfg
+        caps = L.primary_capsules(features, self.caps_w, self.caps_b,
+                                  cfg.primary_caps_per_pos, cfg.caps_dim)
+        u_hat = L.predict_vectors(caps, self.pair_w)
+        v, self.last_routing = L.dynamic_routing(u_hat, cfg.routing_iters,
+                                                 normalize_over=cfg.softmax_axis)
+        return L.flatten_capsules(v)
+
+
+class MaxPooling:
+    """Max over non-overlapping position windows, flattened; no parameters."""
+
+    last_routing = None
+
+    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, rng, dtype):
+        self.window = ablation.pool_window
+        if cfg.max_len < self.window:
+            raise ConfigError(f"pool window {self.window} exceeds max_len {cfg.max_len}")
+        self.params = {}
+        self.width = cfg.max_len // self.window * in_width
+
+    def forward(self, features: Tensor) -> Tensor:
+        pooled = L.max_pool_routing(features, self.window)
+        return T.reshape(pooled, (pooled.shape[0], -1))
+
+
+class DenseHead:
+    """Hidden layer and a linear layer to class logits."""
+
+    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, rng, dtype):
+        self.weights = L.init_head(rng, in_width, cfg.dense_hidden, cfg.class_count, dtype)
+        self.params = dict(self.weights.named("head"))
+        self.activation = cfg.head_activation
+
+    def forward(self, flat: Tensor) -> Tensor:
+        return L.dense_head(flat, self.weights, self.activation)
+
+
+VARIANT_STAGES = {
+    "bgcapsule": (BiGruEnsemble, CapsuleRouting),
+    "bigru_maxpool": (BiGruEnsemble, MaxPooling),
+    "cnn_capsule": (CnnExtractor, CapsuleRouting),
+}
+
+
 class TextClassifier:
-    """One trainable model instance: parameters, vocab, and forward pass."""
+    """One trainable model instance: vocab, stages, and forward pass."""
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary, embeddings: EmbeddingTable,
                  ablation: AblationConfig | None = None, dtype=np.float32):
@@ -39,73 +154,25 @@ class TextClassifier:
                 f"{len(vocab)}-token vocabulary"
             )
         self.embedding = Tensor(embeddings.vectors.astype(self.dtype, copy=False))
-        self.last_routing: L.RoutingInfo | None = None
-        self._build(np.random.default_rng([config.seed, 0]))
+        extractor, aggregator = VARIANT_STAGES[self.ablation.variant]
+        rng = np.random.default_rng([config.seed, 0])
+        args = (config, self.ablation)
+        self.extractor = extractor(*args, config.embed_dim, rng, self.dtype)
+        self.aggregator = aggregator(*args, self.extractor.width, rng, self.dtype)
+        self.head = DenseHead(*args, self.aggregator.width, rng, self.dtype)
 
-    # -- construction -------------------------------------------------
-
-    def _build(self, rng) -> None:
-        cfg, dtype = self.config, self.dtype
-        variant = self.ablation.variant
-
-        if variant in ("bgcapsule", "bigru_maxpool"):
-            h1, h2 = cfg.bigru_sizes
-            self.bigru1 = (L.init_gru(rng, cfg.embed_dim, h1, dtype),
-                           L.init_gru(rng, cfg.embed_dim, h1, dtype))
-            self.bigru2 = (L.init_gru(rng, cfg.embed_dim, h2, dtype),
-                           L.init_gru(rng, cfg.embed_dim, h2, dtype))
-            feature_width = 2 * h1 + 2 * h2
-        else:
-            widths = self.ablation.cnn_filter_widths
-            count = self.ablation.cnn_filter_count
-            self.cnn_kernels = [
-                L.glorot_uniform(rng, (w, cfg.embed_dim, count), dtype) for w in widths
-            ]
-            self.cnn_biases = [T.zeros((count,), dtype) for _ in widths]
-            feature_width = len(widths) * count
-        self.feature_width = feature_width
-
-        if variant == "bigru_maxpool":
-            blocks = cfg.max_len // self.ablation.pool_window
-            if blocks < 1:
-                raise ConfigError(
-                    f"pool window {self.ablation.pool_window} exceeds max_len {cfg.max_len}"
-                )
-            head_in = blocks * feature_width
-        else:
-            caps_out = cfg.primary_caps_per_pos * cfg.caps_dim
-            self.caps_w = L.glorot_uniform(rng, (feature_width, caps_out), dtype)
-            self.caps_b = T.zeros((caps_out,), dtype)
-            input_caps = cfg.max_len * cfg.primary_caps_per_pos
-            if cfg.share_pair_weights:
-                pair_shape = (cfg.routed_caps, cfg.caps_dim, cfg.routed_caps_dim)
-            else:
-                pair_shape = (cfg.routed_caps, input_caps, cfg.caps_dim, cfg.routed_caps_dim)
-            self.pair_w = L.glorot_uniform(rng, pair_shape, dtype)
-            head_in = cfg.routed_caps * cfg.routed_caps_dim
-        self.head = L.init_head(rng, head_in, cfg.dense_hidden, cfg.class_count, dtype)
+    @property
+    def last_routing(self) -> L.RoutingInfo | None:
+        """Routing couplings of the latest forward pass; None without capsules."""
+        return self.aggregator.last_routing
 
     # -- parameter access ---------------------------------------------
 
     def parameters(self) -> dict[str, Tensor]:
         """Trainable tensors in a fixed, deterministic order."""
-        params: dict[str, Tensor] = {}
-        if self.config.embed_trainable:
-            params["embedding"] = self.embedding
-        variant = self.ablation.variant
-        if variant in ("bgcapsule", "bigru_maxpool"):
-            for tag, pair in (("bigru1", self.bigru1), ("bigru2", self.bigru2)):
-                for direction, gru in zip(("fwd", "bwd"), pair):
-                    params.update(gru.named(f"{tag}_{direction}"))
-        else:
-            for i, (kernel, bias) in enumerate(zip(self.cnn_kernels, self.cnn_biases)):
-                params[f"cnn{i}.kernel"] = kernel
-                params[f"cnn{i}.bias"] = bias
-        if variant != "bigru_maxpool":
-            params["primary_caps.w"] = self.caps_w
-            params["primary_caps.b"] = self.caps_b
-            params["routing.pair_w"] = self.pair_w
-        params.update(self.head.named("head"))
+        params = {"embedding": self.embedding} if self.config.embed_trainable else {}
+        for stage in (self.extractor, self.aggregator, self.head):
+            params.update(stage.params)
         return params
 
     def state_tensors(self) -> dict[str, Tensor]:
@@ -119,43 +186,16 @@ class TextClassifier:
 
     # -- forward ------------------------------------------------------
 
-    def _dropout_masks(self, batch_size: int, training: bool, rng):
-        cfg = self.config
-        if not training or cfg.dropout == 0.0 or rng is None:
-            return ((None, None), (None, None))
-        h1, h2 = cfg.bigru_sizes
+    def logits(self, token_ids: np.ndarray, training: bool = False, rng=None) -> Tensor:
+        """Token ids [N, max_len] -> class logits [N, C], through every stage."""
+        embedded = L.embedding_forward(self.embedding, np.asarray(token_ids),
+                                       trainable=self.config.embed_trainable)
+        features = self.extractor.forward(embedded, training, rng)
+        return self.head.forward(self.aggregator.forward(features))
 
-        def mask(hidden):
-            return Tensor(recurrent_dropout_mask((batch_size, hidden), cfg.dropout, rng)
-                          .astype(self.dtype))
-
-        return ((mask(h1), mask(h1)), (mask(h2), mask(h2)))
-
-    def forward(self, token_ids: np.ndarray, training: bool = False, rng=None) -> Tensor:
-        """Token ids [N, max_len] -> class probabilities [N, C]."""
-        cfg = self.config
-        ids = np.asarray(token_ids)
-        embedded = L.embedding_forward(self.embedding, ids, trainable=cfg.embed_trainable)
-        variant = self.ablation.variant
-
-        if variant in ("bgcapsule", "bigru_maxpool"):
-            masks = self._dropout_masks(ids.shape[0], training, rng)
-            features = L.ensemble_forward(embedded, self.bigru1, self.bigru2, masks)
-        else:
-            features = L.cnn_feature_extractor(embedded, self.cnn_kernels, self.cnn_biases)
-
-        if variant == "bigru_maxpool":
-            pooled = L.max_pool_routing(features, self.ablation.pool_window)
-            n, blocks, width = pooled.shape
-            flat = T.reshape(pooled, (n, blocks * width))
-        else:
-            caps = L.primary_capsules(features, self.caps_w, self.caps_b,
-                                      cfg.primary_caps_per_pos, cfg.caps_dim)
-            u_hat = L.predict_vectors(caps, self.pair_w)
-            v, self.last_routing = L.dynamic_routing(u_hat, cfg.routing_iters,
-                                                     normalize_over=cfg.softmax_axis)
-            flat = L.flatten_capsules(v)
-        return L.dense_head(flat, self.head, cfg.head_activation)
+    def forward(self, token_ids: np.ndarray) -> Tensor:
+        """Token ids [N, max_len] -> class probabilities [N, C], in eval mode."""
+        return T.softmax(self.logits(token_ids), axis=1)
 
     # -- single-text inference ----------------------------------------
 

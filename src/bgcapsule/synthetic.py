@@ -1,15 +1,11 @@
-"""Synthetic corpora for smoke tests and demos.
+"""Synthetic corpus for smoke tests and demos.
 
 The separable corpus plants exactly one of two marker tokens in each
 document, so any model that can read one token past the noise should
-reach near-perfect accuracy quickly. The noisy sentiment corpus is
-harder: labels come from counts of sentiment-bearing words with a
-small amount of label noise.
+reach near-perfect accuracy quickly.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
@@ -36,47 +32,3 @@ def separable_corpus(count: int = 200, seed: int = 0, min_len: int = 5,
         docs.append(LabeledText(text=" ".join(words), label=label))
     return docs
 
-
-_POSITIVE = ["great", "wonderful", "superb", "delightful", "charming", "moving",
-             "brilliant", "enjoyable", "fresh", "warm"]
-_NEGATIVE = ["awful", "dull", "tedious", "clumsy", "lifeless", "bland",
-             "shallow", "messy", "tired", "grim"]
-
-
-def sentiment_corpus(count: int = 2000, seed: int = 0, noise: float = 0.05,
-                     vocab_extra: int = 400) -> list[LabeledText]:
-    """Noisy sentiment-style corpus: label follows the dominant word set."""
-    rng = np.random.default_rng([seed, 8])
-    extras = [f"w{i}" for i in range(vocab_extra)]
-    docs = []
-    for _ in range(count):
-        label = int(rng.integers(2))
-        main, other = (_POSITIVE, _NEGATIVE) if label else (_NEGATIVE, _POSITIVE)
-        length = int(rng.integers(6, 30))
-        words = []
-        for _ in range(length):
-            roll = rng.random()
-            if roll < 0.25:
-                words.append(main[int(rng.integers(len(main)))])
-            elif roll < 0.32:
-                words.append(other[int(rng.integers(len(other)))])
-            elif roll < 0.6:
-                words.append(_FILLER[int(rng.integers(len(_FILLER)))])
-            else:
-                words.append(extras[int(rng.integers(len(extras)))])
-        if rng.random() < noise:
-            label = 1 - label
-        docs.append(LabeledText(text=" ".join(words), label=label))
-    return docs
-
-
-def write_polarity_files(docs: list[LabeledText], directory) -> tuple[Path, Path]:
-    """Write a two-class corpus in the two-file one-review-per-line format."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    pos_path = directory / "synthetic.pos"
-    neg_path = directory / "synthetic.neg"
-    with open(pos_path, "w", encoding="utf-8") as pos, open(neg_path, "w", encoding="utf-8") as neg:
-        for doc in docs:
-            (pos if doc.label == 1 else neg).write(doc.text + "\n")
-    return pos_path, neg_path

@@ -28,15 +28,22 @@ def tokenize_lower(text: str) -> list[str]:
 
 
 class Vocabulary:
-    """token -> integer index map; indices start at 1, 0 means padding."""
+    """token -> integer index map; indices are 1..|V|, each once, and 0 means padding."""
 
     def __init__(self, token_to_index: dict[str, int] | None = None):
         self.token_to_index: dict[str, int] = {}
-        if token_to_index:
-            for token, index in token_to_index.items():
-                if index < 1:
-                    raise DataError(f"vocabulary index {index} for {token!r}; 0 is reserved")
-                self.token_to_index[token] = index
+        if token_to_index is None:
+            return
+        if not isinstance(token_to_index, dict):
+            raise DataError(f"vocabulary must be a mapping, got {type(token_to_index).__name__}")
+        # whole-list checks in C: faster than a Python loop over the entries
+        size = len(token_to_index)
+        indices = list(token_to_index.values())
+        if (list(map(type, indices)).count(int) != size
+                or sorted(indices) != list(range(1, size + 1))):
+            raise DataError(f"vocabulary indices must be the integers 1..{size}, each once "
+                            f"(0 is reserved for padding)")
+        self.token_to_index.update(token_to_index)
 
     def add(self, token: str) -> int:
         index = self.token_to_index.get(token)
@@ -51,9 +58,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.token_to_index)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_index
 
 
 def build_vocab(token_docs) -> Vocabulary:
@@ -309,13 +313,3 @@ def iter_batches(docs: list[TokenizedDoc], batch_size: int, rng=None):
     for start in range(0, len(docs), batch_size):
         yield batch_of([docs[i] for i in order[start:start + batch_size]])
 
-
-def encode_batch(docs: list[TokenizedDoc], table: EmbeddingTable) -> np.ndarray:
-    """Embed a batch to [N, p, dim] by row lookup; pads map to zero rows."""
-    batch = batch_of(docs)
-    if batch.token_ids.max(initial=0) >= table.vectors.shape[0]:
-        raise DataError(
-            f"token index {int(batch.token_ids.max())} outside embedding table "
-            f"({table.vectors.shape[0]} rows)"
-        )
-    return table.vectors[batch.token_ids]

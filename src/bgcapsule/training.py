@@ -1,4 +1,8 @@
-"""Loss, Adam, dropout, the training loop, evaluation, and k-fold CV.
+"""Loss, Adam, dropout, data preparation, the training loop, evaluation, and k-fold CV.
+
+Training and evaluation take the loss from the model's logits with the
+fused ``softmax_cross_entropy``, so a confidently wrong prediction keeps
+its full loss and gradient.
 
 Metrics are emitted as line-oriented records (``epoch=.. split=..
 loss=.. acc=..``; CV adds ``fold=.. acc=..`` then ``mean=.. best=..``)
@@ -11,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import tensor as T
 from .config import AblationConfig, ModelConfig
 from .errors import ContractError, DataError
 from .tensor import Tape, Tensor, record_op
@@ -27,14 +32,24 @@ from .text import (
 PROB_FLOOR = 1e-12
 
 
-def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log probability of the true class, floored at 1e-12."""
+def _check_labels(scores: Tensor, labels) -> np.ndarray:
     labels = np.asarray(labels)
-    n, classes = probs.shape
+    n, classes = scores.shape
     if labels.shape != (n,):
         raise ContractError(f"labels shape {labels.shape} does not match batch of {n}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
         raise DataError(f"label outside [0, {classes})")
+    return labels
+
+
+def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log probability of the true class, floored at 1e-12.
+
+    The loss for callers that hold only probabilities: below the floor
+    there is no gradient. Training uses ``softmax_cross_entropy``.
+    """
+    labels = _check_labels(probs, labels)
+    n = len(labels)
     picked = probs.data[np.arange(n), labels]
     clipped = np.maximum(picked, PROB_FLOOR)
     out = np.asarray(-np.log(clipped).mean(), dtype=probs.dtype)
@@ -45,6 +60,26 @@ def cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
         return (grad,)
 
     return record_op(out, (probs,), back)
+
+
+def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean cross-entropy of the true class under ``softmax(logits)``, as one op.
+
+    A max-shifted log-softmax keeps every term finite (logits [0, 200] with
+    label 0 give 200); the gradient is ``(softmax - onehot) / N``.
+    """
+    labels = _check_labels(logits, labels)
+    n = len(labels)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out = np.asarray(-log_probs[np.arange(n), labels].mean(), dtype=logits.dtype)
+
+    def back(g):
+        grad = np.exp(log_probs)
+        grad[np.arange(n), labels] -= 1.0
+        return (grad * (g / n),)
+
+    return record_op(out, (logits,), back)
 
 
 class Adam:
@@ -111,9 +146,19 @@ class TrainResult:
     final_train_acc: float
 
 
-def _batch_stats(probs: np.ndarray, labels: np.ndarray):
-    predicted = probs.argmax(axis=1)
-    return float((predicted == labels).sum())
+def prepare_split(train_raw, eval_sets, config: ModelConfig, glove_path=None):
+    """Vocabulary from ``train_raw``, its table (GloVe, or random) seeded by
+    ``config.seed``, the encoded training docs and a list of each eval set encoded."""
+    vocab = build_vocab(tokenize_lower(d.text) for d in train_raw)
+    if glove_path is not None:
+        table, _ = load_glove(glove_path, vocab, config.embed_dim, config.seed)
+    else:
+        table = random_embeddings(vocab, config.embed_dim, config.seed)
+
+    def encode(docs):
+        return encode_docs(docs, vocab, config.max_len, config.truncate_keep)
+
+    return vocab, table, encode(train_raw), [encode(docs) for docs in eval_sets]
 
 
 def train(model, train_docs, val_docs, config: ModelConfig, log=None) -> TrainResult:
@@ -137,13 +182,13 @@ def train(model, train_docs, val_docs, config: ModelConfig, log=None) -> TrainRe
         for batch in iter_batches(train_docs, config.batch_size, shuffle_rng):
             with Tape() as tape:
                 tape.watch(*params.values())
-                probs = model.forward(batch.token_ids, training=True, rng=dropout_rng)
-                loss = cross_entropy(probs, batch.labels)
+                logits = model.logits(batch.token_ids, training=True, rng=dropout_rng)
+                loss = softmax_cross_entropy(logits, batch.labels)
                 tape.backward(loss)
                 grads = {name: tape.grad(p) for name, p in params.items()}
             optimizer.step(grads)
             total_loss += loss.item() * len(batch.labels)
-            correct += _batch_stats(probs.data, batch.labels)
+            correct += float((logits.data.argmax(axis=1) == batch.labels).sum())
         record = EpochRecord(epoch, "train", total_loss / len(train_docs),
                              correct / len(train_docs))
         history.append(record)
@@ -180,9 +225,10 @@ def evaluate(model, docs, batch_size: int = 256) -> EvalMetrics:
     class_total = np.zeros(classes, dtype=np.int64)
     class_correct = np.zeros(classes, dtype=np.int64)
     for batch in iter_batches(docs, batch_size):
-        probs = model.forward(batch.token_ids, training=False)
-        total_loss += cross_entropy(probs, batch.labels).item() * len(batch.labels)
-        predicted = probs.data.argmax(axis=1)
+        logits = model.logits(batch.token_ids)
+        total_loss += softmax_cross_entropy(logits, batch.labels).item() * len(batch.labels)
+        # the argmax of the probabilities, so it agrees with ``model.forward``
+        predicted = T.softmax(logits, axis=1).data.argmax(axis=1)
         for cls in range(classes):
             of_class = batch.labels == cls
             class_total[cls] += int(of_class.sum())
@@ -220,13 +266,8 @@ def cross_validate(raw_docs, config: ModelConfig, k: int = 10,
     histories = []
     for i, (fold_train, fold_val) in enumerate(folds):
         fold_config = replace(config, seed=config.seed + 1000 * (i + 1))
-        vocab = build_vocab(tokenize_lower(d.text) for d in fold_train)
-        if glove_path is not None:
-            table, _ = load_glove(glove_path, vocab, config.embed_dim, fold_config.seed)
-        else:
-            table = random_embeddings(vocab, config.embed_dim, fold_config.seed)
-        enc_train = encode_docs(fold_train, vocab, config.max_len, config.truncate_keep)
-        enc_val = encode_docs(fold_val, vocab, config.max_len, config.truncate_keep)
+        vocab, table, enc_train, (enc_val,) = prepare_split(fold_train, [fold_val],
+                                                            fold_config, glove_path)
         model = TextClassifier(fold_config, vocab, table, ablation)
         result = train(model, enc_train, enc_val, fold_config)
         accuracies.append(result.best_val_acc)

@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 
@@ -128,3 +129,61 @@ def test_save_refuses_a_model_that_is_not_float32(separable_docs, tmp_path):
     with pytest.raises(ContractError, match="float64"):
         save_model(model, path)
     assert not path.exists()
+
+
+def rewrite_header(path, mutate):
+    """Apply ``mutate`` to the artifact's JSON header and write it back in place."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 4)
+    header = json.loads(blob[12:12 + header_len])
+    mutate(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:4] + struct.pack("<Q", len(new)) + new + blob[12 + header_len:])
+
+
+def first_tokens(header, count):
+    return list(header["vocab"])[:count]
+
+
+def set_first_index(value):
+    def mutate(header):
+        header["vocab"][first_tokens(header, 1)[0]] = value
+    return mutate
+
+
+def duplicate_index(header):
+    a, b = first_tokens(header, 2)
+    header["vocab"][b] = header["vocab"][a]
+
+
+HEADER_MUTATIONS = {
+    "max_len_as_string": lambda h: h["config"].update(max_len="16"),
+    "max_len_as_bool": lambda h: h["config"].update(max_len=True),
+    "lr_not_finite": lambda h: h["config"].update(lr=float("nan")),
+    "filter_widths_as_int": lambda h: h["ablation"].update(cnn_filter_widths=3),
+    "unknown_variant": lambda h: h["ablation"].update(variant="transformer"),
+    "config_as_list": lambda h: h.update(config=[1, 2]),
+    "vocab_as_list": lambda h: h.update(vocab=list(h["vocab"])),
+    "vocab_index_as_string": set_first_index("1"),
+    "vocab_index_too_large": set_first_index(10 ** 9),
+    "vocab_index_zero": set_first_index(0),
+    "vocab_index_duplicate": duplicate_index,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(HEADER_MUTATIONS))
+def test_bad_header_value_raises_data_error_naming_file(saved, mutation):
+    _, path, _ = saved
+    rewrite_header(path, HEADER_MUTATIONS[mutation])
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_model(path)
+
+
+def test_header_that_is_not_an_object_raises_data_error(saved):
+    _, path, _ = saved
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 4)
+    new = b"[1, 2]"
+    path.write_bytes(blob[:4] + struct.pack("<Q", len(new)) + new + blob[12 + header_len:])
+    with pytest.raises(DataError, match=re.escape(str(path)) + ".*not a JSON object"):
+        load_model(path)

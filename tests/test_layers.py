@@ -40,6 +40,13 @@ def test_embedding_pad_id_maps_to_zero_row():
     npt.assert_array_equal(out.data[0, 1], np.ones(3))
 
 
+@pytest.mark.parametrize("bad_id", [2, -1])
+def test_embedding_rejects_id_outside_table(bad_id):
+    table = T.Tensor(np.vstack([np.zeros(3), np.ones(3)]))
+    with pytest.raises(DimensionError, match="outside table with 2 rows"):
+        L.embedding_forward(table, np.array([[0, bad_id]]))
+
+
 def test_embedding_shape_and_frozen_no_grad():
     rng = np.random.default_rng(0)
     table = T.Tensor(rng.normal(size=(5, 4)))
@@ -479,11 +486,13 @@ def test_dense_head_rows_sum_to_one_and_uniform_at_zero():
         w1=T.zeros((6, 5), np.float64), b1=T.zeros((5,), np.float64),
         w2=T.zeros((5, 4), np.float64), b2=T.zeros((4,), np.float64),
     )
-    probs = L.dense_head(x, zero).data
+    logits = L.dense_head(x, zero)
+    npt.assert_array_equal(logits.data, np.zeros((3, 4)))
+    probs = T.softmax(logits, axis=1).data
     npt.assert_allclose(probs, np.full((3, 4), 0.25), atol=1e-12)
 
     params = L.init_head(rng, 6, 5, 4, np.float64)
-    probs = L.dense_head(x, params, activation="selu").data
+    probs = T.softmax(L.dense_head(x, params, activation="selu"), axis=1).data
     npt.assert_allclose(probs.sum(axis=1), np.ones(3), atol=1e-6)
 
 

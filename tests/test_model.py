@@ -56,7 +56,7 @@ def test_cnn_capsule_uses_same_routing_params(separable_docs):
     cfg = toy_config()
     ab = AblationConfig(variant="cnn_capsule", cnn_filter_widths=[2, 3], cnn_filter_count=5)
     model, encoded = build_toy_model(separable_docs, cfg, ab)
-    assert model.feature_width == 10
+    assert model.extractor.width == 10
     probs = model.forward(batch_of(encoded[:2]).token_ids)
     assert probs.shape == (2, 2)
     names = set(model.parameters())
@@ -66,8 +66,8 @@ def test_cnn_capsule_uses_same_routing_params(separable_docs):
 def test_unshared_pair_weights_shape(separable_docs):
     cfg = toy_config(share_pair_weights=False)
     model, _ = build_toy_model(separable_docs, cfg)
-    assert model.pair_w.shape == (cfg.routed_caps, cfg.max_len, cfg.caps_dim,
-                                  cfg.routed_caps_dim)
+    assert model.parameters()["routing.pair_w"].shape == (cfg.routed_caps, cfg.max_len,
+                                                          cfg.caps_dim, cfg.routed_caps_dim)
 
 
 def test_routing_info_exposed(separable_docs):

@@ -53,6 +53,25 @@ def test_vocab_never_assigns_zero():
         text.Vocabulary({"bad": 0})
 
 
+@pytest.mark.parametrize("mapping", [
+    {"a": 1, "b": 1},  # duplicate
+    {"a": 1, "b": 3},  # outside 1..|V|
+    {"a": "1"},
+    {"a": 1.0},
+    {"a": True},
+])
+def test_vocab_rejects_indices_that_are_not_unique_integers_in_range(mapping):
+    with pytest.raises(DataError, match="1..%d" % len(mapping)):
+        text.Vocabulary(mapping)
+
+
+def test_vocab_rejects_a_non_mapping_and_keeps_a_valid_one():
+    with pytest.raises(DataError, match="list"):
+        text.Vocabulary(["a", "b"])
+    vocab = text.Vocabulary({"b": 2, "a": 1})
+    assert vocab.lookup("a") == 1 and vocab.lookup("b") == 2 and len(vocab) == 2
+
+
 def test_pad_prepend_scaled_example():
     assert text.pad_prepend([5, 6], p=4) == [0, 0, 5, 6]
 
@@ -235,23 +254,6 @@ def test_encode_docs_and_batch(tmp_path):
     batch = text.batch_of(encoded)
     assert batch.token_ids.shape == (2, 4)
     assert batch.labels.tolist() == [0, 1]
-
-
-def test_encode_batch_shapes_and_gather_fidelity():
-    vocab = text.build_vocab([["a", "b"]])
-    table = text.random_embeddings(vocab, dim=6, seed=0)
-    docs = [text.TokenizedDoc([0, 0, 1, 2], 0), text.TokenizedDoc([0, 0, 0, 0], 1)]
-    arr = text.encode_batch(docs, table)
-    assert arr.shape == (2, 4, 6)
-    npt.assert_array_equal(arr[0, 2], table.vectors[1])
-    npt.assert_array_equal(arr[1], np.zeros((4, 6)))
-
-
-def test_encode_batch_rejects_out_of_table_index():
-    vocab = text.build_vocab([["a"]])
-    table = text.random_embeddings(vocab, dim=3, seed=0)
-    with pytest.raises(DataError):
-        text.encode_batch([text.TokenizedDoc([9], 0)], table)
 
 
 def test_iter_batches_deterministic_shuffle():

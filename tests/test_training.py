@@ -10,6 +10,7 @@ from bgcapsule.config import AblationConfig
 from bgcapsule.errors import ContractError, DataError
 from bgcapsule.synthetic import separable_corpus
 from bgcapsule.tensor import Tensor
+from bgcapsule.text import LabeledText, random_embeddings
 
 from conftest import build_toy_model, toy_config
 
@@ -49,6 +50,43 @@ def test_cross_entropy_gradient_through_softmax():
         name="softmax-xent",
     )
     assert report.passed, report.line()
+
+
+def test_softmax_cross_entropy_confidently_wrong_keeps_its_gradient():
+    logits = Tensor(np.array([[0.0, 200.0]], dtype=np.float32))
+    with T.Tape() as tape:
+        tape.watch(logits)
+        loss = training.softmax_cross_entropy(logits, np.array([0]))
+        tape.backward(loss)
+        grad = tape.grad(logits).data
+    assert loss.item() == pytest.approx(200.0, rel=1e-6)
+    npt.assert_allclose(grad, [[-1.0, 1.0]], atol=1e-6)
+
+
+def test_softmax_cross_entropy_matches_loss_of_probabilities():
+    rng = np.random.default_rng(5)
+    logits = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
+    labels = np.array([0, 2, 1, 2])
+    fused = training.softmax_cross_entropy(logits, labels).item()
+    split = training.cross_entropy(T.softmax(logits, axis=1), labels).item()
+    assert fused == pytest.approx(split, rel=1e-12)
+
+
+def test_softmax_cross_entropy_gradient_is_softmax_minus_onehot():
+    rng = np.random.default_rng(6)
+    logits = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
+    labels = np.array([3, 0, 1])
+    with T.Tape() as tape:
+        tape.watch(logits)
+        tape.backward(training.softmax_cross_entropy(logits, labels))
+        grad = tape.grad(logits).data
+    expected = T.softmax(logits, axis=1).data - np.eye(4)[labels]
+    npt.assert_allclose(grad, expected / 3, rtol=1e-12)
+
+
+def test_softmax_cross_entropy_label_out_of_range():
+    with pytest.raises(DataError):
+        training.softmax_cross_entropy(Tensor([[0.5, 0.5]]), np.array([2]))
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +267,9 @@ def test_evaluate_deterministic_and_class_counts(separable_docs):
 def test_chance_level_accuracy_with_uniform_model(separable_docs):
     model, encoded = build_toy_model(separable_docs, toy_config(epochs=1))
     # zero out the head so the output is exactly uniform
-    model.head.w2.data = np.zeros_like(model.head.w2.data)
-    model.head.b2.data = np.zeros_like(model.head.b2.data)
+    params = model.parameters()
+    for name in ("head.w2", "head.b2"):
+        params[name].data = np.zeros_like(params[name].data)
     metrics = training.evaluate(model, encoded, 64)
     # argmax of a uniform row is class 0; the corpus is balanced
     assert metrics.accuracy == pytest.approx(0.5, abs=0.01)
@@ -257,3 +296,15 @@ def test_cross_validate_reproducible(separable_docs):
     a = training.cross_validate(separable_docs[:40], cfg, k=2)
     b = training.cross_validate(separable_docs[:40], cfg, k=2)
     assert a.fold_accuracies == b.fold_accuracies
+
+
+def test_prepare_split_builds_vocab_from_training_docs_only():
+    train_raw = [LabeledText("a b", 0), LabeledText("b c", 1)]
+    eval_raw = [LabeledText("c d", 1)]
+    cfg = toy_config(max_len=3)
+    vocab, table, enc_train, (enc_eval,) = training.prepare_split(train_raw, [eval_raw], cfg)
+    assert sorted(vocab.token_to_index) == ["a", "b", "c"]
+    assert table.vectors.shape == (4, cfg.embed_dim)
+    npt.assert_array_equal(table.vectors, random_embeddings(vocab, cfg.embed_dim, cfg.seed).vectors)
+    assert [d.tokens for d in enc_train] == [[0, 1, 2], [0, 2, 3]]
+    assert [d.tokens for d in enc_eval] == [[0, 3, 0]]  # "d" is unknown: the pad index
