@@ -5,10 +5,13 @@ header (config, variant knobs, vocabulary), then a u64 record count and
 one record per tensor: u64 name length, name bytes, u64 rank, u64 dims,
 float32 little-endian payload in row-major order. Loading checks every
 length against the bytes left in the file before allocating, reads each
-payload straight into its final array, and validates everything before
-touching any model state, so a bad file, header values included, is
-rejected with a ``DataError`` naming it rather than half-applied.
-Saving replaces the file whole or not at all. Round-trips are bitwise.
+payload straight into its final array and rejects a non-finite value.
+The model is then built from the records: each stage takes its tensors
+from them, checked against the shapes the header's config gives, and
+nothing is drawn, so the loader allocates only what the file's bytes
+pay for. A bad file, header values included, is rejected with a
+``DataError`` naming it. Saving replaces the file whole or not at all.
+Round-trips are bitwise.
 """
 
 from __future__ import annotations
@@ -64,10 +67,14 @@ class _Reader:
         return self.u64s(1, what)[0]
 
     def float32s(self, dims: tuple[int, ...], what: str) -> np.ndarray:
+        if 0 in dims:  # no model tensor is empty, and a 0 would hide the other extents
+            raise DataError(f"{self.path}: {what} has a zero extent in {dims}")
         self._claim(4 * math.prod(dims), what)
         out = np.empty(dims, dtype="<f4")
         if self.handle.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
             raise DataError(f"{self.path}: truncated while reading {what}")
+        if not np.isfinite(out).all():
+            raise DataError(f"{self.path}: {what} holds a non-finite value")
         return out.astype(np.float32, copy=False)
 
 
@@ -150,21 +157,12 @@ def load_model(path) -> TextClassifier:
         raise DataError(f"{path}: artifact has no embedding table")
     try:
         config = ModelConfig.from_dict(header["config"])
-        table = EmbeddingTable(vectors=arrays["embedding"], dim=config.embed_dim)
-        model = TextClassifier(config, Vocabulary(header["vocab"]), table,
-                               AblationConfig.from_dict(header["ablation"]))
+        ablation = AblationConfig.from_dict(header["ablation"])
+        vocab = Vocabulary(header["vocab"])
     except (ConfigError, DataError) as exc:
         raise DataError(f"{path}: bad header: {exc}") from exc
-    expected = model.state_tensors()
-    missing = sorted(set(expected) - set(arrays))
-    extra = sorted(set(arrays) - set(expected))
-    if missing or extra:
-        raise DataError(f"{path}: tensor records mismatch (missing {missing}, extra {extra})")
-    for name, tensor in expected.items():
-        stored = arrays[name]
-        if stored.shape != tensor.shape:
-            raise DataError(
-                f"{path}: tensor {name} has shape {stored.shape}, expected {tensor.shape}"
-            )
-        tensor.data = stored
-    return model
+    table = EmbeddingTable(vectors=arrays["embedding"], dim=config.embed_dim)
+    try:
+        return TextClassifier(config, vocab, table, ablation, arrays=arrays)
+    except (ConfigError, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -25,6 +25,14 @@ def glorot_uniform(rng, shape, dtype=np.float32) -> Tensor:
     return Tensor(rng.uniform(-limit, limit, size=shape).astype(dtype))
 
 
+def drawing(rng, dtype=np.float32):
+    """``param(name, shape)`` that draws a new tensor, in call order: zeros
+    for a rank-1 tensor (every bias), ``glorot_uniform`` for the rest."""
+    def param(name, shape):
+        return T.zeros(shape, dtype) if len(shape) == 1 else glorot_uniform(rng, shape, dtype)
+    return param
+
+
 # ---------------------------------------------------------------------------
 # embedding
 
@@ -81,16 +89,15 @@ class GruParams:
         yield f"{prefix}.b_h", self.b_h
 
 
-def init_gru(rng, input_size: int, hidden_size: int, dtype=np.float32) -> GruParams:
+def gru_params(param, prefix: str, input_size: int, hidden_size: int) -> GruParams:
+    """One GRU's tensors, asked of ``param(name, shape)`` as ``<prefix>.w_z`` etc."""
     total = hidden_size + input_size
-    return GruParams(
-        w_z=glorot_uniform(rng, (total, hidden_size), dtype),
-        w_r=glorot_uniform(rng, (total, hidden_size), dtype),
-        w_h=glorot_uniform(rng, (total, hidden_size), dtype),
-        b_z=T.zeros((hidden_size,), dtype),
-        b_r=T.zeros((hidden_size,), dtype),
-        b_h=T.zeros((hidden_size,), dtype),
-    )
+    return GruParams(*[param(f"{prefix}.w_{g}", (total, hidden_size)) for g in "zrh"],
+                     *[param(f"{prefix}.b_{g}", (hidden_size,)) for g in "zrh"])
+
+
+def init_gru(rng, input_size: int, hidden_size: int, dtype=np.float32) -> GruParams:
+    return gru_params(drawing(rng, dtype), "gru", input_size, hidden_size)
 
 
 def gru_step(x_t: Tensor, h_prev: Tensor, params: GruParams, h_mask: Tensor | None = None) -> Tensor:
@@ -365,20 +372,15 @@ class HeadParams:
     w2: Tensor
     b2: Tensor
 
-    def named(self, prefix: str):
-        yield f"{prefix}.w1", self.w1
-        yield f"{prefix}.b1", self.b1
-        yield f"{prefix}.w2", self.w2
-        yield f"{prefix}.b2", self.b2
+
+def head_params(param, in_size: int, hidden: int, classes: int) -> HeadParams:
+    """The head's tensors, asked of ``param(name, shape)`` as ``head.w1`` etc."""
+    return HeadParams(w1=param("head.w1", (in_size, hidden)), b1=param("head.b1", (hidden,)),
+                      w2=param("head.w2", (hidden, classes)), b2=param("head.b2", (classes,)))
 
 
 def init_head(rng, in_size: int, hidden: int, classes: int, dtype=np.float32) -> HeadParams:
-    return HeadParams(
-        w1=glorot_uniform(rng, (in_size, hidden), dtype),
-        b1=T.zeros((hidden,), dtype),
-        w2=glorot_uniform(rng, (hidden, classes), dtype),
-        b2=T.zeros((classes,), dtype),
-    )
+    return head_params(drawing(rng, dtype), in_size, hidden, classes)
 
 
 def dense_head(x: Tensor, params: HeadParams, activation: str = "relu") -> Tensor:

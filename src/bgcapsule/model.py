@@ -6,9 +6,11 @@ entry in ``VARIANT_STAGES``; every other stage is the same code for all
 variants, which is what makes the ablation comparison a fair one.
 
 A stage is built from the config, the ablation knobs, its input width
-and the model's rng, so parameters are drawn in stage order. It holds
-``params`` (its tensors under their artifact names, in draw order),
-``width`` (of its output features) and ``forward``.
+and the model's ``param(name, shape)``, which hands it each tensor under
+its artifact name: drawn in call order for a new model, or, given
+``arrays`` (a loaded artifact's records), the record of that name, which
+must have that shape; a record no stage asks for is an error. The model
+keeps each tensor as handed out. A stage holds ``width`` and ``forward``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .config import AblationConfig, ModelConfig
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .tensor import Tensor
 from .text import EmbeddingTable, Vocabulary, pad_prepend, tokenize_lower
 from .training import recurrent_dropout_mask
@@ -31,13 +33,11 @@ class BiGruEnsemble:
     recurrent-dropout mask drawn per batch.
     """
 
-    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, rng, dtype):
-        self.bigru1, self.bigru2 = [(L.init_gru(rng, in_width, h, dtype),
-                                     L.init_gru(rng, in_width, h, dtype)) for h in cfg.bigru_sizes]
-        self.params = {}
-        for tag, pair in (("bigru1", self.bigru1), ("bigru2", self.bigru2)):
-            for direction, gru in zip(("fwd", "bwd"), pair):
-                self.params.update(gru.named(f"{tag}_{direction}"))
+    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
+        self.bigru1, self.bigru2 = [
+            tuple(L.gru_params(param, f"bigru{i}_{direction}", in_width, h)
+                  for direction in ("fwd", "bwd"))
+            for i, h in enumerate(cfg.bigru_sizes, 1)]
         self.width = 2 * sum(cfg.bigru_sizes)
         self.dropout = cfg.dropout
 
@@ -55,13 +55,12 @@ class BiGruEnsemble:
 class CnnExtractor:
     """Same-padded convolutions of each filter width, ReLU, concatenated."""
 
-    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, rng, dtype):
+    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
         widths, count = ablation.cnn_filter_widths, ablation.cnn_filter_count
-        self.kernels = [L.glorot_uniform(rng, (w, in_width, count), dtype) for w in widths]
-        self.biases = [T.zeros((count,), dtype) for _ in widths]
-        self.params = {}
-        for i, (kernel, bias) in enumerate(zip(self.kernels, self.biases)):
-            self.params.update({f"cnn{i}.kernel": kernel, f"cnn{i}.bias": bias})
+        self.kernels, self.biases = [], []
+        for i, w in enumerate(widths):
+            self.kernels.append(param(f"cnn{i}.kernel", (w, in_width, count)))
+            self.biases.append(param(f"cnn{i}.bias", (count,)))
         self.width = len(widths) * count
 
     def forward(self, embedded: Tensor, training: bool, rng) -> Tensor:
@@ -76,16 +75,14 @@ class CapsuleRouting:
 
     last_routing: L.RoutingInfo | None = None
 
-    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, rng, dtype):
+    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
         self.cfg = cfg
         caps_out = cfg.primary_caps_per_pos * cfg.caps_dim
-        self.caps_w = L.glorot_uniform(rng, (in_width, caps_out), dtype)
-        self.caps_b = T.zeros((caps_out,), dtype)
+        self.caps_w = param("primary_caps.w", (in_width, caps_out))
+        self.caps_b = param("primary_caps.b", (caps_out,))
         inputs = () if cfg.share_pair_weights else (cfg.max_len * cfg.primary_caps_per_pos,)
         pair_shape = (cfg.routed_caps, *inputs, cfg.caps_dim, cfg.routed_caps_dim)
-        self.pair_w = L.glorot_uniform(rng, pair_shape, dtype)
-        self.params = {"primary_caps.w": self.caps_w, "primary_caps.b": self.caps_b,
-                       "routing.pair_w": self.pair_w}
+        self.pair_w = param("routing.pair_w", pair_shape)
         self.width = cfg.routed_caps * cfg.routed_caps_dim
 
     def forward(self, features: Tensor) -> Tensor:
@@ -103,11 +100,10 @@ class MaxPooling:
 
     last_routing = None
 
-    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, rng, dtype):
+    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
         self.window = ablation.pool_window
         if cfg.max_len < self.window:
             raise ConfigError(f"pool window {self.window} exceeds max_len {cfg.max_len}")
-        self.params = {}
         self.width = cfg.max_len // self.window * in_width
 
     def forward(self, features: Tensor) -> Tensor:
@@ -118,9 +114,8 @@ class MaxPooling:
 class DenseHead:
     """Hidden layer and a linear layer to class logits."""
 
-    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, rng, dtype):
-        self.weights = L.init_head(rng, in_width, cfg.dense_hidden, cfg.class_count, dtype)
-        self.params = dict(self.weights.named("head"))
+    def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
+        self.weights = L.head_params(param, in_width, cfg.dense_hidden, cfg.class_count)
         self.activation = cfg.head_activation
 
     def forward(self, flat: Tensor) -> Tensor:
@@ -138,28 +133,39 @@ class TextClassifier:
     """One trainable model instance: vocab, stages, and forward pass."""
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary, embeddings: EmbeddingTable,
-                 ablation: AblationConfig | None = None, dtype=np.float32):
+                 ablation: AblationConfig | None = None, dtype=np.float32,
+                 arrays: dict[str, np.ndarray] | None = None):
         config.validate()
         self.config = config
         self.ablation = (ablation or AblationConfig()).validate()
         self.vocab = vocab
         self.dtype = np.dtype(dtype)
-        if embeddings.dim != config.embed_dim:
-            raise ConfigError(
-                f"embedding table is {embeddings.dim}-d but config.embed_dim is {config.embed_dim}"
-            )
-        if embeddings.vectors.shape[0] != len(vocab) + 1:
-            raise ConfigError(
-                f"embedding table has {embeddings.vectors.shape[0]} rows for a "
-                f"{len(vocab)}-token vocabulary"
-            )
+        if embeddings.vectors.shape != (len(vocab) + 1, config.embed_dim):
+            raise ConfigError(f"embedding table has shape {embeddings.vectors.shape} for embed_dim "
+                              f"{config.embed_dim} and a {len(vocab)}-token vocabulary")
         self.embedding = Tensor(embeddings.vectors.astype(self.dtype, copy=False))
+        self._tensors = {"embedding": self.embedding}
+        draw = arrays is None and L.drawing(np.random.default_rng([config.seed, 0]), self.dtype)
+
+        def param(name, shape):
+            if draw:
+                tensor = draw(name, shape)
+            elif name not in arrays:
+                raise DataError(f"tensor {name} is missing")
+            elif arrays[name].shape != shape:
+                raise DataError(f"tensor {name} has shape {arrays[name].shape}, expected {shape}")
+            else:
+                tensor = Tensor(arrays[name].astype(self.dtype, copy=False))
+            self._tensors[name] = tensor
+            return tensor
+
         extractor, aggregator = VARIANT_STAGES[self.ablation.variant]
-        rng = np.random.default_rng([config.seed, 0])
-        args = (config, self.ablation)
-        self.extractor = extractor(*args, config.embed_dim, rng, self.dtype)
-        self.aggregator = aggregator(*args, self.extractor.width, rng, self.dtype)
-        self.head = DenseHead(*args, self.aggregator.width, rng, self.dtype)
+        self.extractor = extractor(config, self.ablation, config.embed_dim, param)
+        self.aggregator = aggregator(config, self.ablation, self.extractor.width, param)
+        self.head = DenseHead(config, self.ablation, self.aggregator.width, param)
+        extra = sorted(set(arrays or ()) - set(self._tensors))
+        if extra:
+            raise DataError(f"tensor records {extra} belong to no stage")
 
     @property
     def last_routing(self) -> L.RoutingInfo | None:
@@ -170,16 +176,12 @@ class TextClassifier:
 
     def parameters(self) -> dict[str, Tensor]:
         """Trainable tensors in a fixed, deterministic order."""
-        params = {"embedding": self.embedding} if self.config.embed_trainable else {}
-        for stage in (self.extractor, self.aggregator, self.head):
-            params.update(stage.params)
-        return params
+        trainable = self.config.embed_trainable
+        return {name: t for name, t in self._tensors.items() if trainable or name != "embedding"}
 
     def state_tensors(self) -> dict[str, Tensor]:
         """Everything persisted in a model artifact (embedding always)."""
-        state = {"embedding": self.embedding}
-        state.update(self.parameters())
-        return state
+        return dict(self._tensors)
 
     def parameter_count(self, prefix: str = "") -> int:
         return sum(t.size for name, t in self.parameters().items() if name.startswith(prefix))

@@ -22,6 +22,7 @@ from .tensor import Tape, Tensor, record_op
 from .text import (
     build_vocab,
     encode_docs,
+    holdout_split,
     iter_batches,
     kfold_split,
     load_glove,
@@ -257,23 +258,27 @@ def cross_validate(raw_docs, config: ModelConfig, k: int = 10,
     """Train k independent models on a seeded fold partition.
 
     Each fold gets its own vocabulary, embeddings, and seed derived from
-    the base seed, so the whole report reproduces bit-for-bit.
+    the base seed, so the whole report reproduces bit-for-bit. A seeded
+    holdout of the fold's training docs picks the epoch; the fold itself
+    is evaluated once, on the restored weights, for its reported accuracy.
     """
     from .model import TextClassifier  # here to avoid a circular import
 
     folds = kfold_split(raw_docs, k, config.seed)
     accuracies: list[float] = []
     histories = []
-    for i, (fold_train, fold_val) in enumerate(folds):
+    for i, (fold_train, fold_test) in enumerate(folds):
         fold_config = replace(config, seed=config.seed + 1000 * (i + 1))
-        vocab, table, enc_train, (enc_val,) = prepare_split(fold_train, [fold_val],
-                                                            fold_config, glove_path)
+        fit_raw, val_raw = holdout_split(fold_train, seed=fold_config.seed)
+        vocab, table, enc_fit, (enc_val, enc_test) = prepare_split(
+            fit_raw, [val_raw, fold_test], fold_config, glove_path)
         model = TextClassifier(fold_config, vocab, table, ablation)
-        result = train(model, enc_train, enc_val, fold_config)
-        accuracies.append(result.best_val_acc)
+        result = train(model, enc_fit, enc_val, fold_config)
+        accuracy = evaluate(model, enc_test, fold_config.batch_size).accuracy
+        accuracies.append(accuracy)
         histories.append(result.history)
         if log:
-            log(f"fold={i} acc={result.best_val_acc:.4f}")
+            log(f"fold={i} acc={accuracy:.4f}")
     mean = float(np.mean(accuracies))
     best = float(np.max(accuracies))
     if log:

@@ -1,14 +1,18 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bgcapsule import artifact
+from bgcapsule import artifact, layers
 from bgcapsule.artifact import load_model, save_model
 from bgcapsule.errors import ContractError, DataError
+from bgcapsule.synthetic import separable_corpus
 
 from conftest import build_toy_model
 
@@ -61,12 +65,15 @@ def test_round_trip_is_bitwise(saved, tmp_path):
 
 def test_corrupt_dims_raise_data_error_naming_file_and_tensor(saved):
     _, path, _ = saved
-    blob = bytearray(path.read_bytes())
-    name, dim_offset, _ = record_offsets(bytes(blob))[1]
-    struct.pack_into("<Q", blob, dim_offset, 2 ** 40)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(DataError, match=names(path, name)):
-        load_model(path)
+    original = path.read_bytes()
+    name, dim_offset, _ = record_offsets(original)[1]
+    # a zero extent makes the element count 0 whatever the other extents are
+    for dims in [(2 ** 40,), (0, 2 ** 62)]:
+        blob = bytearray(original)
+        struct.pack_into(f"<{len(dims)}Q", blob, dim_offset, *dims)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=names(path, name)):
+            load_model(path)
 
 
 def test_corrupt_header_length_raises_data_error(saved):
@@ -187,3 +194,97 @@ def test_header_that_is_not_an_object_raises_data_error(saved):
     path.write_bytes(blob[:4] + struct.pack("<Q", len(new)) + new + blob[12 + header_len:])
     with pytest.raises(DataError, match=re.escape(str(path)) + ".*not a JSON object"):
         load_model(path)
+
+
+def test_non_finite_payload_raises_data_error_naming_tensor(saved):
+    _, path, _ = saved
+    blob = bytearray(path.read_bytes())
+    name, _, payload_offset = record_offsets(bytes(blob))[2]
+    struct.pack_into("<f", blob, payload_offset + 4, float("nan"))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataError, match=names(path, name) + " holds a non-finite value"):
+        load_model(path)
+
+
+def test_header_cannot_size_the_load_beyond_the_file(saved):
+    _, path, _ = saved
+    rewrite_header(path, lambda h: h["config"].update(max_len=10 ** 6, share_pair_weights=False))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError) as raised:
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * size + 2 ** 20
+    message = str(raised.value)
+    assert message.startswith(f"{path}: tensor routing.pair_w has shape")
+    assert "bad header" not in message
+
+
+def test_load_draws_no_random_tensor(saved, monkeypatch):
+    model, path, ids = saved
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("loading drew a random tensor")
+
+    monkeypatch.setattr(layers, "glorot_uniform", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    loaded = load_model(path)
+    assert list(loaded.state_tensors()) == list(model.state_tensors())
+    npt.assert_array_equal(loaded.forward(ids).data, model.forward(ids).data)
+
+
+def rename_last_record(blob):
+    name, dim_offset, _ = record_offsets(blob)[-1]
+    name_offset = dim_offset - 8 - len(name)
+    return blob[:name_offset] + b"x" + blob[name_offset + 1:], name, "is missing"
+
+
+def append_record(blob):
+    (header_len,) = struct.unpack_from("<Q", blob, 4)
+    pos = 12 + header_len
+    (count,) = struct.unpack_from("<Q", blob, pos)
+    extra = struct.pack("<Q", 5) + b"stray" + struct.pack("<QQ", 1, 2) + b"\0" * 8
+    blob = blob[:pos] + struct.pack("<Q", count + 1) + blob[pos + 8:] + extra
+    return blob, "['stray']", "belong to no stage"
+
+
+@pytest.mark.parametrize("mutate", [rename_last_record, append_record])
+def test_missing_or_left_over_record_raises_data_error_naming_it(saved, mutate):
+    _, path, _ = saved
+    blob, tensor, problem = mutate(path.read_bytes())
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=f"{re.escape(str(path))}.*{re.escape(tensor)}.*{problem}"):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def toy_artifact(tmp_path_factory):
+    model, _ = build_toy_model(separable_corpus(200, seed=1))
+    path = tmp_path_factory.mktemp("fuzz") / "model.bgc"
+    save_model(model, path)
+    return path, path.read_bytes()
+
+
+flips = st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(1, 255)),
+                 min_size=1, max_size=4)
+
+
+@settings(max_examples=800, deadline=None)
+@given(data=st.one_of(flips, st.floats(0, 1, exclude_max=True)))
+def test_mangled_artifact_loads_or_raises_data_error(toy_artifact, data):
+    """Flipped header or record bytes, or a truncation, never escape as another error."""
+    path, blob = toy_artifact
+    if isinstance(data, float):
+        mangled = blob[:int(data * len(blob))]
+    else:
+        mangled = bytearray(blob)
+        for where, mask in data:
+            mangled[int(where * len(blob))] ^= mask
+    path.write_bytes(bytes(mangled))
+    try:
+        load_model(path)
+    except DataError:
+        pass

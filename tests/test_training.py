@@ -10,7 +10,7 @@ from bgcapsule.config import AblationConfig
 from bgcapsule.errors import ContractError, DataError
 from bgcapsule.synthetic import separable_corpus
 from bgcapsule.tensor import Tensor
-from bgcapsule.text import LabeledText, random_embeddings
+from bgcapsule.text import LabeledText, encode_docs, kfold_split, random_embeddings
 
 from conftest import build_toy_model, toy_config
 
@@ -289,6 +289,31 @@ def test_cross_validate_report(separable_docs):
     lines = list(result.lines())
     assert lines[0].startswith("fold=0 acc=")
     assert lines[-1].startswith("mean=")
+
+
+def test_cross_validate_picks_the_epoch_apart_from_the_fold_it_reports(separable_docs,
+                                                                       monkeypatch):
+    docs, cfg, k = separable_docs[:60], toy_config(epochs=3), 3
+    calls, lines = [], []
+    real_train = training.train
+
+    def recording_train(model, train_docs, val_docs, config, log=None):
+        calls.append((model, train_docs, val_docs))
+        return real_train(model, train_docs, val_docs, config, log)
+
+    monkeypatch.setattr(training, "train", recording_train)
+    result = training.cross_validate(docs, cfg, k=k, log=lines.append)
+    folds = kfold_split(docs, k, cfg.seed)
+    assert len(calls) == k
+    for i, ((model, fit_docs, val_docs), (fold_train, fold_test)) in enumerate(zip(calls, folds)):
+        reported = encode_docs(fold_test, model.vocab, cfg.max_len, cfg.truncate_keep)
+        assert len(val_docs) == 4 and len(fit_docs) + len(val_docs) == len(fold_train)
+        assert not {tuple(d.tokens) for d in val_docs} & {tuple(d.tokens) for d in reported}
+        # the fold is evaluated once, under the weights restored from the holdout's best epoch
+        accuracy = training.evaluate(model, reported, cfg.batch_size).accuracy
+        assert result.fold_accuracies[i] == accuracy
+        assert lines[i] == f"fold={i} acc={accuracy:.4f}"
+    assert lines[k:] == [f"mean={result.mean:.4f} best={result.best:.4f}"]
 
 
 def test_cross_validate_reproducible(separable_docs):
