@@ -148,6 +148,8 @@ def load_model(path) -> TextClassifier:
                 name = raw_name.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}: corrupt name of tensor {index}: {exc}") from exc
+            if name in arrays:
+                raise DataError(f"{path}: tensor {name} has a second record")
             dims = reader.u64s(reader.u64(f"rank of tensor {name}"), f"dims of tensor {name}")
             arrays[name] = reader.float32s(dims, f"payload of tensor {name}")
         if reader.left:

@@ -12,9 +12,9 @@ import numpy as np
 
 from . import layers as L
 from . import tensor as T
-from .config import AblationConfig, ModelConfig
+from .config import VARIANTS, AblationConfig, ModelConfig
 from .model import TextClassifier
-from .tensor import GradCheckReport, Tape, Tensor, error_stats, grad_check
+from .tensor import GradCheckReport, Tensor, grad_check
 from .text import LabeledText
 from .training import cross_entropy, prepare_split, softmax_cross_entropy
 
@@ -26,26 +26,14 @@ def _sq(t):
     return T.reduce_sum(T.mul(t, t))
 
 
-def _wrt(owner, attr: str, loss):
-    """``loss()`` as a function of the tensor at ``owner.attr``, for ``grad_check``."""
-    original = getattr(owner, attr)
-
-    def target(t):
-        setattr(owner, attr, t)
-        try:
-            return loss()
-        finally:
-            setattr(owner, attr, original)
-
-    return target
-
-
 def _op_checks() -> list[GradCheckReport]:
     rng = np.random.default_rng(42)
     reports = []
 
     def check(name, fn, x, tol=OP_TOL):
-        reports.append(grad_check(fn, Tensor(x, dtype=np.float64), tol=tol, name=name))
+        """``x`` is an array, or a weight tensor that ``fn`` reads where it is held."""
+        x = x if isinstance(x, Tensor) else Tensor(x, dtype=np.float64)
+        reports.append(grad_check(fn, x, tol=tol, name=name))
 
     b = Tensor(rng.normal(size=(3, 3)), dtype=np.float64)
     check("matmul", lambda t: T.reduce_sum(T.matmul(t, b)), rng.normal(size=(3, 3)))
@@ -53,17 +41,15 @@ def _op_checks() -> list[GradCheckReport]:
     check("tanh", lambda t: _sq(T.tanh(t)), rng.normal(size=(6,)))
     check("relu", lambda t: _sq(T.relu(t)), rng.normal(size=(6,)) + 0.3)
     check("selu", lambda t: _sq(T.selu(t)), rng.normal(size=(6,)))
-    check("add_mul_sub", lambda t: T.reduce_sum(T.mul(T.add(t, t), T.sub(t, T.scale(t, 0.25)))),
+    check("add_mul_sub", lambda t: T.reduce_sum(T.mul(T.add(t, t), T.sub(t, T.mul(t, t)))),
           rng.normal(size=(2, 3)))
     bias = Tensor(rng.normal(size=(4,)), dtype=np.float64)
     check("add_bias", lambda t: _sq(T.add_bias(t, bias)), rng.normal(size=(3, 4)))
     check("softmax", lambda t: _sq(T.softmax(t, axis=1)), rng.normal(size=(3, 5)))
 
     def structural(t):
-        moved = T.transpose(T.reshape(t, (3, 4)), (1, 0))
-        piece = T.slice_axis(moved, 0, 1, 4)
-        joined = T.concat([piece, piece], axis=1)
-        return T.add(T.reduce_sum(T.mul(joined, joined)), T.norm(moved))
+        grid = T.reshape(t, (3, 4))
+        return _sq(T.concat([grid, T.reduce_sum(grid, axis=1, keepdims=True)], axis=1))
 
     check("structural", structural, rng.normal(size=(12,)))
 
@@ -81,31 +67,32 @@ def _op_checks() -> list[GradCheckReport]:
     check("gru_step/x", lambda t: _sq(L.gru_step(t, h_prev, params)), x_t.data)
     check("gru_step/h", lambda t: _sq(L.gru_step(x_t, t, params)), h_prev.data)
     for attr in ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
-        check(f"gru_step/{attr}", _wrt(params, attr, lambda: _sq(L.gru_step(x_t, h_prev, params))),
-              getattr(params, attr).data)
+        check(f"gru_step/{attr}", lambda _: _sq(L.gru_step(x_t, h_prev, params)),
+              getattr(params, attr))
 
+    # both directions of a BiGRU, channel-concatenated as in the ensemble
     seq = Tensor(rng.normal(size=(1, 4, 3)), dtype=np.float64)
     p_fwd = L.init_gru(rng, 3, 2, np.float64)
     p_bwd = L.init_gru(rng, 3, 2, np.float64)
-    check("bigru/seq", lambda t: _sq(L.bigru_forward(t, p_fwd, p_bwd)), seq.data)
 
+    def bigru(t, masks=(None, None)):
+        return _sq(T.concat([L.run_gru(t, p_fwd, False, masks[0]),
+                             L.run_gru(t, p_bwd, True, masks[1])], axis=2))
+
+    check("bigru/seq", bigru, seq.data)
     for attr in ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
-        check(f"bigru/{attr}", _wrt(p_fwd, attr, lambda: _sq(L.bigru_forward(seq, p_fwd, p_bwd))),
-              getattr(p_fwd, attr).data)
+        check(f"bigru/{attr}", lambda _: bigru(seq), getattr(p_fwd, attr))
 
     # recurrent dropout: the mask scales the state seen by gates and candidate
     masks = tuple(Tensor(rng.choice([0.0, 2.0], size=(2, 2)), dtype=np.float64) for _ in range(2))
-    check("bigru/masked_seq", lambda t: _sq(L.bigru_forward(t, p_fwd, p_bwd, masks)),
-          rng.normal(size=(2, 4, 3)))
+    check("bigru/masked_seq", lambda t: bigru(t, masks), rng.normal(size=(2, 4, 3)))
 
     # pre-padded input, half of it all-zero rows: they skip the input projection and dW_x
     padded = np.random.default_rng(7).normal(size=(2, 5, 3))
     padded[0, :3] = padded[1, :1] = padded[1, 3] = 0.0
-    check("bigru/padded_seq", lambda t: _sq(L.bigru_forward(t, p_fwd, p_bwd)), padded)
+    check("bigru/padded_seq", bigru, padded)
     padded_seq = Tensor(padded, dtype=np.float64)
-    check("bigru/padded_w_z",
-          _wrt(p_fwd, "w_z", lambda: _sq(L.bigru_forward(padded_seq, p_fwd, p_bwd))),
-          p_fwd.w_z.data)
+    check("bigru/padded_w_z", lambda _: bigru(padded_seq), p_fwd.w_z)
 
     u = Tensor(rng.normal(size=(1, 3, 3)), dtype=np.float64)
     check("predict_vectors/shared", lambda t: _sq(L.predict_vectors(u, t)),
@@ -129,9 +116,8 @@ def _op_checks() -> list[GradCheckReport]:
               lambda t, a=activation: softmax_cross_entropy(L.dense_head(t, head, a), labels),
               head_x.data)
 
-    check("dense_head/w1",
-          _wrt(head, "w1", lambda: softmax_cross_entropy(L.dense_head(head_x, head), labels)),
-          head.w1.data)
+    check("dense_head/w1", lambda _: softmax_cross_entropy(L.dense_head(head_x, head), labels),
+          head.w1)
     check("softmax_xent", lambda t: cross_entropy(T.softmax(t, axis=1), labels),
           rng.normal(size=(2, 4)))
     # logits far apart, as in a confident prediction
@@ -178,46 +164,18 @@ def _toy_model(variant: str) -> tuple[TextClassifier, np.ndarray, np.ndarray]:
     return model, ids, labels
 
 
-def _full_model_checks(variant: str, step: float = 1e-5) -> list[GradCheckReport]:
+def _full_model_checks(variant: str) -> list[GradCheckReport]:
     """Every parameter of a 2-doc forward pass vs central differences."""
     model, ids, labels = _toy_model(variant)
-    params = model.parameters()
-    with Tape() as tape:
-        tape.watch(*params.values())
-        loss = softmax_cross_entropy(model.logits(ids), labels)
-        tape.backward(loss)
-        analytic = {name: tape.grad(p).data.copy() for name, p in params.items()}
-
-    def loss_value() -> float:
-        return softmax_cross_entropy(model.logits(ids), labels).item()
-
-    reports = []
-    for name, param in params.items():
-        numeric = np.zeros_like(param.data)
-        flat = param.data.reshape(-1)
-        out = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = loss_value()
-            flat[i] = orig - step
-            down = loss_value()
-            flat[i] = orig
-            out[i] = (up - down) / (2.0 * step)
-        if name == "embedding":
-            numeric[0] = 0.0  # row 0 is pinned; its analytic gradient is zero by design
-        max_abs, max_rel, max_err = error_stats(analytic[name], numeric)
-        reports.append(GradCheckReport(
-            name=f"model/{variant}/{name}", max_abs_err=max_abs, max_rel_err=max_rel,
-            max_err=max_err, tol=MODEL_TOL, passed=max_err < MODEL_TOL,
-        ))
-    return reports
+    return [grad_check(lambda _: softmax_cross_entropy(model.logits(ids), labels), param,
+                       tol=MODEL_TOL, name=f"model/{variant}/{name}")
+            for name, param in model.parameters().items()]
 
 
 def run_suite(include_model: bool = True, log=None) -> list[GradCheckReport]:
     reports = _op_checks()
     if include_model:
-        for variant in ("bgcapsule", "bigru_maxpool", "cnn_capsule"):
+        for variant in VARIANTS:
             reports.extend(_full_model_checks(variant))
     if log:
         for report in reports:

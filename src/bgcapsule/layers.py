@@ -1,4 +1,4 @@
-"""Forward stack: embedding lookup, GRU/BiGRU ensemble, capsules with
+"""Forward stack: embedding lookup, the GRU scan, capsules with
 agreement routing, and the dense head that gives class logits.
 
 Shapes use N for batch, T for sequence length, F for features, I/J for
@@ -230,21 +230,6 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     return record_op(out, (seq, *weights, params.b_z, params.b_r, params.b_h), back)
 
 
-def bigru_forward(seq: Tensor, params_fwd: GruParams, params_bwd: GruParams,
-                  masks: tuple[Tensor | None, Tensor | None] = (None, None)) -> Tensor:
-    """Both directions concatenated per position: [N,T,F] -> [N,T,2H]."""
-    fwd = run_gru(seq, params_fwd, reverse=False, h_mask=masks[0])
-    bwd = run_gru(seq, params_bwd, reverse=True, h_mask=masks[1])
-    return T.concat([fwd, bwd], axis=2)
-
-
-def ensemble_forward(seq: Tensor, bigru1, bigru2, masks=((None, None), (None, None))) -> Tensor:
-    """Channel-wise concat of two BiGRUs: [N,T,F] -> [N,T,2*H1+2*H2]."""
-    out1 = bigru_forward(seq, bigru1[0], bigru1[1], masks[0])
-    out2 = bigru_forward(seq, bigru2[0], bigru2[1], masks[1])
-    return T.concat([out1, out2], axis=2)
-
-
 # ---------------------------------------------------------------------------
 # capsules
 
@@ -310,12 +295,16 @@ def predict_vectors(u: Tensor, weights: Tensor) -> Tensor:
 
 @dataclass
 class RoutingInfo:
-    """Final couplings/logits plus per-iteration coupling snapshots."""
+    """Final logits plus the couplings of every iteration."""
 
-    couplings: np.ndarray  # [N, I, J]
     logits: np.ndarray  # [N, I, J]
     iterations: int
     coupling_history: list  # one [N, I, J] array per iteration
+
+    @property
+    def couplings(self) -> np.ndarray:
+        """The last iteration's couplings [N, I, J]."""
+        return self.coupling_history[-1]
 
 
 def dynamic_routing(u_hat: Tensor, iterations: int,
@@ -337,28 +326,14 @@ def dynamic_routing(u_hat: Tensor, iterations: int,
     axis = 2 if normalize_over == "output_caps" else 1
     b = T.zeros((n, i_count, j_count), u_hat.dtype)
     history = []
-    v = None
-    c = b
     for _ in range(iterations):
         c = T.softmax(b, axis=axis)
-        history.append(c.data.copy())
+        history.append(c.data)
         s = T.einsum2("nij,njie->nje", c, u_hat)
         v = squash(s, axis=-1)
         agreement = T.einsum2("njie,nje->nij", u_hat, v)
         b = T.add(b, agreement)
-    info = RoutingInfo(
-        couplings=c.data.copy(),
-        logits=b.data.copy(),
-        iterations=iterations,
-        coupling_history=history,
-    )
-    return v, info
-
-
-def flatten_capsules(v: Tensor) -> Tensor:
-    """[N, J, D'] -> [N, J*D'], row-major."""
-    n, j_count, dim = v.shape
-    return T.reshape(v, (n, j_count * dim))
+    return v, RoutingInfo(logits=b.data, iterations=iterations, coupling_history=history)
 
 
 # ---------------------------------------------------------------------------

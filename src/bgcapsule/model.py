@@ -20,14 +20,24 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .config import AblationConfig, ModelConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .tensor import Tensor
 from .text import EmbeddingTable, Vocabulary, pad_prepend, tokenize_lower
-from .training import recurrent_dropout_mask
+
+
+def recurrent_dropout_mask(shape, rate: float, rng) -> np.ndarray:
+    """Bernoulli(1-rate)/(1-rate) mask; one draw per sequence per layer."""
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
+    if rate == 0.0:
+        return np.ones(shape, dtype=np.float32)
+    keep = (rng.random(shape) >= rate).astype(np.float32)
+    return keep / np.float32(1.0 - rate)
 
 
 class BiGruEnsemble:
-    """Two BiGRUs over the same input, channel-concatenated [N,T,2*H1+2*H2].
+    """Two BiGRUs over the same input, channel-concatenated [N,T,2*H1+2*H2]:
+    bigru1 forward and backward, then bigru2 forward and backward.
 
     In training, with a dropout rate and an rng, each direction gets a
     recurrent-dropout mask drawn per batch.
@@ -48,8 +58,12 @@ class BiGruEnsemble:
             shape = (embedded.shape[0], gru.hidden_size)
             return Tensor(recurrent_dropout_mask(shape, self.dropout, rng).astype(embedded.dtype))
 
-        masks = [(mask(fwd), mask(bwd)) for fwd, bwd in (self.bigru1, self.bigru2)]
-        return L.ensemble_forward(embedded, self.bigru1, self.bigru2, masks)
+        # each call gets the model's own GruParams as its second argument, by
+        # which perfbench's tracer names the direction
+        outputs = [L.run_gru(embedded, gru, reverse, mask(gru))
+                   for gru_pair in (self.bigru1, self.bigru2)
+                   for gru, reverse in zip(gru_pair, (False, True))]
+        return T.concat(outputs, axis=2)
 
 
 class CnnExtractor:
@@ -92,7 +106,7 @@ class CapsuleRouting:
         u_hat = L.predict_vectors(caps, self.pair_w)
         v, self.last_routing = L.dynamic_routing(u_hat, cfg.routing_iters,
                                                  normalize_over=cfg.softmax_axis)
-        return L.flatten_capsules(v)
+        return T.reshape(v, (v.shape[0], -1))
 
 
 class MaxPooling:

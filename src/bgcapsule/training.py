@@ -1,4 +1,4 @@
-"""Loss, Adam, dropout, data preparation, the training loop, evaluation, and k-fold CV.
+"""Loss, Adam, data preparation, the training loop, evaluation, and k-fold CV.
 
 Training and evaluation take the loss from the model's logits with the
 fused ``softmax_cross_entropy``, so a confidently wrong prediction keeps
@@ -11,13 +11,14 @@ so they can be streamed, diffed, and parsed trivially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .config import AblationConfig, ModelConfig
 from .errors import ContractError, DataError
+from .model import TextClassifier
 from .tensor import Tape, Tensor, record_op
 from .text import (
     build_vocab,
@@ -108,16 +109,6 @@ class Adam:
             m_hat = m / (1.0 - self.beta1 ** self.t)
             v_hat = v / (1.0 - self.beta2 ** self.t)
             param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def recurrent_dropout_mask(shape, rate: float, rng) -> np.ndarray:
-    """Bernoulli(1-rate)/(1-rate) mask; one draw per sequence per layer."""
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape, dtype=np.float32)
-    keep = (rng.random(shape) >= rate).astype(np.float32)
-    return keep / np.float32(1.0 - rate)
 
 
 @dataclass
@@ -244,7 +235,6 @@ class CvResult:
     fold_accuracies: list[float]
     mean: float
     best: float
-    histories: list = field(default_factory=list)
 
     def lines(self):
         for i, acc in enumerate(self.fold_accuracies):
@@ -262,25 +252,21 @@ def cross_validate(raw_docs, config: ModelConfig, k: int = 10,
     holdout of the fold's training docs picks the epoch; the fold itself
     is evaluated once, on the restored weights, for its reported accuracy.
     """
-    from .model import TextClassifier  # here to avoid a circular import
-
     folds = kfold_split(raw_docs, k, config.seed)
     accuracies: list[float] = []
-    histories = []
     for i, (fold_train, fold_test) in enumerate(folds):
         fold_config = replace(config, seed=config.seed + 1000 * (i + 1))
         fit_raw, val_raw = holdout_split(fold_train, seed=fold_config.seed)
         vocab, table, enc_fit, (enc_val, enc_test) = prepare_split(
             fit_raw, [val_raw, fold_test], fold_config, glove_path)
         model = TextClassifier(fold_config, vocab, table, ablation)
-        result = train(model, enc_fit, enc_val, fold_config)
+        train(model, enc_fit, enc_val, fold_config)
         accuracy = evaluate(model, enc_test, fold_config.batch_size).accuracy
         accuracies.append(accuracy)
-        histories.append(result.history)
         if log:
             log(f"fold={i} acc={accuracy:.4f}")
     mean = float(np.mean(accuracies))
     best = float(np.max(accuracies))
     if log:
         log(f"mean={mean:.4f} best={best:.4f}")
-    return CvResult(fold_accuracies=accuracies, mean=mean, best=best, histories=histories)
+    return CvResult(fold_accuracies=accuracies, mean=mean, best=best)

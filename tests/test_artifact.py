@@ -242,16 +242,26 @@ def rename_last_record(blob):
     return blob[:name_offset] + b"x" + blob[name_offset + 1:], name, "is missing"
 
 
-def append_record(blob):
+def with_vector_record(blob, name: bytes, values):
+    """``blob`` with one more rank-1 record at the end, and the count raised."""
     (header_len,) = struct.unpack_from("<Q", blob, 4)
     pos = 12 + header_len
     (count,) = struct.unpack_from("<Q", blob, pos)
-    extra = struct.pack("<Q", 5) + b"stray" + struct.pack("<QQ", 1, 2) + b"\0" * 8
-    blob = blob[:pos] + struct.pack("<Q", count + 1) + blob[pos + 8:] + extra
-    return blob, "['stray']", "belong to no stage"
+    extra = (struct.pack("<Q", len(name)) + name + struct.pack("<QQ", 1, len(values))
+             + np.asarray(values, dtype="<f4").tobytes())
+    return blob[:pos] + struct.pack("<Q", count + 1) + blob[pos + 8:] + extra
 
 
-@pytest.mark.parametrize("mutate", [rename_last_record, append_record])
+def append_record(blob):
+    return with_vector_record(blob, b"stray", [0.0, 0.0]), "['stray']", "belong to no stage"
+
+
+def repeat_record(blob):
+    # without the check the later payload would silently win
+    return with_vector_record(blob, b"head.b2", [5.0, -5.0]), "head.b2", "second record"
+
+
+@pytest.mark.parametrize("mutate", [rename_last_record, append_record, repeat_record])
 def test_missing_or_left_over_record_raises_data_error_naming_it(saved, mutate):
     _, path, _ = saved
     blob, tensor, problem = mutate(path.read_bytes())

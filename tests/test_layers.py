@@ -4,7 +4,9 @@ import pytest
 
 from bgcapsule import layers as L
 from bgcapsule import tensor as T
+from bgcapsule.config import AblationConfig, ModelConfig
 from bgcapsule.errors import ConfigError, ContractError, DimensionError
+from bgcapsule.model import BiGruEnsemble, CapsuleRouting
 
 from oracles import routing_plain_loops, scalar_gru_step, squash_vector, conv1d_same_padding
 
@@ -127,20 +129,25 @@ def test_gru_gates_bounded_and_zero_update_keeps_state():
 
 
 # ---------------------------------------------------------------------------
-# BiGRU and ensemble
+# BiGRU: one run_gru per direction, channel-concatenated
+
+
+def bigru(seq, p_fwd, p_bwd):
+    return np.concatenate([L.run_gru(seq, p_fwd).data,
+                           L.run_gru(seq, p_bwd, reverse=True).data], axis=2)
 
 
 def test_bigru_output_width():
     rng = np.random.default_rng(5)
     seq = f64(rng.normal(size=(2, 4, 3)))
-    out = L.bigru_forward(seq, make_gru(rng, 3, 6), make_gru(rng, 3, 6))
+    out = bigru(seq, make_gru(rng, 3, 6), make_gru(rng, 3, 6))
     assert out.shape == (2, 4, 12)
 
 
 def test_bigru_zero_input_zero_params_gives_zero():
     seq = T.zeros((1, 3, 2), np.float64)
-    out = L.bigru_forward(seq, zero_gru(2, 2), zero_gru(2, 2))
-    npt.assert_array_equal(out.data, np.zeros((1, 3, 4)))
+    out = bigru(seq, zero_gru(2, 2), zero_gru(2, 2))
+    npt.assert_array_equal(out, np.zeros((1, 3, 4)))
 
 
 def test_bigru_palindrome_symmetry():
@@ -149,7 +156,7 @@ def test_bigru_palindrome_symmetry():
     params = make_gru(rng, 2, 3)
     half = rng.normal(size=(1, 1, 2))
     seq = np.concatenate([half, rng.normal(size=(1, 1, 2)), half], axis=1)
-    out = L.bigru_forward(f64(seq), params, params).data
+    out = bigru(f64(seq), params, params)
     h = 3
     reversed_swapped = np.concatenate(
         [out[:, ::-1, h:], out[:, ::-1, :h]], axis=2
@@ -161,27 +168,30 @@ def test_bigru_time_reversal_equivariance():
     rng = np.random.default_rng(7)
     p_fwd, p_bwd = make_gru(rng, 2, 3), make_gru(rng, 2, 3)
     seq = rng.normal(size=(2, 5, 2))
-    out = L.bigru_forward(f64(seq), p_fwd, p_bwd).data
-    flipped = L.bigru_forward(f64(seq[:, ::-1, :].copy()), p_bwd, p_fwd).data
+    out = bigru(f64(seq), p_fwd, p_bwd)
+    flipped = bigru(f64(seq[:, ::-1, :].copy()), p_bwd, p_fwd)
     h = 3
     npt.assert_allclose(out, np.concatenate([flipped[:, ::-1, h:], flipped[:, ::-1, :h]], axis=2),
                         atol=1e-9)
 
 
-def unrolled_gru(seq, params, reverse=False, h_mask=None):
-    """Reference scan: one taped ``gru_step`` per position."""
-    n, t_len, feat = seq.shape
-    h = T.zeros((n, params.hidden_size), seq.dtype)
-    outputs = [None] * t_len
-    for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
-        x_t = T.reshape(T.slice_axis(seq, 1, t, t + 1), (n, feat))
-        h = L.gru_step(x_t, h, params, h_mask)
+def unrolled_gru(steps, params, reverse=False, h_mask=None):
+    """Reference scan: one taped ``gru_step`` per position, over per-step inputs [N,F]."""
+    n = steps[0].shape[0]
+    h = T.zeros((n, params.hidden_size), steps[0].dtype)
+    outputs = [None] * len(steps)
+    for t in range(len(steps) - 1, -1, -1) if reverse else range(len(steps)):
+        h = L.gru_step(steps[t], h, params, h_mask)
         outputs[t] = T.reshape(h, (n, 1, params.hidden_size))
     return T.concat(outputs, axis=1)
 
 
 def assert_run_gru_matches_unroll(rng, seq, reverse, masked):
-    """Output and all seven gradients of ``run_gru`` vs the ``gru_step`` unroll."""
+    """Output and all seven gradients of ``run_gru`` vs the ``gru_step`` unroll.
+
+    The unroll reads one leaf per position; their gradients, stacked,
+    give d(seq).
+    """
     n, t_len, feat = seq.shape
     hidden = 5
     params = make_gru(rng, feat, hidden)
@@ -189,14 +199,17 @@ def assert_run_gru_matches_unroll(rng, seq, reverse, masked):
         setattr(params, name, f64(rng.normal(size=hidden)))
     mask = f64((rng.random((n, hidden)) >= 0.4) / 0.6) if masked else None
     weight = f64(rng.normal(size=(n, t_len, hidden)))
-    leaves = [seq, params.w_z, params.w_r, params.w_h, params.b_z, params.b_r, params.b_h]
+    weights = [params.w_z, params.w_r, params.w_h, params.b_z, params.b_r, params.b_h]
+    steps = [f64(seq.data[:, t]) for t in range(t_len)]
     results = []
-    for scan in (L.run_gru, unrolled_gru):
+    for scan, arg, inputs in ((L.run_gru, seq, [seq]), (unrolled_gru, steps, steps)):
         with T.Tape() as tape:
-            tape.watch(*leaves)
-            out = scan(seq, params, reverse, mask)
+            tape.watch(*inputs, *weights)
+            out = scan(arg, params, reverse, mask)
             tape.backward(T.reduce_sum(T.mul(out, weight)))
-            results.append([out.data] + [tape.grad(leaf).data for leaf in leaves])
+            # [N,F] per position stacks to [N,T,F]; the one [N,T,F] reshapes back to itself
+            d_seq = np.stack([tape.grad(x).data for x in inputs], axis=1).reshape(seq.shape)
+            results.append([out.data, d_seq] + [tape.grad(w).data for w in weights])
     for got, want in zip(*results):
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -261,14 +274,17 @@ def test_run_gru_rejects_input_width_its_weights_do_not_take():
 
 
 def test_ensemble_channel_counts_and_concat_fidelity():
-    rng = np.random.default_rng(8)
-    seq = f64(rng.normal(size=(1, 3, 2)))
-    b1 = (make_gru(rng, 2, 4), make_gru(rng, 2, 4))
-    b2 = (make_gru(rng, 2, 3), make_gru(rng, 2, 3))
-    out = L.ensemble_forward(seq, b1, b2)
-    assert out.shape == (1, 3, 14)
-    alone = L.bigru_forward(seq, b1[0], b1[1]).data
-    npt.assert_allclose(out.data[:, :, :8], alone, atol=1e-12)
+    cfg = ModelConfig(embed_dim=2, bigru_sizes=[4, 3], dropout=0.0)
+    ensemble = BiGruEnsemble(cfg, AblationConfig(), 2, L.drawing(np.random.default_rng(8),
+                                                                  np.float64))
+    seq = f64(np.random.default_rng(9).normal(size=(1, 3, 2)))
+    out = ensemble.forward(seq, training=False, rng=None)
+    assert out.shape == (1, 3, 14) and ensemble.width == 14
+    # bigru1 forward, bigru1 backward, bigru2 forward, bigru2 backward
+    (f1, b1), (f2, b2) = ensemble.bigru1, ensemble.bigru2
+    parts = [L.run_gru(seq, f1), L.run_gru(seq, b1, reverse=True),
+             L.run_gru(seq, f2), L.run_gru(seq, b2, reverse=True)]
+    npt.assert_array_equal(out.data, np.concatenate([p.data for p in parts], axis=2))
 
 
 def test_ensemble_default_width_912():
@@ -466,17 +482,32 @@ def test_routing_full_unroll_gradient():
 # flatten + head
 
 
+def routed_and_flat(cfg, features):
+    """``CapsuleRouting``'s routed capsules [N,J,D'] and its flat output."""
+    stage = CapsuleRouting(cfg, AblationConfig(), features.shape[2],
+                           L.drawing(np.random.default_rng(30), np.float64))
+    flat = stage.forward(features)
+    caps = L.primary_capsules(features, stage.caps_w, stage.caps_b,
+                              cfg.primary_caps_per_pos, cfg.caps_dim)
+    v, _ = L.dynamic_routing(L.predict_vectors(caps, stage.pair_w), cfg.routing_iters)
+    return v.data, flat
+
+
 def test_flatten_capsules_layout():
-    v = T.Tensor(np.arange(12, dtype=np.float64).reshape(1, 3, 4))
-    flat = L.flatten_capsules(v)
-    assert flat.shape == (1, 12)
+    cfg = ModelConfig(max_len=5, caps_dim=4, routed_caps=3, routed_caps_dim=4, routing_iters=2)
+    features = f64(np.random.default_rng(31).normal(size=(2, 5, 6)))
+    v, flat = routed_and_flat(cfg, features)
+    assert flat.shape == (2, 12)
     # element (j, d) lands at j*D + d
-    assert flat.data[0, 1 * 4 + 2] == v.data[0, 1, 2]
+    for j in range(3):
+        for d in range(4):
+            npt.assert_array_equal(flat.data[:, j * 4 + d], v[:, j, d])
 
 
 def test_flatten_default_width():
-    v = T.zeros((2, 10, 20))
-    assert L.flatten_capsules(v).shape == (2, 200)
+    cfg = ModelConfig(max_len=3)  # routed_caps 10 x routed_caps_dim 20 by default
+    v, flat = routed_and_flat(cfg, T.zeros((2, 3, 4), np.float64))
+    assert v.shape == (2, 10, 20) and flat.shape == (2, 200)
 
 
 def test_dense_head_rows_sum_to_one_and_uniform_at_zero():

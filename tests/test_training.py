@@ -8,6 +8,7 @@ from bgcapsule import tensor as T
 from bgcapsule import training
 from bgcapsule.config import AblationConfig
 from bgcapsule.errors import ContractError, DataError
+from bgcapsule.model import recurrent_dropout_mask
 from bgcapsule.synthetic import separable_corpus
 from bgcapsule.tensor import Tensor
 from bgcapsule.text import LabeledText, encode_docs, kfold_split, random_embeddings
@@ -130,16 +131,16 @@ def test_adam_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# dropout masks
+# dropout masks (drawn by the BiGRU ensemble)
 
 
 def test_dropout_rate_zero_all_ones():
-    mask = training.recurrent_dropout_mask((4, 5), 0.0, np.random.default_rng(0))
+    mask = recurrent_dropout_mask((4, 5), 0.0, np.random.default_rng(0))
     npt.assert_array_equal(mask, np.ones((4, 5)))
 
 
 def test_dropout_kept_fraction():
-    mask = training.recurrent_dropout_mask((100000,), 0.25, np.random.default_rng(3))
+    mask = recurrent_dropout_mask((100000,), 0.25, np.random.default_rng(3))
     kept = float((mask > 0).mean())
     assert kept == pytest.approx(0.75, abs=0.01)
     # surviving entries are scaled to keep the expectation
@@ -148,7 +149,7 @@ def test_dropout_kept_fraction():
 
 def test_dropout_bad_rate():
     with pytest.raises(ContractError):
-        training.recurrent_dropout_mask((2,), 1.0, np.random.default_rng(0))
+        recurrent_dropout_mask((2,), 1.0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
