@@ -130,6 +130,14 @@ def _op_checks() -> list[GradCheckReport]:
           rng.normal(size=(1, 5, 2)))
     check("conv1d/kernel", lambda t: _sq(L.conv1d_same(seq, t, conv_bias)),
           rng.normal(size=(3, 3, 3)))
+    # left zero padding longer than the kernel: all-zero windows get the bias
+    # alone but still pass gradient to the rows they cover
+    padded_x = np.random.default_rng(8).normal(size=(2, 7, 2))
+    padded_x[0, :4] = padded_x[1, :1] = padded_x[1, 5] = 0.0
+    check("conv1d/padded_x", lambda t: _sq(L.conv1d_same(t, kernel, conv_bias)), padded_x)
+    padded_conv_x = Tensor(padded_x, dtype=np.float64)
+    check("conv1d/bias", lambda _: _sq(L.conv1d_same(padded_conv_x, kernel, conv_bias)),
+          conv_bias)
     check("max_pool", lambda t: _sq(L.max_pool_routing(t, 2)), rng.normal(size=(1, 6, 3)))
 
     return reports

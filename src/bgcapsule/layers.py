@@ -298,7 +298,6 @@ class RoutingInfo:
     """Final logits plus the couplings of every iteration."""
 
     logits: np.ndarray  # [N, I, J]
-    iterations: int
     coupling_history: list  # one [N, I, J] array per iteration
 
     @property
@@ -333,7 +332,7 @@ def dynamic_routing(u_hat: Tensor, iterations: int,
         v = squash(s, axis=-1)
         agreement = T.einsum2("njie,nje->nij", u_hat, v)
         b = T.add(b, agreement)
-    return v, RoutingInfo(logits=b.data, iterations=iterations, coupling_history=history)
+    return v, RoutingInfo(logits=b.data, coupling_history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -398,31 +397,61 @@ def max_pool_routing(features: Tensor, window: int = 4) -> Tensor:
 def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """1-d convolution over positions with zero same-padding.
 
-    [N,T,F] with kernel [w,F,K] -> [N,T,K]. The input gradient is
-    skipped when ``x`` needs none (``tensor.needs_grad``).
+    [N,T,F] with kernel [w,F,K] -> [N,T,K].
+
+    Forward: ``x`` is zero-padded into an [N*(T+w-1), F] buffer. A window
+    is live when any of its w rows is nonzero; the live windows, L of
+    them, are gathered into one [L, w*F] im2col matrix and multiplied by
+    the kernel reshaped to [w*F, K] in one GEMM. Every other output row
+    is the bias alone, which is what the GEMM gives an all-zero window.
+    There is no threshold on the share of padding, unlike ``run_gru``:
+    im2col must copy every window it multiplies anyway, and the gather
+    is that copy, so skipping a window never costs more than keeping it.
+
+    Backward: the im2col matrix is not kept. The kernel gradient reads
+    the L live windows only, since an all-zero window adds nothing to
+    it: for each offset d, the [L,F] rows at d of the live windows are
+    gathered again from the padded buffer and multiplied by g of those
+    windows. The bias gradient sums g over every row, accumulated in
+    float64. The input gradient takes ``g . K^T`` from every window,
+    live or not: a window that sees only padding still moves the rows
+    it covers. It is skipped when ``x`` needs none (``tensor.needs_grad``).
     """
     if kernel.ndim != 3 or kernel.shape[1] != x.shape[2]:
         raise DimensionError(f"conv kernel {kernel.shape} does not match input {x.shape}")
     n, t_len, feat = x.shape
     width, _, out_ch = kernel.shape
     left = (width - 1) // 2
-    padded = np.zeros((n, t_len + width - 1, feat), dtype=x.dtype)
+    span = t_len + width - 1  # padded rows per document
+    padded = np.zeros((n, span, feat), dtype=x.dtype)
     padded[:, left:left + t_len, :] = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)  # [N,T,F,w]
-    out = np.einsum("ntfw,wfk->ntk", windows, kernel.data, optimize=True) + bias.data
+    row_live = padded.any(axis=2)  # [N, T+w-1]
+    window_live = np.lib.stride_tricks.sliding_window_view(row_live, width, axis=1).any(axis=2)
+    live = np.flatnonzero(window_live)  # window i*T + t
+    first = live + live // t_len * (width - 1)  # its first padded row, i*span + t
+    padded = padded.reshape(n * span, feat)
+
+    cols = padded[first[:, None] + np.arange(width)].reshape(len(live), width * feat)
+    live_out = cols @ kernel.data.reshape(width * feat, out_ch)
+    live_out += bias.data
+    del cols  # before the output is allocated; the backward gathers again
+    out = np.empty((n * t_len, out_ch), dtype=live_out.dtype)
+    out[:] = bias.data  # what the GEMM gives an all-zero window
+    out[live] = live_out
+    out = out.reshape(n, t_len, out_ch)
 
     x_grad = T.needs_grad(x)
 
     def back(g):
-        grad_k = np.einsum("ntfw,ntk->wfk", windows, g, optimize=True)
-        grad_b = g.sum(axis=(0, 1))
+        g_rows = g.reshape(n * t_len, out_ch)
+        g_live = g_rows[live]
+        grad_k = np.stack([padded[first + d].T @ g_live for d in range(width)])
+        grad_b = g_rows.sum(axis=0, dtype=np.float64).astype(g.dtype)
         if not x_grad:
             return (None, grad_k, grad_b)
-        grad_pad = np.zeros_like(padded)
+        grad_pad = np.zeros((n, span, feat), dtype=g.dtype)
         for d in range(width):
-            grad_pad[:, d:d + t_len, :] += np.einsum(
-                "ntk,fk->ntf", g, kernel.data[d], optimize=True
-            )
+            grad_pad[:, d:d + t_len, :] += (g_rows @ kernel.data[d].T).reshape(n, t_len, feat)
         return (grad_pad[:, left:left + t_len, :], grad_k, grad_b)
 
     return record_op(out, (x, kernel, bias), back)

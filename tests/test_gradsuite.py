@@ -8,5 +8,7 @@ def test_every_gradsuite_check_passes():
     for attr in ("seq", "masked_seq", "padded_seq", "padded_w_z",
                  "w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
         assert f"bigru/{attr}" in names
+    for attr in ("x", "kernel", "padded_x", "bias"):
+        assert f"conv1d/{attr}" in names
     failed = [r.line() for r in reports if not r.passed]
     assert not failed, "\n".join(failed)

@@ -288,8 +288,10 @@ def test_ensemble_channel_counts_and_concat_fidelity():
 
 
 def test_ensemble_default_width_912():
-    # 2*256 + 2*200, checked at the configured sizes without a full run
-    assert 2 * 256 + 2 * 200 == 912
+    # 2*256 + 2*200 channels at the paper's sizes over 300-d embeddings
+    ensemble = BiGruEnsemble(ModelConfig(), AblationConfig(), 300,
+                             L.drawing(np.random.default_rng(8)))
+    assert ensemble.width == 912
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +645,60 @@ def test_conv1d_skips_gradient_of_a_constant_input():
     assert id(x) not in tape.gradients
     for got, want in zip(*results):
         npt.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_conv1d_on_padded_input_matches_oracle(width):
+    # pre-padded like ``pad_prepend``: one doc led by a zero run longer than
+    # any kernel, one with an all-zero token vector inside its text
+    rng = np.random.default_rng(32 + width)
+    x = rng.normal(size=(2, 10, 2))
+    x[0, :6] = 0.0
+    x[1, :1] = x[1, 5] = 0.0
+    kernel, bias = f64(rng.normal(size=(width, 2, 3))), f64(rng.normal(size=3))
+    out = L.conv1d_same(f64(x), kernel, bias).data
+    for doc in range(2):
+        npt.assert_allclose(out[doc], conv1d_same_padding(x[doc], kernel.data, bias.data),
+                            rtol=1e-12, atol=1e-12)
+
+    def loss(x_t):
+        y = L.conv1d_same(x_t, kernel, bias)
+        return T.reduce_sum(T.mul(y, y))
+
+    # zero rows covered only by all-zero windows still get gradient from them
+    assert T.grad_check(loss, f64(x), name="conv-padded-x").passed
+    xt = f64(x)
+    assert T.grad_check(lambda _: loss(xt), kernel, name="conv-padded-k").passed
+    assert T.grad_check(lambda _: loss(xt), bias, name="conv-padded-b").passed
+
+    results = []
+    for watched in ([xt], []):
+        with T.Tape() as tape:
+            tape.watch(*watched, kernel, bias)
+            tape.backward(loss(xt))
+        results.append([tape.gradients[id(kernel)], tape.gradients[id(bias)]])
+    assert id(xt) not in tape.gradients
+    for got, want in zip(*results):
+        npt.assert_array_equal(got, want)
+
+
+def test_conv1d_bias_gradient_is_summed_in_float64():
+    # most windows see only padding; a plain float32 sum of this gradient
+    # over its 12,800 rows is off by 1.7e-6 relative
+    rng = np.random.default_rng(33)
+    x = np.zeros((64, 200, 8), np.float32)
+    for doc, length in enumerate(rng.integers(5, 30, size=64)):
+        x[doc, 200 - length:] = rng.normal(size=(length, 8))
+    kernel = T.Tensor(rng.normal(size=(3, 8, 8)).astype(np.float32))
+    bias = T.zeros((8,))
+    upstream = rng.uniform(0.5, 1.0, size=(64, 200, 8)).astype(np.float32)
+    with T.Tape() as tape:
+        tape.watch(bias)
+        y = L.conv1d_same(T.Tensor(x), kernel, bias)
+        tape.backward(T.reduce_sum(T.mul(y, T.Tensor(upstream))))
+        grad_b = tape.grad(bias).data
+    assert grad_b.dtype == np.float32
+    npt.assert_allclose(grad_b, upstream.sum(axis=(0, 1), dtype=np.float64), rtol=1e-6)
 
 
 def test_cnn_feature_extractor_concat_width():
