@@ -180,11 +180,10 @@ def _full_model_checks(variant: str) -> list[GradCheckReport]:
             for name, param in model.parameters().items()]
 
 
-def run_suite(include_model: bool = True, log=None) -> list[GradCheckReport]:
+def run_suite(log=None) -> list[GradCheckReport]:
     reports = _op_checks()
-    if include_model:
-        for variant in VARIANTS:
-            reports.extend(_full_model_checks(variant))
+    for variant in VARIANTS:
+        reports.extend(_full_model_checks(variant))
     if log:
         for report in reports:
             log(report.line())

@@ -37,11 +37,13 @@ def drawing(rng, dtype=np.float32):
 # embedding
 
 
-def embedding_forward(table: Tensor, token_ids: np.ndarray, trainable: bool = False) -> Tensor:
+def embedding_forward(table: Tensor, token_ids: np.ndarray) -> Tensor:
     """Gather rows of [V+1, E] by integer ids [N, T] -> [N, T, E].
 
-    With ``trainable`` the gradient scatter-adds into the table, except
-    row 0 (padding), which never receives gradient.
+    The op is recorded only when the table needs a gradient
+    (``tensor.needs_grad``): a frozen table is simply not watched. The
+    gradient scatter-adds into the table, except row 0 (padding), which
+    never receives gradient.
     """
     ids = np.asarray(token_ids)
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.shape[0]:
@@ -49,7 +51,7 @@ def embedding_forward(table: Tensor, token_ids: np.ndarray, trainable: bool = Fa
             f"token ids outside table with {table.shape[0]} rows"
         )
     out = table.data[ids]
-    if not trainable:
+    if not T.needs_grad(table):
         return Tensor(out)
 
     def back(g):
@@ -359,7 +361,9 @@ def init_head(rng, in_size: int, hidden: int, classes: int, dtype=np.float32) ->
 
 def dense_head(x: Tensor, params: HeadParams, activation: str = "relu") -> Tensor:
     """Hidden layer + linear -> class logits [N, C]."""
-    act = T.relu if activation == "relu" else T.selu
+    act = {"relu": T.relu, "selu": T.selu}.get(activation)
+    if act is None:
+        raise ConfigError(f"unknown head activation {activation!r}")
     hidden = act(T.add_bias(T.matmul(x, params.w1), params.b1))
     return T.add_bias(T.matmul(hidden, params.w2), params.b2)
 

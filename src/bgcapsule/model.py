@@ -22,15 +22,13 @@ from . import tensor as T
 from .config import AblationConfig, ModelConfig
 from .errors import ConfigError, ContractError, DataError
 from .tensor import Tensor
-from .text import EmbeddingTable, Vocabulary, pad_prepend, tokenize_lower
+from .text import EmbeddingTable, Vocabulary, encode_ids
 
 
 def recurrent_dropout_mask(shape, rate: float, rng) -> np.ndarray:
     """Bernoulli(1-rate)/(1-rate) mask; one draw per sequence per layer."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape, dtype=np.float32)
     keep = (rng.random(shape) >= rate).astype(np.float32)
     return keep / np.float32(1.0 - rate)
 
@@ -39,8 +37,8 @@ class BiGruEnsemble:
     """Two BiGRUs over the same input, channel-concatenated [N,T,2*H1+2*H2]:
     bigru1 forward and backward, then bigru2 forward and backward.
 
-    In training, with a dropout rate and an rng, each direction gets a
-    recurrent-dropout mask drawn per batch.
+    Given a ``dropout_rng`` and a nonzero dropout rate, each direction
+    gets a recurrent-dropout mask drawn from it per batch.
     """
 
     def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
@@ -51,12 +49,13 @@ class BiGruEnsemble:
         self.width = 2 * sum(cfg.bigru_sizes)
         self.dropout = cfg.dropout
 
-    def forward(self, embedded: Tensor, training: bool, rng) -> Tensor:
+    def forward(self, embedded: Tensor, dropout_rng) -> Tensor:
         def mask(gru):
-            if not training or self.dropout == 0.0 or rng is None:
+            if dropout_rng is None or self.dropout == 0.0:
                 return None
             shape = (embedded.shape[0], gru.hidden_size)
-            return Tensor(recurrent_dropout_mask(shape, self.dropout, rng).astype(embedded.dtype))
+            return Tensor(recurrent_dropout_mask(shape, self.dropout, dropout_rng)
+                          .astype(embedded.dtype))
 
         # each call gets the model's own GruParams as its second argument, by
         # which perfbench's tracer names the direction
@@ -77,7 +76,7 @@ class CnnExtractor:
             self.biases.append(param(f"cnn{i}.bias", (count,)))
         self.width = len(widths) * count
 
-    def forward(self, embedded: Tensor, training: bool, rng) -> Tensor:
+    def forward(self, embedded: Tensor, dropout_rng) -> Tensor:
         return L.cnn_feature_extractor(embedded, self.kernels, self.biases)
 
 
@@ -202,11 +201,13 @@ class TextClassifier:
 
     # -- forward ------------------------------------------------------
 
-    def logits(self, token_ids: np.ndarray, training: bool = False, rng=None) -> Tensor:
-        """Token ids [N, max_len] -> class logits [N, C], through every stage."""
-        embedded = L.embedding_forward(self.embedding, np.asarray(token_ids),
-                                       trainable=self.config.embed_trainable)
-        features = self.extractor.forward(embedded, training, rng)
+    def logits(self, token_ids: np.ndarray, dropout_rng=None) -> Tensor:
+        """Token ids [N, max_len] -> class logits [N, C], through every stage.
+
+        Recurrent dropout is drawn from ``dropout_rng`` when given (training).
+        The embedding gets a gradient only if the tape watches it."""
+        embedded = L.embedding_forward(self.embedding, np.asarray(token_ids))
+        features = self.extractor.forward(embedded, dropout_rng)
         return self.head.forward(self.aggregator.forward(features))
 
     def forward(self, token_ids: np.ndarray) -> Tensor:
@@ -216,9 +217,8 @@ class TextClassifier:
     # -- single-text inference ----------------------------------------
 
     def encode_text(self, text: str) -> np.ndarray:
-        ids = [self.vocab.lookup(token) for token in tokenize_lower(text)]
-        padded = pad_prepend(ids, self.config.max_len, self.config.truncate_keep)
-        return np.array([padded], dtype=np.int32)
+        ids = encode_ids(text, self.vocab, self.config.max_len, self.config.truncate_keep)
+        return np.array([ids], dtype=np.int32)
 
     def predict_text(self, text: str) -> tuple[int, np.ndarray]:
         """Class index and the full probability vector for one document."""

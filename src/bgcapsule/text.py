@@ -125,15 +125,13 @@ class CoverageReport:
 def load_glove(path, vocab: Vocabulary, dim: int, oov_seed: int = 0):
     """Read a GloVe text file into an embedding table for ``vocab``.
 
-    Lines are ``token v1 ... v_dim``. Tokens missing from the file get a
-    seeded uniform(-0.05, 0.05) row so they stay distinguishable from
-    padding; row 0 is forced to zeros. Returns the table and a coverage
-    report.
+    Lines are ``token v1 ... v_dim``. Each token the file has overwrites
+    its row of ``random_embeddings(vocab, dim, oov_seed)``; the others keep
+    their seeded row, and row 0 (padding) stays zeros. Returns the table
+    and a coverage report.
     """
-    size = len(vocab) + 1
-    vectors = np.zeros((size, dim), dtype=np.float32)
-    filled = np.zeros(size, dtype=bool)
-    found = 0
+    table = random_embeddings(vocab, dim, oov_seed)
+    filled = np.zeros(len(vocab) + 1, dtype=bool)
     with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -143,25 +141,16 @@ def load_glove(path, vocab: Vocabulary, dim: int, oov_seed: int = 0):
                 raise ParseError(
                     f"{path}:{line_no}: expected token plus {dim} floats, got {len(parts)} fields"
                 )
-            token = parts[0]
-            index = vocab.token_to_index.get(token)
+            index = vocab.token_to_index.get(parts[0])
             if index is None:
                 continue
             try:
-                vectors[index] = np.array(parts[1:], dtype=np.float32)
+                table.vectors[index] = np.array(parts[1:], dtype=np.float32)
             except ValueError as exc:
                 raise ParseError(f"{path}:{line_no}: bad float: {exc}") from exc
-            if not filled[index]:
-                filled[index] = True
-                found += 1
-    rng = np.random.default_rng([oov_seed, 1])
-    oov = 0
-    for token, index in vocab.token_to_index.items():
-        if not filled[index]:
-            vectors[index] = rng.uniform(-0.05, 0.05, size=dim).astype(np.float32)
-            oov += 1
-    vectors[PAD_INDEX] = 0.0
-    return EmbeddingTable(vectors=vectors, dim=dim), CoverageReport(found=found, oov=oov)
+            filled[index] = True
+    found = int(filled.sum())
+    return table, CoverageReport(found=found, oov=len(vocab) - found)
 
 
 def glove_file_dim(path) -> int:
@@ -185,7 +174,7 @@ def random_embeddings(vocab: Vocabulary, dim: int, seed: int = 0) -> EmbeddingTa
 # dataset loaders
 
 
-def _read_zhang_csv(path, class_count_hint=None) -> tuple[list[LabeledText], int]:
+def _read_zhang_csv(path) -> tuple[list[LabeledText], int]:
     docs = []
     max_label = -1
     with open(path, "r", encoding="utf-8", errors="replace", newline="") as handle:
@@ -199,7 +188,7 @@ def _read_zhang_csv(path, class_count_hint=None) -> tuple[list[LabeledText], int
                 label = int(row[0]) - 1
             except ValueError as exc:
                 raise ParseError(f"{path}: record {record_no}: bad class index {row[0]!r}") from exc
-            if label < 0 or (class_count_hint is not None and label >= class_count_hint):
+            if label < 0:
                 raise DataError(f"{path}: record {record_no}: class index {row[0]} out of range")
             docs.append(LabeledText(text=" ".join(row[1:]), label=label))
             max_label = max(max_label, label)
@@ -290,13 +279,16 @@ def holdout_split(docs, fraction: float = 0.1, seed: int = 0):
     return rest, held
 
 
+def encode_ids(text: str, vocab: Vocabulary, p: int = 200, keep: str = "first") -> list[int]:
+    """Tokenize one text, index it (unknown tokens map to 0, padding) and
+    pre-pad it to length p, keeping the ``keep`` end of an overlong text."""
+    return pad_prepend([vocab.lookup(token) for token in tokenize_lower(text)], p, keep)
+
+
 def encode_docs(docs, vocab: Vocabulary, p: int = 200, keep: str = "first") -> list[TokenizedDoc]:
-    """Tokenize, index (unknown tokens pad out to 0), and pre-pad to length p."""
-    out = []
-    for doc in docs:
-        ids = [vocab.lookup(token) for token in tokenize_lower(doc.text)]
-        out.append(TokenizedDoc(tokens=pad_prepend(ids, p, keep), label=doc.label))
-    return out
+    """``encode_ids`` of each labeled text."""
+    return [TokenizedDoc(tokens=encode_ids(doc.text, vocab, p, keep), label=doc.label)
+            for doc in docs]
 
 
 def batch_of(docs: list[TokenizedDoc]) -> Batch:

@@ -84,6 +84,12 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return record_op(out, (logits,), back)
 
 
+def predicted_class(logits: Tensor) -> np.ndarray:
+    """Argmax of ``softmax(logits)`` per row, as ``TextClassifier.forward``
+    gives it: float32 logits [0, 3e-8] round to a 0.5/0.5 tie, class 0."""
+    return T.softmax(logits, axis=1).data.argmax(axis=1)
+
+
 class Adam:
     """Standard Adam with bias correction; one state slot per parameter."""
 
@@ -174,13 +180,13 @@ def train(model, train_docs, val_docs, config: ModelConfig, log=None) -> TrainRe
         for batch in iter_batches(train_docs, config.batch_size, shuffle_rng):
             with Tape() as tape:
                 tape.watch(*params.values())
-                logits = model.logits(batch.token_ids, training=True, rng=dropout_rng)
+                logits = model.logits(batch.token_ids, dropout_rng)
                 loss = softmax_cross_entropy(logits, batch.labels)
                 tape.backward(loss)
                 grads = {name: tape.grad(p) for name, p in params.items()}
             optimizer.step(grads)
             total_loss += loss.item() * len(batch.labels)
-            correct += float((logits.data.argmax(axis=1) == batch.labels).sum())
+            correct += float((predicted_class(logits) == batch.labels).sum())
         record = EpochRecord(epoch, "train", total_loss / len(train_docs),
                              correct / len(train_docs))
         history.append(record)
@@ -219,8 +225,7 @@ def evaluate(model, docs, batch_size: int = 256) -> EvalMetrics:
     for batch in iter_batches(docs, batch_size):
         logits = model.logits(batch.token_ids)
         total_loss += softmax_cross_entropy(logits, batch.labels).item() * len(batch.labels)
-        # the argmax of the probabilities, so it agrees with ``model.forward``
-        predicted = T.softmax(logits, axis=1).data.argmax(axis=1)
+        predicted = predicted_class(logits)
         for cls in range(classes):
             of_class = batch.labels == cls
             class_total[cls] += int(of_class.sum())

@@ -4,6 +4,8 @@ import re
 import pytest
 
 from bgcapsule import ablation
+from bgcapsule.config import VARIANTS
+from bgcapsule.model import VARIANT_STAGES
 from bgcapsule.synthetic import separable_corpus
 from bgcapsule.text import DatasetSplit, encode_docs
 from bgcapsule.training import evaluate
@@ -11,6 +13,12 @@ from bgcapsule.training import evaluate
 from conftest import toy_config
 
 LOG_LINE = re.compile(r"variant=(\w+) acc=\d\.\d{4} train_acc=\d\.\d{4} params=\d+")
+
+
+def test_every_variant_list_names_the_same_variants():
+    assert len(set(ablation.VARIANT_ORDER)) == len(ablation.VARIANT_ORDER)
+    assert (set(VARIANTS) == set(VARIANT_STAGES) == set(ablation.VARIANT_ORDER)
+            == set(ablation.COLUMN_TITLES))
 
 
 @pytest.fixture(scope="module")

@@ -2,11 +2,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bgcapsule.config import AblationConfig, ModelConfig
+from bgcapsule import tensor as T
+from bgcapsule.config import VARIANTS, AblationConfig, ModelConfig
 from bgcapsule.errors import ConfigError
 from bgcapsule.model import TextClassifier
 from bgcapsule.synthetic import separable_corpus
 from bgcapsule.text import batch_of, build_vocab, random_embeddings, tokenize_lower
+from bgcapsule.training import softmax_cross_entropy
 
 from conftest import build_toy_model, toy_config
 
@@ -86,6 +88,36 @@ def test_softmax_axis_flag_changes_normalization(separable_docs):
     model.forward(batch_of(encoded[:2]).token_ids)
     sums = model.last_routing.couplings.sum(axis=1)
     npt.assert_allclose(sums, np.ones((2, cfg.routed_caps)), atol=1e-5)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_watched_frozen_embedding_gets_the_finite_difference_gradient(variant):
+    # full-length docs: no padding row, whose gradient the embedding pins to zero
+    docs = separable_corpus(4, seed=3, min_len=16, max_len=16)
+    model, encoded = build_toy_model(docs, toy_config(embed_trainable=False, dropout=0.0),
+                                     AblationConfig(variant=variant, cnn_filter_widths=[2, 3],
+                                                    cnn_filter_count=3),
+                                     dtype=np.float64)
+    # at the default +-0.05 scale the double squash flattens activations
+    # below the finite-difference step
+    model.embedding.data *= 20.0
+    batch = batch_of(encoded)
+    report = T.grad_check(lambda _: softmax_cross_entropy(model.logits(batch.token_ids),
+                                                          batch.labels),
+                          model.embedding, tol=1e-3)
+    assert report.passed, report.line()
+
+
+def test_trainable_embedding_records_no_node_unless_watched(separable_docs):
+    model, encoded = build_toy_model(separable_docs, toy_config(embed_trainable=True))
+    ids = batch_of(encoded[:4]).token_ids
+    with T.Tape() as tape:
+        model.logits(ids)
+    assert all(t is not model.embedding for node in tape.nodes for t in node.inputs)
+    with T.Tape() as watched:
+        watched.watch(model.embedding)
+        model.logits(ids)
+    assert len(watched.nodes) == len(tape.nodes) + 1
 
 
 def test_predict_text_all_oov(separable_docs):

@@ -276,6 +276,21 @@ def test_chance_level_accuracy_with_uniform_model(separable_docs):
     assert metrics.accuracy == pytest.approx(0.5, abs=0.01)
 
 
+def test_train_and_evaluate_count_the_same_predicted_class(separable_docs):
+    model, encoded = build_toy_model(separable_docs, toy_config(epochs=1))
+    # every doc gets logits [0, 3e-8]: class 1 by the raw argmax, but a
+    # float32 softmax ties them at 0.5/0.5, so class 0 by its argmax
+    params = model.parameters()
+    params["head.w2"].data = np.zeros_like(params["head.w2"].data)
+    params["head.b2"].data = np.array([0.0, 3e-8], dtype=np.float32)
+    docs = [d for d in encoded if d.label == 0][:6] + [d for d in encoded if d.label == 1][:2]
+    before = training.evaluate(model, docs, 8)
+    assert before.accuracy == 0.75
+    # one batch of all eight: train counts the logits before its only step
+    result = training.train(model, docs, [], model.config)
+    assert result.history[0].acc == before.accuracy
+
+
 # ---------------------------------------------------------------------------
 # cross-validation
 
