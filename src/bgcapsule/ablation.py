@@ -1,10 +1,8 @@
 """Trains the three architecture variants under one controlled harness.
 
 All variants see identical data order and share the base seed, so the
-comparison isolates the feature extractor and the routing stage. Each
-variant keeps its best epoch on a seeded holdout of the training docs
-and is then evaluated once on the test docs, which no choice has seen.
-The result renders as an aligned text table and as
+comparison isolates the feature extractor and the routing stage; each
+is fit and tested by ``training.fit_and_test``. The result renders as an aligned text table and as
 ``dataset,variant,accuracy`` CSV rows.
 """
 
@@ -14,9 +12,8 @@ import csv
 from dataclasses import dataclass, replace
 
 from .config import AblationConfig, ModelConfig
-from .model import TextClassifier
 from .text import DatasetSplit, holdout_split
-from .training import evaluate, prepare_split, train
+from .training import fit_and_test
 
 COLUMN_TITLES = {
     "bigru_maxpool": "BiGRU + Max Pooling",
@@ -66,33 +63,23 @@ def write_ablation_csv(results: list[AblationResult], path) -> None:
 def run_ablation(split: DatasetSplit, config: ModelConfig, dataset_name: str = "dataset",
                  base_ablation: AblationConfig | None = None, glove_path=None,
                  val_fraction: float = 0.1, log=None) -> AblationResult:
-    """Train every variant on the same split and report test accuracies.
+    """Fit and test every variant on the same split and report test accuracies.
 
-    A seeded ``val_fraction`` of the training docs picks the best epoch.
-    When the split has no test portion, a seeded holdout of the training
-    set is taken for it first.
+    When the split has no test portion, a seeded ``val_fraction`` of the
+    training set is held out for it first.
     """
     base_ablation = base_ablation or AblationConfig()
     train_raw, test_raw = split.train, split.test
     if not test_raw:
         train_raw, test_raw = holdout_split(train_raw, val_fraction, config.seed)
-    fit_raw, val_raw = holdout_split(train_raw, val_fraction, config.seed)
-    vocab, table, enc_fit, (enc_val, enc_test) = prepare_split(
-        fit_raw, [val_raw, test_raw], config, glove_path)
-
+    ablations = [replace(base_ablation, variant=variant) for variant in VARIANT_ORDER]
     results: dict[str, VariantResult] = {}
-    for variant in VARIANT_ORDER:
-        ablation = replace(base_ablation, variant=variant)
-        model = TextClassifier(config, vocab, table, ablation)
-        outcome = train(model, enc_fit, enc_val, config)
-        metrics = evaluate(model, enc_test, config.batch_size)
-        results[variant] = VariantResult(
-            variant=variant,
-            accuracy=metrics.accuracy,
-            train_accuracy=outcome.final_train_acc,
-            parameter_count=model.parameter_count(),
-        )
+    for model, outcome, metrics in fit_and_test(train_raw, test_raw, config, ablations,
+                                                glove_path, val_fraction):
+        result = VariantResult(model.ablation.variant, metrics.accuracy,
+                               outcome.final_train_acc, model.parameter_count())
+        results[result.variant] = result
         if log:
-            log(f"variant={variant} acc={metrics.accuracy:.4f} "
-                f"train_acc={outcome.final_train_acc:.4f} params={results[variant].parameter_count}")
+            log(f"variant={result.variant} acc={result.accuracy:.4f} "
+                f"train_acc={result.train_accuracy:.4f} params={result.parameter_count}")
     return AblationResult(dataset=dataset_name, results=results)

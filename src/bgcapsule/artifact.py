@@ -24,7 +24,7 @@ import struct
 
 import numpy as np
 
-from .config import AblationConfig, ModelConfig
+from .config import read_run_entries, run_entries
 from .errors import ConfigError, ContractError, DataError
 from .model import TextClassifier
 from .text import EmbeddingTable, Vocabulary
@@ -94,8 +94,7 @@ def save_model(model: TextClassifier, path) -> None:
             )
     header = {
         "version": FORMAT_VERSION,
-        "config": model.config.to_dict(),
-        "ablation": model.ablation.to_dict(),
+        **run_entries(model.config, model.ablation),
         "vocab": model.vocab.token_to_index,
     }
     header_bytes = json.dumps(header, ensure_ascii=False).encode("utf-8")
@@ -136,9 +135,8 @@ def load_model(path) -> TextClassifier:
             raise DataError(f"{path}: header is not a JSON object")
         if header.get("version") != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported artifact version {header.get('version')!r}")
-        for key in ("config", "ablation", "vocab"):
-            if key not in header:
-                raise DataError(f"{path}: header missing {key!r}")
+        if "vocab" not in header:
+            raise DataError(f"{path}: header missing 'vocab'")
         count = reader.u64("tensor count")
         arrays: dict[str, np.ndarray] = {}
         for index in range(count):
@@ -158,8 +156,7 @@ def load_model(path) -> TextClassifier:
     if "embedding" not in arrays:
         raise DataError(f"{path}: artifact has no embedding table")
     try:
-        config = ModelConfig.from_dict(header["config"])
-        ablation = AblationConfig.from_dict(header["ablation"])
+        config, ablation = read_run_entries(header)
         vocab = Vocabulary(header["vocab"])
     except (ConfigError, DataError) as exc:
         raise DataError(f"{path}: bad header: {exc}") from exc

@@ -1,13 +1,16 @@
-"""Model and run configuration, plus the flat ``key = value`` file format.
+"""Model and run configuration, and the one form that serializes a run's.
 
-Unknown keys in a config file are hard errors so typos in sweeps fail
-loudly instead of silently training the default. ``from_dict`` also
-checks each value's type against its field, so a config read from JSON
-fails with ``ConfigError``, never a ``TypeError`` from deep inside.
+A run's ``ModelConfig`` and ``AblationConfig`` serialize as the JSON pair
+``{"config": {...}, "ablation": {...}}``: a config file holds that object,
+and a model artifact's header carries the same two entries. A field left
+out takes its default. Unknown or repeated keys and values of the wrong
+type raise ``ConfigError``, naming the config file, so a typo in a sweep
+fails loudly instead of silently training the default.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -124,48 +127,44 @@ class AblationConfig(_DictConvertible):
         return self
 
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+RUN_KEYS = ("config", "ablation")
 
 
-def _parse_value(field_type: str, raw: str, where: str):
-    raw = raw.strip()
+def run_entries(config: ModelConfig, ablation: AblationConfig) -> dict:
+    """The ``{"config": …, "ablation": …}`` pair that serializes a run's configuration."""
+    return {"config": config.to_dict(), "ablation": ablation.to_dict()}
+
+
+def read_run_entries(data) -> tuple[ModelConfig, AblationConfig]:
+    """Both configs from a mapping holding the ``run_entries`` pair; other keys are ignored."""
+    if not isinstance(data, dict) or not all(key in data for key in RUN_KEYS):
+        raise ConfigError(f"a run configuration needs a mapping with the keys {list(RUN_KEYS)}")
+    return ModelConfig.from_dict(data["config"]), AblationConfig.from_dict(data["ablation"])
+
+
+def _unique_keys(pairs) -> dict:
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ConfigError(f"repeated keys: {repeated}")
+    return dict(pairs)
+
+
+def load_config_file(path) -> tuple[ModelConfig, AblationConfig]:
+    """Read a file written by ``save_config_file``; every error names ``path``."""
     try:
-        if field_type == "bool":
-            return _BOOL_WORDS[raw.lower()]
-        if field_type.startswith("list"):
-            return [int(part) for part in raw.split(",") if part.strip()]
-        return {"int": int, "float": float, "str": str}[field_type](raw)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected {field_type}, got {raw!r}") from exc
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle, object_pairs_hook=_unique_keys)
+        configs = read_run_entries(data)
+        unknown = sorted(set(data) - set(RUN_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown keys: {unknown}")
+        return configs
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def load_config_file(path) -> ModelConfig:
-    """Parse a flat ``key = value`` file into a ModelConfig."""
-    type_by_name = {f.name: f.type for f in fields(ModelConfig)}
-    values: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in type_by_name:
-                raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
-            values[key] = _parse_value(type_by_name[key], raw, f"{path}:{line_no}: {key}")
-    return ModelConfig.from_dict(values)
-
-
-def save_config_file(config: ModelConfig, path) -> None:
-    lines = []
-    for f in fields(ModelConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{f.name} = {value}")
+def save_config_file(config: ModelConfig, ablation: AblationConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        json.dump(run_entries(config, ablation), handle, indent=2)
+        handle.write("\n")

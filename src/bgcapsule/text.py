@@ -127,12 +127,13 @@ def load_glove(path, vocab: Vocabulary, dim: int, oov_seed: int = 0):
 
     Lines are ``token v1 ... v_dim``. Each token the file has overwrites
     its row of ``random_embeddings(vocab, dim, oov_seed)``; the others keep
-    their seeded row, and row 0 (padding) stays zeros. Returns the table
-    and a coverage report.
+    their seeded row, and row 0 (padding) stays zeros. A vector that is
+    not finite in float32 (``nan``, ``inf``, ``1e39``) is a ``ParseError``.
+    Returns the table and a coverage report.
     """
     table = random_embeddings(vocab, dim, oov_seed)
     filled = np.zeros(len(vocab) + 1, dtype=bool)
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+    with open(path, "r", encoding="utf-8", errors="replace") as handle, np.errstate(over="ignore"):
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -145,9 +146,12 @@ def load_glove(path, vocab: Vocabulary, dim: int, oov_seed: int = 0):
             if index is None:
                 continue
             try:
-                table.vectors[index] = np.array(parts[1:], dtype=np.float32)
+                row = np.array(parts[1:], dtype=np.float32)
             except ValueError as exc:
                 raise ParseError(f"{path}:{line_no}: bad float: {exc}") from exc
+            if not np.isfinite(row).all():
+                raise ParseError(f"{path}:{line_no}: non-finite value for {parts[0]!r}")
+            table.vectors[index] = row
             filled[index] = True
     found = int(filled.sum())
     return table, CoverageReport(found=found, oov=len(vocab) - found)

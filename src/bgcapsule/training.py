@@ -1,4 +1,5 @@
-"""Loss, Adam, data preparation, the training loop, evaluation, and k-fold CV.
+"""Loss, Adam, data preparation, the training loop, evaluation, the
+fit–select–test routine and k-fold CV.
 
 Training and evaluation take the loss from the model's logits with the
 fused ``softmax_cross_entropy``, so a confidently wrong prediction keeps
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import AblationConfig, ModelConfig
-from .errors import ContractError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .model import TextClassifier
 from .tensor import Tape, Tensor, record_op
 from .text import (
@@ -235,16 +236,30 @@ def evaluate(model, docs, batch_size: int = 256) -> EvalMetrics:
                        class_total=class_total, class_correct=class_correct)
 
 
+def fit_and_test(train_raw, test_raw, config: ModelConfig, ablations, glove_path=None,
+                 val_fraction: float = 0.1):
+    """Yield ``(model, train result, test metrics)`` per ablation: each model
+    keeps its best epoch on a seeded ``val_fraction`` of ``train_raw`` and
+    is then evaluated once on ``test_raw``. All share one vocabulary and table."""
+    labels = [doc.label for doc in (*train_raw, *test_raw)]
+    low, high = min(labels, default=0), max(labels, default=0)
+    if low < 0 or high >= config.class_count:
+        raise ConfigError(f"class_count={config.class_count} does not cover the labels, "
+                          f"which run from {low} to {high}")
+    fit_raw, val_raw = holdout_split(train_raw, val_fraction, config.seed)
+    vocab, table, enc_fit, (enc_val, enc_test) = prepare_split(
+        fit_raw, [val_raw, test_raw], config, glove_path)
+    for ablation in ablations:
+        model = TextClassifier(config, vocab, table, ablation)
+        outcome = train(model, enc_fit, enc_val, config)
+        yield model, outcome, evaluate(model, enc_test, config.batch_size)
+
+
 @dataclass
 class CvResult:
     fold_accuracies: list[float]
     mean: float
     best: float
-
-    def lines(self):
-        for i, acc in enumerate(self.fold_accuracies):
-            yield f"fold={i} acc={acc:.4f}"
-        yield f"mean={self.mean:.4f} best={self.best:.4f}"
 
 
 def cross_validate(raw_docs, config: ModelConfig, k: int = 10,
@@ -253,23 +268,17 @@ def cross_validate(raw_docs, config: ModelConfig, k: int = 10,
     """Train k independent models on a seeded fold partition.
 
     Each fold gets its own vocabulary, embeddings, and seed derived from
-    the base seed, so the whole report reproduces bit-for-bit. A seeded
-    holdout of the fold's training docs picks the epoch; the fold itself
-    is evaluated once, on the restored weights, for its reported accuracy.
+    the base seed, so the whole report reproduces bit-for-bit. Each fold
+    is one ``fit_and_test`` that reports the fold's test accuracy.
     """
-    folds = kfold_split(raw_docs, k, config.seed)
     accuracies: list[float] = []
-    for i, (fold_train, fold_test) in enumerate(folds):
+    for i, (fold_train, fold_test) in enumerate(kfold_split(raw_docs, k, config.seed)):
         fold_config = replace(config, seed=config.seed + 1000 * (i + 1))
-        fit_raw, val_raw = holdout_split(fold_train, seed=fold_config.seed)
-        vocab, table, enc_fit, (enc_val, enc_test) = prepare_split(
-            fit_raw, [val_raw, fold_test], fold_config, glove_path)
-        model = TextClassifier(fold_config, vocab, table, ablation)
-        train(model, enc_fit, enc_val, fold_config)
-        accuracy = evaluate(model, enc_test, fold_config.batch_size).accuracy
-        accuracies.append(accuracy)
+        [(_, _, metrics)] = fit_and_test(fold_train, fold_test, fold_config, [ablation],
+                                         glove_path)
+        accuracies.append(metrics.accuracy)
         if log:
-            log(f"fold={i} acc={accuracy:.4f}")
+            log(f"fold={i} acc={metrics.accuracy:.4f}")
     mean = float(np.mean(accuracies))
     best = float(np.max(accuracies))
     if log:

@@ -3,12 +3,11 @@ import re
 
 import pytest
 
-from bgcapsule import ablation
+from bgcapsule import ablation, training
 from bgcapsule.config import VARIANTS
 from bgcapsule.model import VARIANT_STAGES
 from bgcapsule.synthetic import separable_corpus
 from bgcapsule.text import DatasetSplit, encode_docs
-from bgcapsule.training import evaluate
 
 from conftest import toy_config
 
@@ -28,14 +27,14 @@ def ablation_run():
                          class_count=2)
     config = toy_config(epochs=2)
     calls, lines = [], []
-    real_train = ablation.train
+    real_train = training.train
 
     def recording_train(model, train_docs, val_docs, cfg, log=None):
         calls.append((model, train_docs, val_docs))
         return real_train(model, train_docs, val_docs, cfg, log)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ablation, "train", recording_train)
+        patch.setattr(training, "train", recording_train)
         result = ablation.run_ablation(split, config, "toy", val_fraction=0.25, log=lines.append)
     return split, config, result, calls, lines
 
@@ -57,7 +56,7 @@ def test_best_epoch_is_picked_on_training_docs_not_on_test_docs(ablation_run):
         assert len(val_docs) == 12 and len(fit_docs) + len(val_docs) == len(split.train)
         assert not val & {tuple(d.tokens) for d in test_docs}
         # the reported accuracy is the test docs' under the restored best-epoch weights
-        accuracy = evaluate(model, test_docs, config.batch_size).accuracy
+        accuracy = training.evaluate(model, test_docs, config.batch_size).accuracy
         assert result.results[model.ablation.variant].accuracy == accuracy
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bgcapsule import artifact, layers
 from bgcapsule.artifact import load_model, save_model
+from bgcapsule.config import save_config_file
 from bgcapsule.errors import ContractError, DataError
 from bgcapsule.synthetic import separable_corpus
 
@@ -170,6 +171,7 @@ HEADER_MUTATIONS = {
     "filter_widths_as_int": lambda h: h["ablation"].update(cnn_filter_widths=3),
     "unknown_variant": lambda h: h["ablation"].update(variant="transformer"),
     "config_as_list": lambda h: h.update(config=[1, 2]),
+    "ablation_missing": lambda h: h.pop("ablation"),
     "vocab_as_list": lambda h: h.update(vocab=list(h["vocab"])),
     "vocab_index_as_string": set_first_index("1"),
     "vocab_index_too_large": set_first_index(10 ** 9),
@@ -184,6 +186,17 @@ def test_bad_header_value_raises_data_error_naming_file(saved, mutation):
     rewrite_header(path, HEADER_MUTATIONS[mutation])
     with pytest.raises(DataError, match=re.escape(str(path))):
         load_model(path)
+
+
+def test_config_file_holds_the_config_entries_of_the_header(saved, tmp_path):
+    model, path, _ = saved
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 4)
+    header = json.loads(blob[12:12 + header_len])
+    config_path = tmp_path / "run.json"
+    save_config_file(model.config, model.ablation, config_path)
+    assert json.loads(config_path.read_text(encoding="utf-8")) == {
+        "config": header["config"], "ablation": header["ablation"]}
 
 
 def test_header_that_is_not_an_object_raises_data_error(saved):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -8,34 +9,74 @@ from bgcapsule.errors import ConfigError
 from conftest import toy_config
 
 
+def write_config(tmp_path, text):
+    path = tmp_path / "run.json"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = toy_config(bigru_sizes=[7, 5], lr=0.125, share_pair_weights=False,
                      softmax_axis="input_caps", truncate_keep="last", head_activation="selu")
-    path = tmp_path / "run.cfg"
-    save_config_file(cfg, path)
-    assert load_config_file(path) == cfg
+    ab = AblationConfig(variant="cnn_capsule", cnn_filter_widths=[2, 5], cnn_filter_count=3,
+                        pool_window=2)
+    path = tmp_path / "run.json"
+    save_config_file(cfg, ab, path)
+    assert load_config_file(path) == (cfg, ab)
 
 
-def test_config_file_unknown_key_names_path_and_line(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("# sweep\nmax_len = 16\n\nlearning_rate = 0.1\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=re.escape(f"{path}:4") + ".*learning_rate"):
+def test_config_file_fields_left_out_take_their_defaults(tmp_path):
+    path = write_config(tmp_path, '{"config": {"max_len": 16}, "ablation": {}}')
+    assert load_config_file(path) == (ModelConfig(max_len=16), AblationConfig())
+
+
+@pytest.mark.parametrize("text, unknown", [
+    ('{"config": {"max_len": 16, "learning_rate": 0.1}, "ablation": {}}', "learning_rate"),
+    ('{"config": {}, "ablation": {"variant": "cnn_capsule", "widths": [3]}}', "widths"),
+    ('{"config": {}, "ablation": {}, "sweep": 1}', "sweep"),
+], ids=["config", "ablation", "top_level"])
+def test_config_file_unknown_key_names_path(tmp_path, text, unknown):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + f"unknown.*'{unknown}'"):
         load_config_file(path)
 
 
-@pytest.mark.parametrize("line", ["max_len = 1.5", "dropout = half", "bigru_sizes = 4,x",
-                                  "embed_trainable = maybe"])
-def test_config_file_bad_value_names_path_and_line(tmp_path, line):
-    path = tmp_path / "run.cfg"
-    path.write_text(f"seed = 3\n{line}\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=re.escape(f"{path}:2: {line.split()[0]}: expected")):
+@pytest.mark.parametrize("key, value", [("max_len", 1.5), ("dropout", "half"),
+                                        ("bigru_sizes", [4, "x"]), ("embed_trainable", "maybe")],
+                         ids=["max_len", "dropout", "bigru_sizes", "embed_trainable"])
+def test_config_file_bad_value_names_path_and_field(tmp_path, key, value):
+    text = json.dumps({"config": {"seed": 3, key: value}, "ablation": {}})
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: ModelConfig.{key} must be")):
         load_config_file(path)
 
 
 def test_config_file_rejects_non_finite_lr(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("lr = nan\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="lr"):
+    for literal in ("NaN", "Infinity"):
+        path = write_config(tmp_path, f'{{"config": {{"lr": {literal}}}, "ablation": {{}}}}')
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: lr must be positive")):
+            load_config_file(path)
+
+
+@pytest.mark.parametrize("text, repeated", [
+    ('{"config": {"lr": 0.1, "lr": 0.01}, "ablation": {}}', "lr"),
+    ('{"config": {}, "ablation": {}, "config": {"lr": 0.01}}', "config"),
+], ids=["nested", "top_level"])
+def test_config_file_rejects_a_repeated_key(tmp_path, text, repeated):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: repeated keys: ['{repeated}']")):
+        load_config_file(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("lr = 0.1\n", "Expecting value"),
+    ("[1, 2]", "needs a mapping"),
+    ('{"config": {}}', "needs a mapping with the keys ['config', 'ablation']"),
+    ('{"config": [], "ablation": {}}', "ModelConfig needs a mapping"),
+], ids=["flat_format", "list", "no_ablation", "config_as_list"])
+def test_config_file_that_is_not_the_json_pair_names_path(tmp_path, text, message):
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
         load_config_file(path)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -129,6 +131,18 @@ def test_load_glove_malformed_line_reports_number(tmp_path):
     with pytest.raises(ParseError) as err:
         text.load_glove(path, text.build_vocab([["ok"]]), dim=2)
     assert ":2:" in str(err.value)
+
+
+@pytest.mark.parametrize("lines, bad_line", [
+    (["a 0.5 1", "b nan 1"], 2),
+    (["a inf -inf", "b 1 2"], 1),
+    (["a 1 2", "b 1e39 1"], 2),  # finite as text, inf in float32
+], ids=["nan", "inf", "overflow"])
+def test_load_glove_rejects_a_non_finite_vector_naming_path_and_line(tmp_path, lines, bad_line):
+    path = tmp_path / "vectors.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"{re.escape(str(path))}:{bad_line}: non-finite"):
+        text.load_glove(path, text.build_vocab([["a", "b"]]), dim=2)
 
 
 def test_glove_file_dim(tmp_path):

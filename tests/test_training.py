@@ -6,12 +6,14 @@ import pytest
 
 from bgcapsule import tensor as T
 from bgcapsule import training
+from bgcapsule.ablation import run_ablation
 from bgcapsule.config import AblationConfig
-from bgcapsule.errors import ContractError, DataError
+from bgcapsule.errors import ConfigError, ContractError, DataError
 from bgcapsule.model import recurrent_dropout_mask
 from bgcapsule.synthetic import separable_corpus
 from bgcapsule.tensor import Tensor
-from bgcapsule.text import LabeledText, encode_docs, kfold_split, random_embeddings
+from bgcapsule.text import (DatasetSplit, LabeledText, encode_docs, kfold_split,
+                            random_embeddings)
 
 from conftest import build_toy_model, toy_config
 
@@ -302,9 +304,6 @@ def test_cross_validate_report(separable_docs):
     assert result.mean == pytest.approx(float(np.mean(result.fold_accuracies)))
     assert result.best == pytest.approx(float(np.max(result.fold_accuracies)))
     assert result.best >= result.mean
-    lines = list(result.lines())
-    assert lines[0].startswith("fold=0 acc=")
-    assert lines[-1].startswith("mean=")
 
 
 def test_cross_validate_picks_the_epoch_apart_from_the_fold_it_reports(separable_docs,
@@ -330,6 +329,22 @@ def test_cross_validate_picks_the_epoch_apart_from_the_fold_it_reports(separable
         assert result.fold_accuracies[i] == accuracy
         assert lines[i] == f"fold={i} acc={accuracy:.4f}"
     assert lines[k:] == [f"mean={result.mean:.4f} best={result.best:.4f}"]
+
+
+@pytest.mark.parametrize("protocol", ["cross_validate", "run_ablation"])
+def test_a_label_outside_class_count_fails_before_any_vocabulary(protocol, monkeypatch):
+    docs = [LabeledText(d.text, i % 3) for i, d in enumerate(separable_corpus(40, seed=1))]
+    cfg = toy_config(epochs=1)
+
+    def no_vocab(*args, **kwargs):
+        raise AssertionError("built a vocabulary")
+
+    monkeypatch.setattr(training, "build_vocab", no_vocab)
+    with pytest.raises(ConfigError, match="class_count=2 .* to 2$"):
+        if protocol == "cross_validate":
+            training.cross_validate(docs, cfg, k=2)
+        else:
+            run_ablation(DatasetSplit(train=docs, test=[], class_count=3), cfg)
 
 
 def test_cross_validate_reproducible(separable_docs):
