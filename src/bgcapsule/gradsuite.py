@@ -100,13 +100,13 @@ def _op_checks() -> list[GradCheckReport]:
     check("predict_vectors/per_pair", lambda t: _sq(L.predict_vectors(u, t)),
           rng.normal(size=(2, 3, 3, 4)))
 
-    u_hat = rng.normal(size=(1, 2, 3, 4))
-
-    def routing_target(t):
-        v, _ = L.dynamic_routing(t, iterations=3)
-        return _sq(v)
-
-    check("dynamic_routing", routing_target, u_hat)
+    # weights as capsule merging gives them: counts, and 0 on a padding entry
+    u_hat = rng.normal(size=(2, 2, 3, 4))
+    counts = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 1.0]])
+    for axis in ("output_caps", "input_caps"):
+        for suffix, weights in (("", None), ("/weighted", counts)):
+            check(f"dynamic_routing/{axis}{suffix}",
+                  lambda t, a=axis, w=weights: _sq(L.dynamic_routing(t, 3, a, w)[0]), u_hat)
 
     head = L.init_head(rng, 5, 4, 3, np.float64)
     head_x = Tensor(rng.normal(size=(2, 5)), dtype=np.float64)

@@ -236,6 +236,23 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
 # capsules
 
 
+def _squash_parts(x: np.ndarray, axis: int):
+    """``squash`` of ``x`` along ``axis``, and what its gradient reads."""
+    q = (x * x).sum(axis=axis, keepdims=True)  # |s|^2
+    safe_q = np.where(q > 0, q, 1.0)
+    root = np.sqrt(safe_q)
+    scale = np.where(q > 0, root / (1.0 + q), 0.0)
+    return (x * scale).astype(x.dtype, copy=False), (q, root, scale)
+
+
+def _squash_grad(g: np.ndarray, x: np.ndarray, parts, axis: int) -> np.ndarray:
+    # d scale/d q = (1 - q) / (2 sqrt(q) (1+q)^2), chain through q = sum s^2
+    q, root, scale = parts
+    dscale_dq = np.where(q > 0, (1.0 - q) / (2.0 * root * (1.0 + q) ** 2), 0.0)
+    inner = (g * x).sum(axis=axis, keepdims=True)
+    return (g * scale + 2.0 * x * dscale_dq * inner).astype(x.dtype, copy=False)
+
+
 def squash(t: Tensor, axis: int = -1) -> Tensor:
     """Norm-limiting nonlinearity: v = (|s|^2 / (1+|s|^2)) * s/|s|.
 
@@ -244,26 +261,70 @@ def squash(t: Tensor, axis: int = -1) -> Tensor:
     """
     x = t.data
     axis = axis % x.ndim if x.ndim else 0
-    q = (x * x).sum(axis=axis, keepdims=True)  # |s|^2
-    safe_q = np.where(q > 0, q, 1.0)
-    root = np.sqrt(safe_q)
-    scale = np.where(q > 0, root / (1.0 + q), 0.0)
-    out = (x * scale).astype(t.dtype, copy=False)
+    out, parts = _squash_parts(x, axis)
+    return record_op(out, (t,), lambda g: (_squash_grad(g, x, parts, axis),))
 
-    def back(g):
-        # d scale/d q = (1 - q) / (2 sqrt(q) (1+q)^2), chain through q = sum s^2
-        dscale_dq = np.where(q > 0, (1.0 - q) / (2.0 * root * (1.0 + q) ** 2), 0.0)
-        inner = (g * x).sum(axis=axis, keepdims=True)
-        return ((g * scale + 2.0 * x * dscale_dq * inner).astype(t.dtype, copy=False),)
 
-    return record_op(out, (t,), back)
+@dataclass
+class DistinctPositions:
+    """The positions of a batch that can differ, found from ``live`` [N,T]:
+    each document's live positions, in order, plus its first dead one,
+    which stands for all its dead ones. These are the document's entries;
+    position 0 is always one of them, as entry 0. Documents with fewer
+    than K entries, the batch's largest count, are padded with entries
+    that read position 0 again and count zero.
+    """
+
+    rows: np.ndarray  # [N*K] flat row n*T + t that each entry reads
+    counts: np.ndarray  # [N, K] positions each entry stands for; 0 on padding
+    entry: np.ndarray  # [N, T] the entry k that stands for each position
+
+    def expand(self, routing: "RoutingInfo", caps_per_pos: int) -> "RoutingInfo":
+        """``routing`` over the entries' capsules [N, K*P, J], laid out over
+        every position's capsules [N, T*P, J]."""
+        n = self.entry.shape[0]
+        index = (self.entry[:, :, None] * caps_per_pos + np.arange(caps_per_pos)).reshape(n, -1, 1)
+
+        def full(a):
+            return np.take_along_axis(a, index, axis=1)
+
+        return RoutingInfo(logits=full(routing.logits),
+                           coupling_history=[full(c) for c in routing.coupling_history])
+
+
+def distinct_positions(live: np.ndarray) -> DistinctPositions:
+    """Merge each document's dead positions ([N,T] ``live`` False) into one
+    entry; see ``DistinctPositions``."""
+    n, t_len = live.shape
+    dead = ~live
+    first_dead = dead.argmax(axis=1)  # 0 where nothing is dead, and then position 0 is live
+    keep = live.copy()
+    keep[np.arange(n), first_dead] = True
+    entry = np.cumsum(keep, axis=1) - 1
+    entry = np.where(live, entry, entry[np.arange(n), first_dead][:, None])
+    docs, pos = np.nonzero(keep)
+    ks = entry[docs, pos]
+    width = int(ks.max()) + 1
+    counts = np.zeros((n, width), np.int64)
+    counts[docs, ks] = np.where(live[docs, pos], 1, t_len - live.sum(axis=1)[docs])
+    rows = np.repeat(np.arange(n)[:, None] * t_len, width, axis=1)
+    rows[docs, ks] = docs * t_len + pos
+    return DistinctPositions(rows=rows.reshape(-1), counts=counts, entry=entry)
 
 
 def primary_capsules(features: Tensor, weight: Tensor, bias: Tensor,
-                     caps_per_pos: int, caps_dim: int) -> Tensor:
+                     caps_per_pos: int, caps_dim: int,
+                     distinct: DistinctPositions | None = None) -> Tensor:
     """Project per-position features into capsules and squash.
 
-    [N,T,F] with weight [F, caps_per_pos*caps_dim] -> [N, T*caps_per_pos, caps_dim].
+    [N,T,F] with weight [F, caps_per_pos*caps_dim] -> [N, T*caps_per_pos, caps_dim],
+    or, given ``distinct``, the capsules of its K entries only,
+    [N, K*caps_per_pos, caps_dim]. The projection (gather, GEMM, bias) is one
+    op; it keeps no gathered copy, and its backward gathers the rows again
+    for the weight gradient. A position's feature gradient is its entry's
+    divided by the entry's count: the positions an entry stands for hold
+    equal features, so each would have got that share. Padding entries
+    stand for no position and pass back nothing.
     """
     n, t_len, feat = features.shape
     if weight.shape != (feat, caps_per_pos * caps_dim):
@@ -271,9 +332,26 @@ def primary_capsules(features: Tensor, weight: Tensor, bias: Tensor,
             f"primary capsule projection {weight.shape} does not map {feat} features "
             f"to {caps_per_pos}x{caps_dim} capsules"
         )
-    flat = T.reshape(features, (n * t_len, feat))
-    projected = T.add_bias(T.matmul(flat, weight), bias)
-    caps = T.reshape(projected, (n, t_len * caps_per_pos, caps_dim))
+    flat = features.data.reshape(n * t_len, feat)
+    projected = (flat if distinct is None else flat[distinct.rows]) @ weight.data
+    projected += bias.data
+    features_grad = T.needs_grad(features)
+
+    def back(g):
+        g = g.reshape(projected.shape)
+        rows = flat if distinct is None else flat[distinct.rows]
+        grad_w = rows.T @ g
+        grad_b = g.sum(axis=0)
+        if not features_grad:
+            return (None, grad_w, grad_b)
+        if distinct is None:
+            return ((g @ weight.data.T).reshape(features.shape), grad_w, grad_b)
+        share = g / np.maximum(distinct.counts, 1).astype(g.dtype).reshape(-1, 1)
+        entries = distinct.entry + np.arange(n)[:, None] * distinct.counts.shape[1]
+        grad_f = (share @ weight.data.T)[entries.reshape(-1)]
+        return (grad_f.reshape(features.shape), grad_w, grad_b)
+
+    caps = record_op(projected.reshape(n, -1, caps_dim), (features, weight, bias), back)
     return squash(caps, axis=-1)
 
 
@@ -308,33 +386,78 @@ class RoutingInfo:
         return self.coupling_history[-1]
 
 
-def dynamic_routing(u_hat: Tensor, iterations: int,
-                    normalize_over: str = "output_caps") -> tuple[Tensor, RoutingInfo]:
-    """Agreement routing over prediction vectors [N, J, I, D'].
+def dynamic_routing(u_hat: Tensor, iterations: int, normalize_over: str = "output_caps",
+                    weights: np.ndarray | None = None) -> tuple[Tensor, RoutingInfo]:
+    """Agreement routing over prediction vectors [N, J, I, D'], as one op.
 
     Logits start at zero; each round takes the coupling softmax, forms
     the weighted vote sum per upper capsule, squashes it, and adds the
-    vote/output dot products back into the logits. The whole unroll is
-    differentiable. ``normalize_over`` picks the softmax axis: couplings
-    of one input capsule over upper capsules ("output_caps", default) or
-    of one upper capsule over inputs ("input_caps").
+    vote/output dot products back into the logits. ``normalize_over``
+    picks the softmax axis: couplings of one input capsule over upper
+    capsules ("output_caps", default) or of one upper capsule over
+    inputs ("input_caps").
+
+    ``weights`` [N, I], if given, is how many identical input capsules
+    each one stands for: it scales a capsule's coupled vote in the vote
+    sum and, for "input_caps", its term in the softmax denominator, so
+    routing I distinct capsules with their counts gives what routing
+    every copy would. A zero-weight capsule changes no output, gets no
+    gradient, and should repeat a weighted capsule of its row, so that
+    it shifts no softmax maximum.
+
+    Logits are kept as [N, J, I], so the vote sum and the agreements are
+    batched ``matmul`` calls on ``u_hat``; ``RoutingInfo`` holds them as
+    [N, I, J]. The backward runs the iterations in reverse by hand. It
+    reads ``u_hat`` where it is held and saves, per iteration, the
+    couplings (also the ``coupling_history``) and the [N, J, D'] vote
+    sums and outputs; when ``u_hat`` needs no gradient
+    (``tensor.needs_grad``) nothing is saved for it.
     """
     if iterations < 1:
         raise ContractError(f"routing needs at least 1 iteration, got {iterations}")
     if normalize_over not in ("output_caps", "input_caps"):
         raise ConfigError(f"unknown routing normalization {normalize_over!r}")
-    n, j_count, i_count, _ = u_hat.shape
-    axis = 2 if normalize_over == "output_caps" else 1
-    b = T.zeros((n, i_count, j_count), u_hat.dtype)
-    history = []
+    u = u_hat.data
+    n, j_count, i_count, _ = u.shape
+    over_inputs = normalize_over == "input_caps"
+    axis = 2 if over_inputs else 1
+    w = None if weights is None else np.asarray(weights, u.dtype).reshape(n, 1, i_count)
+    grad = T.needs_grad(u_hat)
+    b = np.zeros((n, j_count, i_count), u.dtype)
+    history, saved = [], []
     for _ in range(iterations):
-        c = T.softmax(b, axis=axis)
-        history.append(c.data)
-        s = T.einsum2("nij,njie->nje", c, u_hat)
-        v = squash(s, axis=-1)
-        agreement = T.einsum2("njie,nje->nij", u_hat, v)
-        b = T.add(b, agreement)
-    return v, RoutingInfo(logits=b.data, coupling_history=history)
+        e = np.exp(b - b.max(axis=axis, keepdims=True))
+        c = e / (e if w is None or not over_inputs else e * w).sum(axis=axis, keepdims=True)
+        cw = c if w is None else c * w
+        s = np.matmul(cw[:, :, None, :], u)[:, :, 0, :]
+        v, parts = _squash_parts(s, 2)
+        b = b + np.matmul(u, v[:, :, :, None])[:, :, :, 0]
+        history.append(c.transpose(0, 2, 1))
+        if grad:
+            saved.append((c, cw, s, parts, v))
+    info = RoutingInfo(logits=b.transpose(0, 2, 1), coupling_history=history)
+
+    def back(g):
+        db = np.zeros_like(b)  # d(logits entering the iteration after this one)
+        dv = g
+        left, right = [], []  # du = sum over pairs of left (x) right
+        for r in range(iterations - 1, -1, -1):
+            c, cw, s, parts, v = saved[r]
+            if r < iterations - 1:  # the last agreement reaches only the returned logits
+                dv = np.matmul(db[:, :, None, :], u)[:, :, 0, :]
+                left.append(db)
+                right.append(v)
+            ds = _squash_grad(dv, s, parts, 2)
+            dcw = np.matmul(u, ds[:, :, :, None])[:, :, :, 0]
+            left.append(cw)
+            right.append(ds)
+            # softmax adjoint with the counts folded in, on either axis
+            dot = (cw if over_inputs else c) * dcw
+            db = db + cw * (dcw - dot.sum(axis=axis, keepdims=True))
+        du = np.matmul(np.stack(left, axis=3), np.stack(right, axis=2))
+        return (du,)
+
+    return record_op(v, (u_hat,), back if grad else lambda g: (None,)), info
 
 
 # ---------------------------------------------------------------------------
@@ -398,19 +521,50 @@ def max_pool_routing(features: Tensor, window: int = 4) -> Tensor:
     return record_op(out, (features,), back)
 
 
+def _pad_rows(x: np.ndarray, left: int, right: int):
+    """[N,T,F] zero-padded by ``left`` and ``right`` rows per document and
+    flattened, [N*(left+T+right), F], and which padded rows are nonzero,
+    [N, left+T+right]."""
+    n, t_len, feat = x.shape
+    padded = np.zeros((n, left + t_len + right, feat), dtype=x.dtype)
+    padded[:, left:left + t_len, :] = x
+    row_live = np.zeros(padded.shape[:2], dtype=bool)
+    row_live[:, left:left + t_len] = x.any(axis=2)
+    return padded.reshape(-1, feat), row_live
+
+
+def _windows_live(row_live: np.ndarray, start: int, width: int, t_len: int) -> np.ndarray:
+    """[N,T]: whether window t, padded rows start+t .. start+t+width-1, holds a nonzero row."""
+    rows = row_live[:, start:start + t_len + width - 1]
+    return np.lib.stride_tricks.sliding_window_view(rows, width, axis=1).any(axis=2)
+
+
 def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """1-d convolution over positions with zero same-padding.
 
-    [N,T,F] with kernel [w,F,K] -> [N,T,K].
+    [N,T,F] with kernel [w,F,K] -> [N,T,K]. ``x`` is zero-padded by the
+    kernel's own margins; ``cnn_feature_extractor`` pads once for several
+    widths and runs the same op on that one buffer.
+    """
+    width = kernel.shape[0]
+    left = (width - 1) // 2
+    padded, row_live = _pad_rows(x.data, left, width - 1 - left)
+    return _conv_padded(x, padded, row_live, 0, kernel, bias)
 
-    Forward: ``x`` is zero-padded into an [N*(T+w-1), F] buffer. A window
-    is live when any of its w rows is nonzero; the live windows, L of
-    them, are gathered into one [L, w*F] im2col matrix and multiplied by
-    the kernel reshaped to [w*F, K] in one GEMM. Every other output row
-    is the bias alone, which is what the GEMM gives an all-zero window.
-    There is no threshold on the share of padding, unlike ``run_gru``:
-    im2col must copy every window it multiplies anyway, and the gather
-    is that copy, so skipping a window never costs more than keeping it.
+
+def _conv_padded(x: Tensor, padded: np.ndarray, row_live: np.ndarray, start: int,
+                 kernel: Tensor, bias: Tensor) -> Tensor:
+    """``conv1d_same`` of ``x`` read from ``_pad_rows(x)``, in which the
+    kernel's window for position t starts at padded row start+t.
+
+    Forward: a window is live when any of its w rows is nonzero; the
+    live windows, L of them, are gathered into one [L, w*F] im2col matrix
+    and multiplied by the kernel reshaped to [w*F, K] in one GEMM. Every
+    other output row is the bias alone, which is what the GEMM gives an
+    all-zero window. There is no threshold on the share of padding,
+    unlike ``run_gru``: im2col must copy every window it multiplies
+    anyway, and the gather is that copy, so skipping a window never
+    costs more than keeping it.
 
     Backward: the im2col matrix is not kept. The kernel gradient reads
     the L live windows only, since an all-zero window adds nothing to
@@ -426,14 +580,9 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     n, t_len, feat = x.shape
     width, _, out_ch = kernel.shape
     left = (width - 1) // 2
-    span = t_len + width - 1  # padded rows per document
-    padded = np.zeros((n, span, feat), dtype=x.dtype)
-    padded[:, left:left + t_len, :] = x.data
-    row_live = padded.any(axis=2)  # [N, T+w-1]
-    window_live = np.lib.stride_tricks.sliding_window_view(row_live, width, axis=1).any(axis=2)
-    live = np.flatnonzero(window_live)  # window i*T + t
-    first = live + live // t_len * (width - 1)  # its first padded row, i*span + t
-    padded = padded.reshape(n * span, feat)
+    span = row_live.shape[1]  # padded rows per document
+    live = np.flatnonzero(_windows_live(row_live, start, width, t_len))  # window i*T + t
+    first = live + live // t_len * (span - t_len) + start  # its first padded row
 
     cols = padded[first[:, None] + np.arange(width)].reshape(len(live), width * feat)
     live_out = cols @ kernel.data.reshape(width * feat, out_ch)
@@ -453,7 +602,7 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
         grad_b = g_rows.sum(axis=0, dtype=np.float64).astype(g.dtype)
         if not x_grad:
             return (None, grad_k, grad_b)
-        grad_pad = np.zeros((n, span, feat), dtype=g.dtype)
+        grad_pad = np.zeros((n, t_len + width - 1, feat), dtype=g.dtype)
         for d in range(width):
             grad_pad[:, d:d + t_len, :] += (g_rows @ kernel.data[d].T).reshape(n, t_len, feat)
         return (grad_pad[:, left:left + t_len, :], grad_k, grad_b)
@@ -461,10 +610,23 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     return record_op(out, (x, kernel, bias), back)
 
 
-def cnn_feature_extractor(embedded: Tensor, kernels, biases) -> Tensor:
-    """Parallel same-padded convolutions with ReLU, channel-concatenated.
+def cnn_feature_extractor(embedded: Tensor, kernels, biases) -> tuple[Tensor, np.ndarray]:
+    """Parallel same-padded convolutions with ReLU, channel-concatenated,
+    and which positions are live.
 
-    [N,T,E] -> [N,T,sum of filter counts].
+    [N,T,E] -> [N,T,sum of filter counts], and live [N,T] bool. ``embedded``
+    is zero-padded once, by the widest margins any kernel needs, and its
+    nonzero rows are found once; every width's convolution gathers its
+    windows from that one buffer, which its backward keeps. A position is
+    live when a window of some width there covers a nonzero row; at a dead
+    one every convolution gives its bias alone, so every dead position of
+    the batch has the same features.
     """
-    outputs = [T.relu(conv1d_same(embedded, k, b)) for k, b in zip(kernels, biases)]
-    return T.concat(outputs, axis=2)
+    widths = [k.shape[0] for k in kernels]
+    left = max((w - 1) // 2 for w in widths)
+    right = max(w // 2 for w in widths)
+    padded, row_live = _pad_rows(embedded.data, left, right)
+    outputs = [T.relu(_conv_padded(embedded, padded, row_live, left - (k.shape[0] - 1) // 2, k, b))
+               for k, b in zip(kernels, biases)]
+    live = _windows_live(row_live, 0, left + right + 1, embedded.shape[1])
+    return T.concat(outputs, axis=2), live

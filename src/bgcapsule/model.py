@@ -11,6 +11,12 @@ its artifact name: drawn in call order for a new model, or, given
 ``arrays`` (a loaded artifact's records), the record of that name, which
 must have that shape; a record no stage asks for is an error. The model
 keeps each tensor as handed out. A stage holds ``width`` and ``forward``.
+
+An extractor's ``forward`` hands the aggregator its features [N,T,F] and
+which positions are live, [N,T] bool, or None when every position may
+differ (the BiGRU ensemble: a GRU state depends on everything before
+it). The CNN's dead positions all hold the same features, which lets
+capsule routing compute them once.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ class BiGruEnsemble:
         self.width = 2 * sum(cfg.bigru_sizes)
         self.dropout = cfg.dropout
 
-    def forward(self, embedded: Tensor, dropout_rng) -> Tensor:
+    def forward(self, embedded: Tensor, dropout_rng) -> tuple[Tensor, None]:
         def mask(gru):
             if dropout_rng is None or self.dropout == 0.0:
                 return None
@@ -62,7 +68,7 @@ class BiGruEnsemble:
         outputs = [L.run_gru(embedded, gru, reverse, mask(gru))
                    for gru_pair in (self.bigru1, self.bigru2)
                    for gru, reverse in zip(gru_pair, (False, True))]
-        return T.concat(outputs, axis=2)
+        return T.concat(outputs, axis=2), None
 
 
 class CnnExtractor:
@@ -76,14 +82,22 @@ class CnnExtractor:
             self.biases.append(param(f"cnn{i}.bias", (count,)))
         self.width = len(widths) * count
 
-    def forward(self, embedded: Tensor, dropout_rng) -> Tensor:
+    def forward(self, embedded: Tensor, dropout_rng) -> tuple[Tensor, np.ndarray]:
         return L.cnn_feature_extractor(embedded, self.kernels, self.biases)
 
 
 class CapsuleRouting:
     """Primary capsules per position, votes, agreement routing, flattened.
 
-    ``last_routing`` holds the couplings of the latest forward pass.
+    Given the extractor's ``live`` positions and shared pair weights,
+    equal positions give equal capsules, votes and couplings, so each
+    document's dead positions are projected, voted and routed once, as
+    one entry that counts for all of them (``layers.distinct_positions``;
+    routing weighs it by that count). With per-pair weights no two
+    positions share a vote, and every position is routed.
+
+    ``last_routing`` holds the couplings of the latest forward pass, over
+    every position's capsules [N, T*P, J] either way.
     """
 
     last_routing: L.RoutingInfo | None = None
@@ -98,13 +112,18 @@ class CapsuleRouting:
         self.pair_w = param("routing.pair_w", pair_shape)
         self.width = cfg.routed_caps * cfg.routed_caps_dim
 
-    def forward(self, features: Tensor) -> Tensor:
+    def forward(self, features: Tensor, live: np.ndarray | None = None) -> Tensor:
         cfg = self.cfg
-        caps = L.primary_capsules(features, self.caps_w, self.caps_b,
-                                  cfg.primary_caps_per_pos, cfg.caps_dim)
+        per_pos = cfg.primary_caps_per_pos
+        distinct = (L.distinct_positions(live)
+                    if live is not None and cfg.share_pair_weights else None)
+        caps = L.primary_capsules(features, self.caps_w, self.caps_b, per_pos, cfg.caps_dim,
+                                  distinct)
         u_hat = L.predict_vectors(caps, self.pair_w)
-        v, self.last_routing = L.dynamic_routing(u_hat, cfg.routing_iters,
-                                                 normalize_over=cfg.softmax_axis)
+        counts = None if distinct is None else np.repeat(distinct.counts, per_pos, axis=1)
+        v, routing = L.dynamic_routing(u_hat, cfg.routing_iters,
+                                       normalize_over=cfg.softmax_axis, weights=counts)
+        self.last_routing = routing if distinct is None else distinct.expand(routing, per_pos)
         return T.reshape(v, (v.shape[0], -1))
 
 
@@ -119,7 +138,7 @@ class MaxPooling:
             raise ConfigError(f"pool window {self.window} exceeds max_len {cfg.max_len}")
         self.width = cfg.max_len // self.window * in_width
 
-    def forward(self, features: Tensor) -> Tensor:
+    def forward(self, features: Tensor, live: np.ndarray | None = None) -> Tensor:
         pooled = L.max_pool_routing(features, self.window)
         return T.reshape(pooled, (pooled.shape[0], -1))
 
@@ -207,8 +226,8 @@ class TextClassifier:
         Recurrent dropout is drawn from ``dropout_rng`` when given (training).
         The embedding gets a gradient only if the tape watches it."""
         embedded = L.embedding_forward(self.embedding, np.asarray(token_ids))
-        features = self.extractor.forward(embedded, dropout_rng)
-        return self.head.forward(self.aggregator.forward(features))
+        features, live = self.extractor.forward(embedded, dropout_rng)
+        return self.head.forward(self.aggregator.forward(features, live))
 
     def forward(self, token_ids: np.ndarray) -> Tensor:
         """Token ids [N, max_len] -> class probabilities [N, C], in eval mode."""

@@ -1,13 +1,19 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written straight-line, without touching
-the package's tape or layer code, so the tests compare two separate
-routes to the same numbers.
+Everything here but ``routing_taped`` is deliberately written
+straight-line, without touching the package's tape or layer code, so
+the tests compare two separate routes to the same numbers.
+``routing_taped`` composes agreement routing from the tape's own ops,
+so the fused ``layers.dynamic_routing`` and its hand-written backward
+are checked against what the tape derives op by op.
 """
 
 import math
 
 import numpy as np
+
+from bgcapsule import layers as L
+from bgcapsule import tensor as T
 
 
 def finite_difference(f, x, step=1e-5):
@@ -88,6 +94,22 @@ def routing_plain_loops(u_hat, iterations, normalize_over_output=True):
             for j in range(j_count):
                 b[i, j] += float(np.dot(u_hat[j, i], v[j]))
     return v, c, history
+
+
+def routing_taped(u_hat, iterations, normalize_over="output_caps"):
+    """Agreement routing over [N, J, I, D'] composed of tape ops: softmax,
+    ``einsum2``, squash and add per iteration. Returns (v, final logits
+    [N, I, J], coupling history), like ``layers.dynamic_routing``."""
+    n, j_count, i_count, _ = u_hat.shape
+    axis = 2 if normalize_over == "output_caps" else 1
+    b = T.zeros((n, i_count, j_count), u_hat.dtype)
+    history = []
+    for _ in range(iterations):
+        c = T.softmax(b, axis=axis)
+        history.append(c.data)
+        v = L.squash(T.einsum2("nij,njie->nje", c, u_hat), axis=-1)
+        b = T.add(b, T.einsum2("njie,nje->nij", u_hat, v))
+    return v, b.data, history
 
 
 def conv1d_same_padding(x, kernel, bias):

@@ -10,5 +10,7 @@ def test_every_gradsuite_check_passes():
         assert f"bigru/{attr}" in names
     for attr in ("x", "kernel", "padded_x", "bias"):
         assert f"conv1d/{attr}" in names
+    for axis in ("output_caps", "input_caps"):
+        assert f"dynamic_routing/{axis}" in names and f"dynamic_routing/{axis}/weighted" in names
     failed = [r.line() for r in reports if not r.passed]
     assert not failed, "\n".join(failed)

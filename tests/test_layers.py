@@ -8,7 +8,8 @@ from bgcapsule.config import AblationConfig, ModelConfig
 from bgcapsule.errors import ConfigError, ContractError, DimensionError
 from bgcapsule.model import BiGruEnsemble, CapsuleRouting
 
-from oracles import routing_plain_loops, scalar_gru_step, squash_vector, conv1d_same_padding
+from oracles import (conv1d_same_padding, routing_plain_loops, routing_taped, scalar_gru_step,
+                     squash_vector)
 
 
 def f64(arr):
@@ -279,8 +280,8 @@ def test_ensemble_channel_counts_and_concat_fidelity():
     ensemble = BiGruEnsemble(cfg, AblationConfig(), 2, L.drawing(np.random.default_rng(8),
                                                                   np.float64))
     seq = f64(np.random.default_rng(9).normal(size=(1, 3, 2)))
-    out = ensemble.forward(seq, None)
-    assert out.shape == (1, 3, 14) and ensemble.width == 14
+    out, live = ensemble.forward(seq, None)
+    assert out.shape == (1, 3, 14) and ensemble.width == 14 and live is None
     # bigru1 forward, bigru1 backward, bigru2 forward, bigru2 backward
     (f1, b1), (f2, b2) = ensemble.bigru1, ensemble.bigru2
     parts = [L.run_gru(seq, f1), L.run_gru(seq, b1, reverse=True),
@@ -421,18 +422,23 @@ def test_routing_degenerate_single_pair():
     npt.assert_allclose(v.data[0, 0], squash_vector([3.0, 4.0]), atol=1e-12)
 
 
-@pytest.mark.parametrize("iterations", [1, 2, 3])
-def test_routing_matches_plain_loop_oracle(iterations):
+AXES = ("output_caps", "input_caps")
+
+
+@pytest.mark.parametrize("iterations,axis", [
+    pytest.param(i, axis, id=str(i) if axis == "output_caps" else f"{i}-{axis}")
+    for axis in AXES for i in (1, 2, 3)])
+def test_routing_matches_plain_loop_oracle(iterations, axis):
     rng = np.random.default_rng(16 + iterations)
     i_count, j_count, dim = 5, 3, 8
     u_hat = rng.normal(size=(2, j_count, i_count, dim))
-    v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), iterations=iterations)
+    v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), iterations, axis)
     for n in range(2):
-        want_v, want_c, history = routing_plain_loops(u_hat[n], iterations)
-        npt.assert_allclose(v.data[n], want_v, atol=1e-5)
-        npt.assert_allclose(info.couplings[n].T, want_c.T, atol=1e-5)
+        want_v, want_c, history = routing_plain_loops(u_hat[n], iterations, axis == "output_caps")
+        npt.assert_allclose(v.data[n], want_v, rtol=0, atol=1e-12)
+        npt.assert_allclose(info.couplings[n], want_c, rtol=0, atol=1e-12)
         for step, c_hist in enumerate(history):
-            npt.assert_allclose(info.coupling_history[step][n], c_hist, atol=1e-5)
+            npt.assert_allclose(info.coupling_history[step][n], c_hist, rtol=0, atol=1e-12)
 
 
 def test_routing_coupling_rows_sum_to_one_every_iteration():
@@ -440,19 +446,83 @@ def test_routing_coupling_rows_sum_to_one_every_iteration():
     u_hat = T.Tensor(rng.normal(size=(3, 4, 6, 2)), dtype=np.float64)
     _, info = L.dynamic_routing(u_hat, iterations=3)
     for c in info.coupling_history:
-        npt.assert_allclose(c.sum(axis=2), np.ones((3, 6)), atol=1e-6)
+        npt.assert_allclose(c.sum(axis=2), np.ones((3, 6)), rtol=0, atol=1e-12)
     _, info = L.dynamic_routing(u_hat, iterations=3, normalize_over="input_caps")
     for c in info.coupling_history:
-        npt.assert_allclose(c.sum(axis=1), np.ones((3, 4)), atol=1e-6)
+        npt.assert_allclose(c.sum(axis=1), np.ones((3, 4)), rtol=0, atol=1e-12)
 
 
 def test_routing_permutation_invariance():
     rng = np.random.default_rng(21)
     u_hat = rng.normal(size=(1, 3, 6, 4))
     perm = rng.permutation(6)
-    v1, _ = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), 3)
-    v2, _ = L.dynamic_routing(T.Tensor(u_hat[:, :, perm, :], dtype=np.float64), 3)
-    npt.assert_allclose(v1.data, v2.data, atol=1e-6)
+    for axis in AXES:
+        v1, _ = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), 3, axis)
+        v2, _ = L.dynamic_routing(T.Tensor(u_hat[:, :, perm, :], dtype=np.float64), 3, axis)
+        npt.assert_allclose(v1.data, v2.data, rtol=0, atol=1e-12)
+
+
+def routing_and_grad(route, u_hat, upstream):
+    """``route(tensor)`` -> (v, logits [N,I,J], history), and d sum(v*upstream)/d u_hat."""
+    with T.Tape() as tape:
+        u = f64(u_hat)
+        tape.watch(u)
+        v, logits, history = route(u)
+        tape.backward(T.reduce_sum(T.mul(v, f64(upstream))))
+        return v.data, logits, history, tape.grad(u).data
+
+
+def fused(iterations, axis, weights=None):
+    def route(u):
+        v, info = L.dynamic_routing(u, iterations, axis, weights)
+        return v, info.logits, info.coupling_history
+    return route
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_fused_routing_matches_taped_oracle(axis):
+    rng = np.random.default_rng(40)
+    u_hat = rng.normal(size=(3, 4, 7, 5))
+    upstream = rng.normal(size=(3, 4, 5))
+    got = routing_and_grad(fused(3, axis), u_hat, upstream)
+    want = routing_and_grad(lambda u: routing_taped(u, 3, axis), u_hat, upstream)
+    for g, w in zip(got[:2], want[:2]):
+        npt.assert_allclose(g, w, rtol=0, atol=1e-12)
+    assert len(got[2]) == len(want[2]) == 3
+    for g, w in zip(got[2], want[2]):
+        npt.assert_allclose(g, w, rtol=0, atol=1e-12)
+    npt.assert_allclose(got[3], want[3], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", AXES)
+def test_routing_duplicates_equal_distinct_capsules_with_counts(axis):
+    # three distinct capsules standing for 3, 1 and 2 copies, plus a
+    # zero-weight entry that repeats the first, as batch padding does
+    rng = np.random.default_rng(41)
+    distinct = rng.normal(size=(2, 3, 3, 4))
+    copies = np.array([0, 2, 0, 1, 2, 0])  # distinct capsule of each copy
+    merged = np.concatenate([distinct, distinct[:, :, :1]], axis=2)
+    counts = np.array([3.0, 1.0, 2.0, 0.0])
+    upstream = rng.normal(size=(2, 3, 4))
+    v, logits, history, grad = routing_and_grad(
+        fused(3, axis), distinct[:, :, copies], upstream)
+    v_m, logits_m, history_m, grad_m = routing_and_grad(
+        fused(3, axis, np.tile(counts, (2, 1))), merged, upstream)
+    npt.assert_allclose(v_m, v, rtol=0, atol=1e-12)
+    npt.assert_allclose(logits_m[:, copies], logits, rtol=0, atol=1e-12)
+    for c_m, c in zip(history_m, history):
+        npt.assert_allclose(c_m[:, copies], c, rtol=0, atol=1e-12)
+    summed = np.stack([grad[:, :, copies == k].sum(axis=2) for k in range(3)], axis=2)
+    npt.assert_allclose(grad_m[:, :, :3], summed, rtol=0, atol=1e-12)
+    npt.assert_array_equal(grad_m[:, :, 3], 0.0)
+
+
+def test_routing_without_gradient_records_nothing_to_replay():
+    u_hat = f64(np.random.default_rng(42).normal(size=(1, 2, 3, 4)))
+    with T.Tape() as tape:
+        v, _ = L.dynamic_routing(u_hat, 3)
+        tape.backward(T.reduce_sum(v))
+    assert id(u_hat) not in tape.gradients
 
 
 def test_routing_identical_predictions_identical_coupling_rows():
@@ -471,14 +541,15 @@ def test_routing_rejects_zero_iterations():
 
 def test_routing_full_unroll_gradient():
     rng = np.random.default_rng(23)
-    u_hat = rng.normal(size=(1, 2, 3, 4))
+    u_hat = rng.normal(size=(2, 2, 3, 4))
+    for axis in AXES:
+        for weights in (None, np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0]])):
+            def target(t):
+                v, _ = L.dynamic_routing(t, 3, axis, weights)
+                return T.reduce_sum(T.mul(v, v))
 
-    def target(t):
-        v, _ = L.dynamic_routing(t, iterations=3)
-        return T.reduce_sum(T.mul(v, v))
-
-    report = T.grad_check(target, f64(u_hat), name="dynamic_routing")
-    assert report.passed, report.line()
+            report = T.grad_check(target, f64(u_hat), name=f"dynamic_routing/{axis}")
+            assert report.passed, report.line()
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +785,57 @@ def test_cnn_feature_extractor_concat_width():
     x = f64(rng.normal(size=(1, 6, 4)))
     kernels = [f64(rng.normal(size=(w, 4, 2))) for w in (3, 4, 5)]
     biases = [T.zeros((2,), np.float64) for _ in range(3)]
-    out = L.cnn_feature_extractor(x, kernels, biases)
-    assert out.shape == (1, 6, 6)
+    out, live = L.cnn_feature_extractor(x, kernels, biases)
+    assert out.shape == (1, 6, 6) and live.shape == (1, 6) and live.all()
     assert np.all(out.data >= 0)  # ReLU
+
+
+def padded_batch(rng, feat):
+    """Six docs of 12 rows, pre-padded like ``pad_prepend``: one full, one
+    with all-zero rows inside its text, one of unknown tokens only."""
+    x = np.zeros((6, 12, feat))
+    for doc, length in enumerate((12, 9, 0, 3, 1, 6)):
+        x[doc, 12 - length:] = rng.normal(size=(length, feat))
+    x[1, 4:9] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("watched", [False, True])
+def test_cnn_feature_extractor_pads_once_as_each_width_would(watched):
+    # one buffer padded by the widest margins gives each width's convolution
+    # bit for bit: outputs, and the gradients of kernels, biases and input
+    rng = np.random.default_rng(34)
+    x = f64(padded_batch(rng, 3))
+    kernels = [f64(rng.normal(size=(w, 3, 2))) for w in (2, 3, 4, 5)]
+    biases = [f64(rng.normal(size=2)) for _ in kernels]
+    upstream = f64(rng.normal(size=(6, 12, 8)))
+    results = []
+    for shared in (True, False):
+        with T.Tape() as tape:
+            tape.watch(*([x] if watched else []), *kernels, *biases)
+            if shared:
+                out, _ = L.cnn_feature_extractor(x, kernels, biases)
+            else:
+                out = T.concat([T.relu(L.conv1d_same(x, k, b)) for k, b in zip(kernels, biases)],
+                               axis=2)
+            tape.backward(T.reduce_sum(T.mul(out, upstream)))
+        results.append([out.data] + [tape.gradients.get(id(t)) for t in (x, *kernels, *biases)])
+    for got, want in zip(*results):
+        if want is None:
+            assert got is None
+        else:
+            npt.assert_array_equal(got, want)
+
+
+def test_cnn_feature_extractor_live_positions():
+    # live where a window of some width covers a nonzero row: for widths
+    # 2..5 that is rows t-2 .. t+2
+    rng = np.random.default_rng(35)
+    x = padded_batch(rng, 3)
+    kernels = [f64(rng.normal(size=(w, 3, 2))) for w in (2, 3, 4, 5)]
+    biases = [T.zeros((2,), np.float64) for _ in kernels]
+    _, live = L.cnn_feature_extractor(f64(x), kernels, biases)
+    rows = x.any(axis=2)
+    want = np.array([[rows[n, max(t - 2, 0):t + 3].any() for t in range(12)] for n in range(6)])
+    npt.assert_array_equal(live, want)
+    assert live[0].all() and not live[2].any() and not live[1, 6]

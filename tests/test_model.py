@@ -2,12 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from bgcapsule import layers as L
 from bgcapsule import tensor as T
 from bgcapsule.config import VARIANTS, AblationConfig, ModelConfig
 from bgcapsule.errors import ConfigError
 from bgcapsule.model import TextClassifier
 from bgcapsule.synthetic import separable_corpus
-from bgcapsule.text import batch_of, build_vocab, random_embeddings, tokenize_lower
+from bgcapsule.text import (LabeledText, batch_of, build_vocab, encode_docs, random_embeddings,
+                            tokenize_lower)
 from bgcapsule.training import softmax_cross_entropy
 
 from conftest import build_toy_model, toy_config
@@ -156,3 +158,93 @@ def test_config_validation():
         ModelConfig(bigru_sizes=[5]).validate()
     with pytest.raises(ConfigError):
         AblationConfig(variant="other").validate()
+
+
+MERGE_WORDS = "alpha beta gamma delta epsilon zeta eta theta iota kappa lambda mu nu xi".split()
+MERGE_TEXTS = [
+    " ".join(MERGE_WORDS),  # fills max_len 12: every position live
+    "qqq zzz www",  # every token unknown: every position dead
+    "beta",
+    "gamma delta epsilon",
+    "alpha qqq qqq qqq qqq qqq qqq beta gamma",  # dead positions inside the text too
+    "eta theta iota kappa lambda mu nu",
+]
+
+
+def merge_model(axis, share=True):
+    config = toy_config(max_len=12, primary_caps_per_pos=2, routing_iters=3, dropout=0.0,
+                        softmax_axis=axis, share_pair_weights=share, embed_trainable=True)
+    docs = [LabeledText(text, i % 2) for i, text in enumerate(MERGE_TEXTS)]
+    vocab = build_vocab([MERGE_WORDS])
+    table = random_embeddings(vocab, config.embed_dim, config.seed)
+    table.vectors = table.vectors * 20.0  # a healthy scale for the double squash
+    model = TextClassifier(config, vocab, table, AblationConfig(variant="cnn_capsule",
+                                                                cnn_filter_count=4),
+                           dtype=np.float64)
+    # nonzero biases: at zero ones a dead position's ReLU would pass back no gradient
+    rng = np.random.default_rng(5)
+    for name, tensor in model.parameters().items():
+        if name.endswith((".bias", ".b")):
+            tensor.data = rng.normal(size=tensor.shape)
+    return model, batch_of(encode_docs(docs, vocab, config.max_len, config.truncate_keep))
+
+
+def routed(monkeypatch):
+    """Record the weights of every ``dynamic_routing`` call and its input capsule count."""
+    calls = []
+    real = L.dynamic_routing
+
+    def spy(u_hat, iterations, normalize_over="output_caps", weights=None):
+        calls.append((u_hat.shape[2], weights))
+        return real(u_hat, iterations, normalize_over, weights)
+
+    monkeypatch.setattr(L, "dynamic_routing", spy)
+    return calls
+
+
+def probs_routing_grads(model, ids, labels, merge):
+    """Probabilities, routing and parameter gradients of the model's path, or
+    of the same stages with every position routed."""
+    params = model.parameters()
+    with T.Tape() as tape:
+        tape.watch(*params.values())
+        if merge:
+            logits = model.logits(ids)
+        else:
+            features, _ = model.extractor.forward(L.embedding_forward(model.embedding, ids), None)
+            logits = model.head.forward(model.aggregator.forward(features, None))
+        tape.backward(softmax_cross_entropy(logits, labels))
+        grads = {name: tape.grad(p).data for name, p in params.items()}
+    return T.softmax(logits, axis=1).data, model.last_routing, grads
+
+
+@pytest.mark.parametrize("axis", ["output_caps", "input_caps"])
+def test_cnn_capsule_routes_dead_positions_once_with_the_same_result(axis, monkeypatch):
+    model, batch = merge_model(axis)
+    calls = routed(monkeypatch)
+    t_caps = model.config.max_len * model.config.primary_caps_per_pos
+    for docs in (slice(None), slice(1, None)):  # with and without the doc that fills max_len
+        ids, labels = batch.token_ids[docs], batch.labels[docs]
+        probs, routing, grads = probs_routing_grads(model, ids, labels, merge=True)
+        merged_caps, weights = calls[-1]
+        assert weights is not None and weights.max() > 1 and (weights == 0).any()
+        want_probs, want_routing, want_grads = probs_routing_grads(model, ids, labels, merge=False)
+        assert calls[-1] == (t_caps, None)
+        npt.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+        assert routing.logits.shape == want_routing.logits.shape == (len(ids), t_caps, 3)
+        npt.assert_allclose(routing.logits, want_routing.logits, rtol=0, atol=1e-12)
+        assert len(routing.coupling_history) == 3
+        for got, want in zip(routing.coupling_history, want_routing.coupling_history):
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for name, want in want_grads.items():
+            scale = max(np.abs(want).max(), 1e-300)
+            assert np.abs(grads[name] - want).max() <= 1e-12 * scale, name
+    # without the full doc, fewer capsules are routed
+    assert merged_caps < t_caps
+
+
+def test_cnn_capsule_with_per_pair_weights_routes_every_position(monkeypatch):
+    model, batch = merge_model("output_caps", share=False)
+    calls = routed(monkeypatch)
+    model.logits(batch.token_ids)
+    assert calls == [(model.config.max_len * model.config.primary_caps_per_pos, None)]
