@@ -1,9 +1,11 @@
 """Finite-difference verification of every differentiable operation.
 
-Runs each op at small shapes in float64 and sweeps every parameter of a
-tiny model end to end, one central difference per element. Run it with
-``gradsuite.run_suite(log=print)``; ``tests/test_gradsuite.py`` requires
-every check to pass.
+Runs each op that ``tensor``, ``layers`` and ``training`` record at
+small shapes in float64, and sweeps every parameter of a tiny model end
+to end, one central difference per element. Each op check reduces its
+op's output to a scalar with ``_sq``, itself one ``einsum2``. Run it
+with ``gradsuite.run_suite(log=print)``; ``tests/test_gradsuite.py``
+requires every check to pass and every recording function to be run.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ MODEL_TOL = 1e-3
 
 
 def _sq(t):
-    return T.reduce_sum(T.mul(t, t))
+    """Sum of squares of ``t``, as one taped contraction."""
+    spec = "abcdefgh"[:t.ndim]
+    return T.einsum2(f"{spec},{spec}->", t, t)
 
 
 def _op_checks() -> list[GradCheckReport]:
@@ -36,20 +40,17 @@ def _op_checks() -> list[GradCheckReport]:
         reports.append(grad_check(fn, x, tol=tol, name=name))
 
     b = Tensor(rng.normal(size=(3, 3)), dtype=np.float64)
-    check("matmul", lambda t: T.reduce_sum(T.matmul(t, b)), rng.normal(size=(3, 3)))
-    check("sigmoid", lambda t: _sq(T.sigmoid(t)), rng.normal(size=(6,)))
-    check("tanh", lambda t: _sq(T.tanh(t)), rng.normal(size=(6,)))
+    check("matmul", lambda t: _sq(T.matmul(t, b)), rng.normal(size=(3, 3)))
     check("relu", lambda t: _sq(T.relu(t)), rng.normal(size=(6,)) + 0.3)
     check("selu", lambda t: _sq(T.selu(t)), rng.normal(size=(6,)))
-    check("add_mul_sub", lambda t: T.reduce_sum(T.mul(T.add(t, t), T.sub(t, T.mul(t, t)))),
-          rng.normal(size=(2, 3)))
     bias = Tensor(rng.normal(size=(4,)), dtype=np.float64)
     check("add_bias", lambda t: _sq(T.add_bias(t, bias)), rng.normal(size=(3, 4)))
     check("softmax", lambda t: _sq(T.softmax(t, axis=1)), rng.normal(size=(3, 5)))
 
     def structural(t):
         grid = T.reshape(t, (3, 4))
-        return _sq(T.concat([grid, T.reduce_sum(grid, axis=1, keepdims=True)], axis=1))
+        row_norms = T.reshape(T.einsum2("ab,ab->a", grid, grid), (3, 1))
+        return _sq(T.concat([grid, row_norms], axis=1))
 
     check("structural", structural, rng.normal(size=(12,)))
 
@@ -59,16 +60,6 @@ def _op_checks() -> list[GradCheckReport]:
 
     check("squash", lambda t: _sq(L.squash(t)), rng.normal(size=(20,)))
     check("squash_batched", lambda t: _sq(L.squash(t, axis=-1)), rng.normal(size=(2, 3, 4)))
-
-    # GRU cell: wrt input, state, and each weight group
-    params = L.init_gru(rng, 3, 2, np.float64)
-    x_t = Tensor(rng.normal(size=(2, 3)), dtype=np.float64)
-    h_prev = Tensor(rng.normal(size=(2, 2)), dtype=np.float64)
-    check("gru_step/x", lambda t: _sq(L.gru_step(t, h_prev, params)), x_t.data)
-    check("gru_step/h", lambda t: _sq(L.gru_step(x_t, t, params)), h_prev.data)
-    for attr in ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
-        check(f"gru_step/{attr}", lambda _: _sq(L.gru_step(x_t, h_prev, params)),
-              getattr(params, attr))
 
     # both directions of a BiGRU, channel-concatenated as in the ensemble
     seq = Tensor(rng.normal(size=(1, 4, 3)), dtype=np.float64)
@@ -108,7 +99,7 @@ def _op_checks() -> list[GradCheckReport]:
             check(f"dynamic_routing/{axis}{suffix}",
                   lambda t, a=axis, w=weights: _sq(L.dynamic_routing(t, 3, a, w)[0]), u_hat)
 
-    head = L.init_head(rng, 5, 4, 3, np.float64)
+    head = L.head_params(L.drawing(rng, np.float64), 5, 4, 3)
     head_x = Tensor(rng.normal(size=(2, 5)), dtype=np.float64)
     labels = np.array([0, 2])
     for activation in ("relu", "selu"):

@@ -4,7 +4,7 @@ agreement routing, and the dense head that gives class logits.
 Shapes use N for batch, T for sequence length, F for features, I/J for
 capsule counts in the lower/upper layer, and D for capsule dimension.
 Every op here is recorded on the active tape and passes gradient
-checking; see ``gradsuite``.
+checking; see ``gradsuite``. A GRU scans a whole sequence as one op.
 """
 
 from __future__ import annotations
@@ -102,31 +102,22 @@ def init_gru(rng, input_size: int, hidden_size: int, dtype=np.float32) -> GruPar
     return gru_params(drawing(rng, dtype), "gru", input_size, hidden_size)
 
 
-def gru_step(x_t: Tensor, h_prev: Tensor, params: GruParams, h_mask: Tensor | None = None) -> Tensor:
-    """One GRU update for a batch: [N,F], [N,H] -> [N,H].
-
-    ``h_mask`` is an optional recurrent-dropout mask applied to the
-    hidden state as seen by the gates; the state carried through the
-    update-gate interpolation stays unmasked.
-    """
-    h_in = T.mul(h_prev, h_mask) if h_mask is not None else h_prev
-    hx = T.concat([h_in, x_t], axis=1)
-    z = T.sigmoid(T.add_bias(T.matmul(hx, params.w_z), params.b_z))
-    r = T.sigmoid(T.add_bias(T.matmul(hx, params.w_r), params.b_r))
-    rh = T.concat([T.mul(r, h_in), x_t], axis=1)
-    candidate = T.tanh(T.add_bias(T.matmul(rh, params.w_h), params.b_h))
-    keep = T.sub(T.ones(z.shape, z.dtype), z)
-    return T.add(T.mul(keep, h_prev), T.mul(z, candidate))
-
-
 def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
             h_mask: Tensor | None = None) -> Tensor:
     """Scan a GRU over [N,T,F] -> [N,T,H] from h = 0, as one tape op.
 
-    The math is ``gru_step``'s at every position. With ``reverse`` the
-    scan runs right-to-left but outputs stay at their original
-    positions. ``h_mask`` (recurrent dropout, [N,H]) multiplies the
-    state seen by the gates and the candidate; it gets no gradient.
+    At each position, with h the previous state, x the input and
+    h_in = h * mask (h itself without a mask)::
+
+        z = sigmoid([h_in, x].w_z + b_z)        update gate
+        r = sigmoid([h_in, x].w_r + b_r)        reset gate
+        c = tanh([r * h_in, x].w_h + b_h)       candidate
+        h' = (1 - z) * h + z * c
+
+    With ``reverse`` the scan runs right-to-left but outputs stay at
+    their original positions. ``h_mask`` (recurrent dropout, [N,H]) is
+    the mask above: it reaches the gates and the candidate but not the
+    state carried through the interpolation, and it gets no gradient.
 
     Forward: each weight splits into h-rows ``U`` and x-rows ``W``. One
     [L,F]x[F,3H] GEMM over ``W_z|W_r|W_h`` plus the biases projects the
@@ -476,10 +467,6 @@ def head_params(param, in_size: int, hidden: int, classes: int) -> HeadParams:
     """The head's tensors, asked of ``param(name, shape)`` as ``head.w1`` etc."""
     return HeadParams(w1=param("head.w1", (in_size, hidden)), b1=param("head.b1", (hidden,)),
                       w2=param("head.w2", (hidden, classes)), b2=param("head.b2", (classes,)))
-
-
-def init_head(rng, in_size: int, hidden: int, classes: int, dtype=np.float32) -> HeadParams:
-    return head_params(drawing(rng, dtype), in_size, hidden, classes)
 
 
 def dense_head(x: Tensor, params: HeadParams, activation: str = "relu") -> Tensor:

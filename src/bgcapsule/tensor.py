@@ -2,8 +2,9 @@
 
 Values are numpy arrays in row-major order. float32 is the working
 precision for training; build tensors with ``dtype=np.float64`` when
-checking gradients. Binary ops require identical shapes: the only
-broadcasting allowed is the explicit row-vector add (``add_bias``).
+checking gradients. The only broadcast is ``add_bias``'s explicit
+row-vector add. ``matmul``, ``add_bias``, ``einsum2`` and ``concat``
+each check their own operands' shapes and raise ``DimensionError``.
 Set ``BGC_CHECK_FINITE=1`` to assert that every op output is finite.
 
 A :class:`Tape` records ops while it is the active context. ``backward``
@@ -194,15 +195,6 @@ def zeros(shape, dtype=np.float32) -> Tensor:
     return Tensor(np.zeros(shape, dtype=dtype))
 
 
-def ones(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype))
-
-
-def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op} requires identical shapes, got {a.shape} and {b.shape}")
-
-
 # ---------------------------------------------------------------------------
 # arithmetic
 
@@ -215,22 +207,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return record_op(ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
-    return record_op(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    return record_op(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "mul")
-    ad, bd = a.data, b.data
-    return record_op(ad * bd, (a, b), lambda g: (g * bd, g * ad))
-
-
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """Add a length-F bias vector to every row of [..., F]."""
     if b.ndim != 1 or x.ndim < 1 or x.shape[-1] != b.shape[0]:
@@ -241,17 +217,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # pointwise nonlinearities
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = 1.0 / (1.0 + np.exp(-t.data))
-    return record_op(out, (t,), lambda g: (g * out * (1.0 - out),))
-
-
-def tanh(t: Tensor) -> Tensor:
-    out = np.tanh(t.data)
-    return record_op(out, (t,), lambda g: (g * (1.0 - out * out),))
 
 
 def relu(t: Tensor) -> Tensor:
@@ -316,20 +281,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def reshape(t: Tensor, shape) -> Tensor:
     out = t.data.reshape(shape)
     return record_op(out, (t,), lambda g: (g.reshape(t.shape),))
-
-
-def reduce_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is not None:
-        axis = _check_axis(t, axis)
-    out = t.data.sum(axis=axis, keepdims=keepdims)
-
-    def back(g):
-        if axis is None:
-            return (np.broadcast_to(g, t.shape).astype(t.dtype, copy=False),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, t.shape),)
-
-    return record_op(out, (t,), back)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bgcapsule import tensor as T
 from bgcapsule.config import AblationConfig, ModelConfig
 from bgcapsule.model import TextClassifier
 from bgcapsule.synthetic import separable_corpus
@@ -47,3 +48,15 @@ def separable_docs():
 @pytest.fixture
 def toy_model(separable_docs):
     return build_toy_model(separable_docs)
+
+
+def inner(a, b=None):
+    """sum(a * b) as one taped ``einsum2``: the scalar objective of the
+    tests' backward passes. ``b`` defaults to ``a``; an array or a number
+    is a constant broadcast to ``a``'s shape, so ``inner(a, 1)`` is sum(a)."""
+    if b is None:
+        b = a
+    elif not isinstance(b, T.Tensor):
+        b = T.Tensor(np.broadcast_to(b, a.shape).astype(a.dtype))
+    spec = "abcdefgh"[:a.ndim]
+    return T.einsum2(f"{spec},{spec}->", a, b)

@@ -6,6 +6,11 @@ the tests compare two separate routes to the same numbers.
 ``routing_taped`` composes agreement routing from the tape's own ops,
 so the fused ``layers.dynamic_routing`` and its hand-written backward
 are checked against what the tape derives op by op.
+
+``gru_scan`` and ``complex_step`` give ``layers.run_gru``'s output and
+every gradient without the tape: the scan runs in plain numpy, and
+complex-step differentiation has no subtraction to cancel, so its
+gradients are exact to rounding and can be compared at 1e-12.
 """
 
 import math
@@ -31,6 +36,42 @@ def finite_difference(f, x, step=1e-5):
         flat[i] = orig
         out[i] = (up - down) / (2.0 * step)
     return grad
+
+
+def complex_step(f, x, step=1e-30):
+    """Gradient of a real-analytic scalar ``f`` at real ``x`` by complex step:
+    Im f(x + i*step*e_k) / step for each element k."""
+    x = np.asarray(x, dtype=np.complex128)
+    grad = np.empty(x.shape)
+    for k in np.ndindex(x.shape):
+        probe = x.copy()
+        probe[k] += 1j * step
+        grad[k] = f(probe).imag / step
+    return grad
+
+
+def gru_scan(seq, w_z, w_r, w_h, b_z, b_r, b_h, reverse=False, mask=None):
+    """GRU over [N,T,F] from h = 0, one position at a time -> [N,T,H].
+
+    Weights act on the [h, x] concatenation; ``mask`` multiplies the state
+    seen by the gates and the candidate. Every argument is promoted to one
+    dtype first, so a complex one (``complex_step``) keeps its imaginary part.
+    """
+    args = [seq, w_z, w_r, w_h, b_z, b_r, b_h, 1.0 if mask is None else mask]
+    dtype = np.result_type(*args)
+    seq, w_z, w_r, w_h, b_z, b_r, b_h, mask = [np.asarray(a, dtype) for a in args]
+    n, t_len, _ = seq.shape
+    h = np.zeros((n, w_z.shape[1]), dtype)
+    out = np.zeros((n, t_len, w_z.shape[1]), dtype)
+    for t in range(t_len - 1, -1, -1) if reverse else range(t_len):
+        h_in = h * mask
+        hx = np.concatenate([h_in, seq[:, t]], axis=1)
+        z = 1.0 / (1.0 + np.exp(-(hx @ w_z + b_z)))
+        r = 1.0 / (1.0 + np.exp(-(hx @ w_r + b_r)))
+        c = np.tanh(np.concatenate([r * h_in, seq[:, t]], axis=1) @ w_h + b_h)
+        h = (1.0 - z) * h + z * c
+        out[:, t] = h
+    return out
 
 
 def scalar_gru_step(x, h_prev, w_z, w_r, w_h, b_z, b_r, b_h):
@@ -96,6 +137,10 @@ def routing_plain_loops(u_hat, iterations, normalize_over_output=True):
     return v, c, history
 
 
+def _taped_add(a, b):
+    return T.record_op(a.data + b.data, (a, b), lambda g: (g, g))
+
+
 def routing_taped(u_hat, iterations, normalize_over="output_caps"):
     """Agreement routing over [N, J, I, D'] composed of tape ops: softmax,
     ``einsum2``, squash and add per iteration. Returns (v, final logits
@@ -108,7 +153,7 @@ def routing_taped(u_hat, iterations, normalize_over="output_caps"):
         c = T.softmax(b, axis=axis)
         history.append(c.data)
         v = L.squash(T.einsum2("nij,njie->nje", c, u_hat), axis=-1)
-        b = T.add(b, T.einsum2("njie,nje->nij", u_hat, v))
+        b = _taped_add(b, T.einsum2("njie,nje->nij", u_hat, v))
     return v, b.data, history
 
 

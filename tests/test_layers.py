@@ -8,8 +8,9 @@ from bgcapsule.config import AblationConfig, ModelConfig
 from bgcapsule.errors import ConfigError, ContractError, DimensionError
 from bgcapsule.model import BiGruEnsemble, CapsuleRouting
 
-from oracles import (conv1d_same_padding, routing_plain_loops, routing_taped, scalar_gru_step,
-                     squash_vector)
+from conftest import inner
+from oracles import (complex_step, conv1d_same_padding, gru_scan, routing_plain_loops,
+                     routing_taped, scalar_gru_step, squash_vector)
 
 
 def f64(arr):
@@ -59,7 +60,7 @@ def test_embedding_shape_and_frozen_no_grad():
         out = L.embedding_forward(table, ids)
         assert out.shape == (2, 7, 4)
         assert tape.nodes == []
-        tape.backward(T.reduce_sum(out))
+        tape.backward(inner(out, 1))
     assert id(table) not in tape.gradients
 
 
@@ -70,7 +71,7 @@ def test_embedding_trainable_grad_skips_row_zero():
     with T.Tape() as tape:
         tape.watch(table)
         out = L.embedding_forward(table, ids)
-        tape.backward(T.reduce_sum(out))
+        tape.backward(inner(out, 1))
         grad = tape.grad(table).data
     npt.assert_array_equal(grad[0], np.zeros(3))
     npt.assert_array_equal(grad[1], 2 * np.ones(3))
@@ -79,31 +80,48 @@ def test_embedding_trainable_grad_skips_row_zero():
 
 
 # ---------------------------------------------------------------------------
-# GRU cell
+# GRU equations, checked through run_gru from h = 0
 
 
 def test_gru_zero_params_hand_case():
-    # all weights and biases zero, h_prev = [0.8]: z = r = 0.5, candidate = 0
+    # all weights zero, tanh(b_h) = 0.8: z = r = 0.5 and the candidate is 0.8,
+    # so h_1 = 0.4, h_2 = 0.6, h_3 = 0.7 whatever the input
     params = zero_gru(1, 1)
-    h = L.gru_step(f64([[0.0]]), f64([[0.8]]), params)
-    npt.assert_allclose(h.data, [[0.4]], atol=1e-12)
+    params.b_h = f64([np.arctanh(0.8)])
+    out = L.run_gru(f64([[[5.0], [-1.0], [0.0]]]), params)
+    npt.assert_allclose(out.data[0, :, 0], [0.4, 0.6, 0.7], rtol=0, atol=1e-12)
 
 
 def test_gru_zero_params_halves_state():
+    # each step halves the gap to the candidate tanh(b_h): h_t = (1 - 0.5^t) tanh(b_h)
     rng = np.random.default_rng(2)
     params = zero_gru(3, 4)
-    h_prev = rng.normal(size=(2, 4))
-    h = L.gru_step(f64(rng.normal(size=(2, 3))), f64(h_prev), params)
-    npt.assert_allclose(h.data, 0.5 * h_prev, atol=1e-9)
+    params.b_h = f64(rng.normal(size=4))
+    seq = f64(rng.normal(size=(2, 6, 3)))
+    for reverse in (False, True):
+        out = L.run_gru(seq, params, reverse=reverse).data
+        steps = np.arange(6, 0, -1) if reverse else np.arange(1, 7)
+        want = (1.0 - 0.5 ** steps)[:, None] * np.tanh(params.b_h.data)
+        npt.assert_allclose(out, np.broadcast_to(want, out.shape), rtol=0, atol=1e-12)
 
 
 def test_gru_gate_saturation_carries_state_exactly():
     rng = np.random.default_rng(3)
     params = make_gru(rng, 3, 4)
-    params.b_z = T.Tensor(np.full(4, -1e6), dtype=np.float64)
-    h_prev = rng.normal(size=(2, 4))
-    h = L.gru_step(f64(rng.normal(size=(2, 3))), f64(h_prev), params)
-    npt.assert_array_equal(h.data, h_prev)
+    seq = f64(rng.normal(size=(2, 5, 3)))
+    # update gate shut: the zero start state is carried through every step
+    params.b_z = f64(np.full(4, -1e6))
+    npt.assert_array_equal(L.run_gru(seq, params).data, 0.0)
+    # update gate open: each state is its candidate, read from the state before
+    params.b_z = f64(np.full(4, 1e6))
+    out = L.run_gru(seq, params).data
+    hid = 4
+    u_r, w_r = params.w_r.data[:hid], params.w_r.data[hid:]
+    u_h, w_h = params.w_h.data[:hid], params.w_h.data[hid:]
+    h_prev = np.concatenate([np.zeros((2, 1, hid)), out[:, :-1]], axis=1)
+    r = 1.0 / (1.0 + np.exp(-(h_prev @ u_r + seq.data @ w_r + params.b_r.data)))
+    candidate = np.tanh((r * h_prev) @ u_h + seq.data @ w_h + params.b_h.data)
+    npt.assert_allclose(out, candidate, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", range(100))
@@ -111,23 +129,16 @@ def test_gru_scalar_vs_straight_line_oracle(case):
     rng = np.random.default_rng(1000 + case)
     w = rng.normal(size=6)
     b = rng.normal(size=3)
-    x, h_prev = rng.normal(), rng.normal()
+    x1, x2 = rng.normal(size=2)
     params = L.GruParams(
         w_z=f64([[w[0]], [w[1]]]), w_r=f64([[w[2]], [w[3]]]), w_h=f64([[w[4]], [w[5]]]),
         b_z=f64([b[0]]), b_r=f64([b[1]]), b_h=f64([b[2]]),
     )
-    got = L.gru_step(f64([[x]]), f64([[h_prev]]), params).item()
-    want = scalar_gru_step(x, h_prev, (w[0], w[1]), (w[2], w[3]), (w[4], w[5]), b[0], b[1], b[2])
-    assert got == pytest.approx(want, abs=1e-6)
-
-
-def test_gru_gates_bounded_and_zero_update_keeps_state():
-    rng = np.random.default_rng(4)
-    params = make_gru(rng, 2, 3)
-    x = f64(rng.normal(size=(5, 2)))
-    hx = T.concat([f64(rng.normal(size=(5, 3))), x], axis=1)
-    z = T.sigmoid(T.add_bias(T.matmul(hx, params.w_z), params.b_z)).data
-    assert np.all((z > 0) & (z < 1))
+    got = L.run_gru(f64([[[x1], [x2]]]), params).data[0, :, 0]
+    weights = ((w[0], w[1]), (w[2], w[3]), (w[4], w[5]), b[0], b[1], b[2])
+    h1 = scalar_gru_step(x1, 0.0, *weights)
+    h2 = scalar_gru_step(x2, h1, *weights)
+    npt.assert_allclose(got, [h1, h2], rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -177,43 +188,35 @@ def test_bigru_time_reversal_equivariance():
                         atol=1e-9)
 
 
-def unrolled_gru(steps, params, reverse=False, h_mask=None):
-    """Reference scan: one taped ``gru_step`` per position, over per-step inputs [N,F]."""
-    n = steps[0].shape[0]
-    h = T.zeros((n, params.hidden_size), steps[0].dtype)
-    outputs = [None] * len(steps)
-    for t in range(len(steps) - 1, -1, -1) if reverse else range(len(steps)):
-        h = L.gru_step(steps[t], h, params, h_mask)
-        outputs[t] = T.reshape(h, (n, 1, params.hidden_size))
-    return T.concat(outputs, axis=1)
-
-
 def assert_run_gru_matches_unroll(rng, seq, reverse, masked):
-    """Output and all seven gradients of ``run_gru`` vs the ``gru_step`` unroll.
-
-    The unroll reads one leaf per position; their gradients, stacked,
-    give d(seq).
-    """
+    """Output and all seven gradients of ``run_gru`` vs ``oracles.gru_scan``,
+    which unrolls the GRU step by step in numpy; its gradients are complex-step."""
     n, t_len, feat = seq.shape
     hidden = 5
     params = make_gru(rng, feat, hidden)
     for name in ("b_z", "b_r", "b_h"):
         setattr(params, name, f64(rng.normal(size=hidden)))
     mask = f64((rng.random((n, hidden)) >= 0.4) / 0.6) if masked else None
-    weight = f64(rng.normal(size=(n, t_len, hidden)))
-    weights = [params.w_z, params.w_r, params.w_h, params.b_z, params.b_r, params.b_h]
-    steps = [f64(seq.data[:, t]) for t in range(t_len)]
-    results = []
-    for scan, arg, inputs in ((L.run_gru, seq, [seq]), (unrolled_gru, steps, steps)):
-        with T.Tape() as tape:
-            tape.watch(*inputs, *weights)
-            out = scan(arg, params, reverse, mask)
-            tape.backward(T.reduce_sum(T.mul(out, weight)))
-            # [N,F] per position stacks to [N,T,F]; the one [N,T,F] reshapes back to itself
-            d_seq = np.stack([tape.grad(x).data for x in inputs], axis=1).reshape(seq.shape)
-            results.append([out.data, d_seq] + [tape.grad(w).data for w in weights])
-    for got, want in zip(*results):
-        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+    weight = rng.normal(size=(n, t_len, hidden))
+    leaves = [seq, params.w_z, params.w_r, params.w_h, params.b_z, params.b_r, params.b_h]
+    with T.Tape() as tape:
+        tape.watch(*leaves)
+        out = L.run_gru(seq, params, reverse, mask)
+        tape.backward(inner(out, weight))
+        got = [out.data] + [tape.grad(leaf).data for leaf in leaves]
+
+    args = [leaf.data for leaf in leaves]
+    mask_data = None if mask is None else mask.data
+
+    def loss_wrt(k):
+        def loss(value):
+            return (gru_scan(*args[:k], value, *args[k + 1:], reverse, mask_data) * weight).sum()
+        return loss
+
+    want = [gru_scan(*args, reverse, mask_data)] + [complex_step(loss_wrt(k), args[k])
+                                                     for k in range(len(args))]
+    for g, w in zip(got, want):
+        npt.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -253,7 +256,7 @@ def test_run_gru_skips_gradient_of_a_constant_sequence():
     for watched in ([seq], []):
         with T.Tape() as tape:
             tape.watch(*watched, *leaves)
-            tape.backward(T.reduce_sum(L.run_gru(seq, params, reverse=True)))
+            tape.backward(inner(L.run_gru(seq, params, reverse=True), 1))
         results.append([tape.gradients[id(leaf)] for leaf in leaves])
     assert id(seq) not in tape.gradients
     for got, want in zip(*results):
@@ -333,7 +336,7 @@ def test_squash_matches_vector_oracle_batched():
 def test_squash_gradient_including_zero_branch():
     rng = np.random.default_rng(11)
     report = T.grad_check(
-        lambda t: T.reduce_sum(T.mul(L.squash(t), L.squash(t))),
+        lambda t: inner(L.squash(t)),
         f64(rng.normal(size=20)),
         name="squash",
     )
@@ -342,7 +345,7 @@ def test_squash_gradient_including_zero_branch():
     with T.Tape() as tape:
         z = f64(np.zeros(4))
         tape.watch(z)
-        tape.backward(T.reduce_sum(L.squash(z)))
+        tape.backward(inner(L.squash(z), 1))
         npt.assert_array_equal(tape.grad(z).data, np.zeros(4))
 
 
@@ -393,7 +396,7 @@ def test_predict_vectors_gradient():
     u = f64(rng.normal(size=(1, 2, 3)))
     w = rng.normal(size=(2, 3, 3))
     report = T.grad_check(
-        lambda t: T.reduce_sum(T.mul(L.predict_vectors(u, t), L.predict_vectors(u, t))),
+        lambda t: inner(L.predict_vectors(u, t)),
         f64(w),
         name="predict_vectors",
     )
@@ -468,7 +471,7 @@ def routing_and_grad(route, u_hat, upstream):
         u = f64(u_hat)
         tape.watch(u)
         v, logits, history = route(u)
-        tape.backward(T.reduce_sum(T.mul(v, f64(upstream))))
+        tape.backward(inner(v, upstream))
         return v.data, logits, history, tape.grad(u).data
 
 
@@ -521,7 +524,7 @@ def test_routing_without_gradient_records_nothing_to_replay():
     u_hat = f64(np.random.default_rng(42).normal(size=(1, 2, 3, 4)))
     with T.Tape() as tape:
         v, _ = L.dynamic_routing(u_hat, 3)
-        tape.backward(T.reduce_sum(v))
+        tape.backward(inner(v, 1))
     assert id(u_hat) not in tape.gradients
 
 
@@ -546,7 +549,7 @@ def test_routing_full_unroll_gradient():
         for weights in (None, np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0]])):
             def target(t):
                 v, _ = L.dynamic_routing(t, 3, axis, weights)
-                return T.reduce_sum(T.mul(v, v))
+                return inner(v)
 
             report = T.grad_check(target, f64(u_hat), name=f"dynamic_routing/{axis}")
             assert report.passed, report.line()
@@ -596,14 +599,14 @@ def test_dense_head_rows_sum_to_one_and_uniform_at_zero():
     probs = T.softmax(logits, axis=1).data
     npt.assert_allclose(probs, np.full((3, 4), 0.25), atol=1e-12)
 
-    params = L.init_head(rng, 6, 5, 4, np.float64)
+    params = L.head_params(L.drawing(rng, np.float64), 6, 5, 4)
     probs = T.softmax(L.dense_head(x, params, activation="selu"), axis=1).data
     npt.assert_allclose(probs.sum(axis=1), np.ones(3), atol=1e-6)
 
 
 def test_dense_head_rejects_unknown_activation():
     rng = np.random.default_rng(25)
-    params = L.init_head(rng, 6, 5, 4, np.float64)
+    params = L.head_params(L.drawing(rng, np.float64), 6, 5, 4)
     with pytest.raises(ConfigError, match="gelu"):
         L.dense_head(f64(rng.normal(size=(3, 6))), params, activation="gelu")
 
@@ -636,7 +639,7 @@ def test_max_pool_gradient_routes_to_argmax():
         xt = f64(x)
         tape.watch(xt)
         out = L.max_pool_routing(xt, window=4)
-        tape.backward(T.reduce_sum(out))
+        tape.backward(inner(out, 1))
         grad = tape.grad(xt).data
     npt.assert_array_equal(grad[0, :, 0], [0.0, 1.0, 0.0, 0.0])
     # ties break toward the earliest position
@@ -647,7 +650,7 @@ def test_max_pool_gradient_vs_fd_off_ties():
     rng = np.random.default_rng(25)
     x = rng.normal(size=(2, 8, 3))
     report = T.grad_check(
-        lambda t: T.reduce_sum(T.mul(L.max_pool_routing(t, 4), L.max_pool_routing(t, 4))),
+        lambda t: inner(L.max_pool_routing(t, 4)),
         f64(x),
         name="max_pool",
     )
@@ -697,7 +700,7 @@ def test_conv1d_gradients():
 
     def wrt_x(t):
         y = L.conv1d_same(t, kt, bt)
-        return T.reduce_sum(T.mul(y, y))
+        return inner(y)
 
     assert T.grad_check(wrt_x, f64(x), name="conv-x").passed
 
@@ -705,7 +708,7 @@ def test_conv1d_gradients():
 
     def wrt_k(t):
         y = L.conv1d_same(xt, t, bt)
-        return T.reduce_sum(T.mul(y, y))
+        return inner(y)
 
     assert T.grad_check(wrt_k, f64(k), name="conv-k").passed
 
@@ -719,7 +722,7 @@ def test_conv1d_skips_gradient_of_a_constant_input():
         with T.Tape() as tape:
             tape.watch(*watched, kernel, bias)
             y = L.conv1d_same(x, kernel, bias)
-            tape.backward(T.reduce_sum(T.mul(y, y)))
+            tape.backward(inner(y))
         results.append([tape.gradients[id(kernel)], tape.gradients[id(bias)]])
     assert id(x) not in tape.gradients
     for got, want in zip(*results):
@@ -742,7 +745,7 @@ def test_conv1d_on_padded_input_matches_oracle(width):
 
     def loss(x_t):
         y = L.conv1d_same(x_t, kernel, bias)
-        return T.reduce_sum(T.mul(y, y))
+        return inner(y)
 
     # zero rows covered only by all-zero windows still get gradient from them
     assert T.grad_check(loss, f64(x), name="conv-padded-x").passed
@@ -774,7 +777,7 @@ def test_conv1d_bias_gradient_is_summed_in_float64():
     with T.Tape() as tape:
         tape.watch(bias)
         y = L.conv1d_same(T.Tensor(x), kernel, bias)
-        tape.backward(T.reduce_sum(T.mul(y, T.Tensor(upstream))))
+        tape.backward(inner(y, upstream))
         grad_b = tape.grad(bias).data
     assert grad_b.dtype == np.float32
     npt.assert_allclose(grad_b, upstream.sum(axis=(0, 1), dtype=np.float64), rtol=1e-6)
@@ -818,7 +821,7 @@ def test_cnn_feature_extractor_pads_once_as_each_width_would(watched):
             else:
                 out = T.concat([T.relu(L.conv1d_same(x, k, b)) for k, b in zip(kernels, biases)],
                                axis=2)
-            tape.backward(T.reduce_sum(T.mul(out, upstream)))
+            tape.backward(inner(out, upstream))
         results.append([out.data] + [tape.gradients.get(id(t)) for t in (x, *kernels, *biases)])
     for got, want in zip(*results):
         if want is None:

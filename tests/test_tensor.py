@@ -7,6 +7,7 @@ import pytest
 from bgcapsule import tensor as T
 from bgcapsule.errors import ContractError, DimensionError
 
+from conftest import inner
 from oracles import finite_difference
 
 
@@ -40,7 +41,7 @@ def test_matmul_gradient_vs_finite_differences():
     with T.Tape() as tape:
         at, bt = f64(a), f64(b)
         tape.watch(at, bt)
-        loss = T.reduce_sum(T.matmul(at, bt))
+        loss = inner(T.matmul(at, bt), 1)
         tape.backward(loss)
         ga, gb = tape.grad(at).data, tape.grad(bt).data
 
@@ -48,16 +49,6 @@ def test_matmul_gradient_vs_finite_differences():
     nb = finite_difference(lambda x: (a @ x).sum(), b)
     assert T.error_stats(ga, na)[2] < 1e-4
     assert T.error_stats(gb, nb)[2] < 1e-4
-
-
-def test_sigmoid_midpoint_and_tanh_zero():
-    assert T.sigmoid(T.Tensor(0.0)).item() == 0.5
-    assert T.tanh(T.Tensor(0.0)).item() == 0.0
-
-
-def test_sigmoid_saturates_exactly():
-    assert T.sigmoid(T.Tensor(-1e6)).item() == 0.0
-    assert T.sigmoid(T.Tensor(1e6)).item() == 1.0
 
 
 def test_selu_published_constants():
@@ -69,8 +60,12 @@ def test_selu_published_constants():
 
 
 def test_elementwise_shape_error():
-    with pytest.raises(DimensionError):
-        T.add(T.zeros((2,)), T.zeros((3,)))
+    with pytest.raises(DimensionError, match=r"\(2, 3\) and \(2,\)"):
+        T.add_bias(T.zeros((2, 3)), T.zeros((2,)))
+    with pytest.raises(DimensionError, match="extent mismatch"):
+        T.einsum2("ab,ab->", T.zeros((2, 3)), T.zeros((2, 4)))
+    with pytest.raises(DimensionError, match="off axis 1"):
+        T.concat([T.zeros((2, 3)), T.zeros((3, 1))], axis=1)
 
 
 def test_softmax_uniform_and_shift_invariance():
@@ -115,16 +110,18 @@ def test_reshape_preserves_row_major_order():
     npt.assert_array_equal(T.reshape(t, (6,)).data, np.arange(6))
 
 
-def test_slice_out_of_range():
-    with pytest.raises(DimensionError):
-        T.reduce_sum(T.zeros((2, 2)), axis=5)
+def test_axis_out_of_range():
+    with pytest.raises(DimensionError, match="axis 5"):
+        T.softmax(T.zeros((2, 2)), axis=5)
+    with pytest.raises(DimensionError, match="axis -3"):
+        T.concat([T.zeros((2, 2))], axis=-3)
 
 
 def test_backward_sum_gives_ones():
     with T.Tape() as tape:
         x = T.Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
         tape.watch(x)
-        tape.backward(T.reduce_sum(x))
+        tape.backward(inner(x, 1))
         npt.assert_array_equal(tape.grad(x).data, np.ones((2, 3)))
 
 
@@ -132,7 +129,7 @@ def test_backward_quadratic():
     with T.Tape() as tape:
         x = T.Tensor([1.0, 2.0])
         tape.watch(x)
-        loss = T.reduce_sum(T.mul(x, x))
+        loss = inner(x)
         tape.backward(loss)
         npt.assert_allclose(tape.grad(x).data, [2.0, 4.0])
 
@@ -150,7 +147,7 @@ def test_untouched_tensor_gets_zero_gradient():
         x = T.Tensor([1.0, 2.0])
         unused = T.Tensor([5.0])
         tape.watch(x, unused)
-        tape.backward(T.reduce_sum(x))
+        tape.backward(inner(x, 1))
         npt.assert_array_equal(tape.grad(unused).data, [0.0])
 
 
@@ -159,7 +156,7 @@ def test_needs_grad_only_for_watched_or_recorded_tensors_on_a_tape():
     assert not T.needs_grad(x)
     with T.Tape() as tape:
         tape.watch(x)
-        y = T.mul(x, const)
+        y = T.add_bias(x, const)
         assert T.needs_grad(x) and T.needs_grad(y)
         assert not T.needs_grad(const)
     assert not T.needs_grad(x)
@@ -169,7 +166,7 @@ def test_watch_after_an_op_consumed_the_tensor_raises():
     with T.Tape() as tape:
         x, late = T.Tensor([1.0, 2.0]), T.Tensor([3.0, 4.0])
         tape.watch(x)
-        T.mul(x, late)
+        T.add_bias(x, late)
         tape.watch(T.Tensor([5.0]))  # not consumed yet: fine
         with pytest.raises(ContractError, match="watch"):
             tape.watch(late)
@@ -181,7 +178,7 @@ def test_backward_replay_is_deterministic():
         x = T.Tensor(rng.normal(size=(4, 4)))
         tape.watch(x)
         y = T.softmax(T.matmul(x, x), axis=1)
-        loss = T.reduce_sum(T.mul(y, y))
+        loss = inner(y)
         tape.backward(loss)
         first = tape.grad(x).data.copy()
         tape.backward(loss)
@@ -191,8 +188,6 @@ def test_backward_replay_is_deterministic():
 @pytest.mark.parametrize(
     "name,fn",
     [
-        ("sigmoid", T.sigmoid),
-        ("tanh", T.tanh),
         ("selu", T.selu),
         ("softmax", lambda t: T.softmax(t, axis=0)),
     ],
@@ -200,13 +195,13 @@ def test_backward_replay_is_deterministic():
 def test_gradients_of_pointwise_ops(name, fn):
     rng = np.random.default_rng(hash(name) % 2**32)
     x = rng.normal(size=(5,))
-    report = T.grad_check(lambda t: T.reduce_sum(T.mul(fn(t), fn(t))), f64(x), name=name)
+    report = T.grad_check(lambda t: inner(fn(t)), f64(x), name=name)
     assert report.passed, report.line()
 
 
 def test_relu_gradient_off_kink():
     x = np.array([-2.0, -0.5, 0.7, 1.5])
-    report = T.grad_check(lambda t: T.reduce_sum(T.mul(T.relu(t), T.relu(t))), f64(x))
+    report = T.grad_check(lambda t: inner(T.relu(t)), f64(x))
     assert report.passed, report.line()
 
 
@@ -223,12 +218,12 @@ def test_gradients_random_shapes_many_ops(seed):
 
     def composite(t):
         h = T.add_bias(T.matmul(t, wt), bt)
-        h = T.tanh(h)
+        h = T.selu(h)
         s = T.softmax(h, axis=1)
         flat = T.reshape(s, (3 * rows,))
-        col_sums = T.reduce_sum(s, axis=0)
-        both = T.concat([col_sums, flat], axis=0)
-        return T.reduce_sum(T.mul(both, both))
+        col_norms = T.einsum2("ab,ab->b", s, s)
+        both = T.concat([col_norms, flat], axis=0)
+        return inner(both)
 
     report = T.grad_check(composite, f64(x), name=f"composite-{seed}")
     assert report.passed, report.line()
@@ -238,7 +233,7 @@ def test_add_bias_gradient():
     rng = np.random.default_rng(11)
     x = f64(rng.normal(size=(4, 3)))
     b = rng.normal(size=(3,))
-    report = T.grad_check(lambda t: T.reduce_sum(T.mul(T.add_bias(x, t), T.add_bias(x, t))), f64(b))
+    report = T.grad_check(lambda t: inner(T.add_bias(x, t)), f64(b))
     assert report.passed, report.line()
 
 
@@ -251,8 +246,7 @@ def test_einsum2_matches_numpy_and_gradients():
 
     wt = f64(w)
     report = T.grad_check(
-        lambda t: T.reduce_sum(T.mul(T.einsum2("nid,jde->njie", t, wt),
-                                     T.einsum2("nid,jde->njie", t, wt))),
+        lambda t: inner(T.einsum2("nid,jde->njie", t, wt)),
         f64(a),
         name="einsum2",
     )
@@ -269,17 +263,17 @@ def test_einsum2_rejects_bad_specs():
         T.einsum2("ij,jk->ik", T.zeros((2, 3)), T.zeros((4, 5)))
 
 
-def test_grad_check_sigmoid_against_analytic_derivative():
-    # independent oracle: sigma' = sigma * (1 - sigma)
-    x = 0.3
+def test_grad_check_selu_against_analytic_derivative():
+    # independent oracle: selu'(x) = lambda * alpha * e^x for x < 0
+    x = -0.3
     with T.Tape() as tape:
         xt = f64(x)
         tape.watch(xt)
-        tape.backward(T.sigmoid(xt))
+        tape.backward(T.selu(xt))
         analytic = tape.grad(xt).item()
-    s = 1.0 / (1.0 + math.exp(-x))
-    assert math.isclose(analytic, s * (1.0 - s), rel_tol=1e-12)
-    report = T.grad_check(T.sigmoid, f64(x), name="sigmoid-scalar")
+    assert math.isclose(analytic, 1.0507009873554805 * 1.6732632423543772 * math.exp(x),
+                        rel_tol=1e-12)
+    report = T.grad_check(T.selu, f64(x), name="selu-scalar")
     assert report.passed and report.max_rel_err < 1e-6
 
 
@@ -288,22 +282,22 @@ def test_check_finite_flag():
     T.set_check_finite(True)
     try:
         with pytest.raises(FloatingPointError):
-            T.tanh(T.Tensor([np.nan]))
+            T.relu(T.Tensor([np.nan]))
     finally:
         T.set_check_finite(was)
 
 
 def test_no_tape_means_no_recording():
     x = T.Tensor([1.0])
-    y = T.tanh(x)
+    y = T.relu(x)
     assert y.node_id is None
 
 
 def test_grad_check_restores_x_bitwise_and_needs_float64():
     x = f64(np.random.default_rng(12).normal(size=(3, 4)))
     before = x.data.copy()
-    report = T.grad_check(lambda t: T.reduce_sum(T.mul(T.tanh(t), t)), x)
+    report = T.grad_check(lambda t: inner(T.selu(t), t), x)
     assert report.passed, report.line()
     assert x.data.tobytes() == before.tobytes()
     with pytest.raises(ContractError, match="float64"):
-        T.grad_check(T.reduce_sum, T.Tensor(np.ones(3, dtype=np.float32)))
+        T.grad_check(lambda t: inner(t, 1), T.Tensor(np.ones(3, dtype=np.float32)))
