@@ -40,7 +40,7 @@ def drawing(rng, dtype=np.float32):
 def embedding_forward(table: Tensor, token_ids: np.ndarray) -> Tensor:
     """Gather rows of [V+1, E] by integer ids [N, T] -> [N, T, E].
 
-    The op is recorded only when the table needs a gradient
+    Like every op it is recorded only when the table needs a gradient
     (``tensor.needs_grad``): a frozen table is simply not watched. The
     gradient scatter-adds into the table, except row 0 (padding), which
     never receives gradient.
@@ -51,8 +51,6 @@ def embedding_forward(table: Tensor, token_ids: np.ndarray) -> Tensor:
             f"token ids outside table with {table.shape[0]} rows"
         )
     out = table.data[ids]
-    if not T.needs_grad(table):
-        return Tensor(out)
 
     def back(g):
         grad = np.zeros_like(table.data)
@@ -137,6 +135,19 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     few GEMMs over that buffer flattened to [T*N,3H]; dW_x reads the
     same L rows, and d(seq) is skipped when ``seq`` needs no gradient
     (``tensor.needs_grad``), as for a frozen embedding.
+
+    Shared prefix: when none of the seven inputs needs a gradient (so the
+    op is not recorded), there is no ``h_mask`` and N > 1, every row
+    holds the same state through the leading steps, in scan order, where
+    every row's input is all zero, since each starts from h = 0 and reads
+    the same bias-only projection. Those steps are scanned for row 0
+    alone and its states copied to the other rows; the rest are scanned
+    for all N rows. With padding in front (``text.pad_prepend``) a
+    forward scan's prefix is the padding the batch has in common; a
+    reverse scan meets text first and rarely has one. The result matches
+    the full scan to rounding, not bitwise: a one-row GEMM may sum in
+    another order than an N-row one. Training (masked, watched weights)
+    and every gradient check scan all rows at every step.
     """
     if seq.ndim != 3 or seq.shape[2] + params.hidden_size != params.w_z.shape[0]:
         raise DimensionError(
@@ -146,13 +157,15 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     hid = params.hidden_size
     dtype = seq.dtype
     weights = (params.w_z, params.w_r, params.w_h)
+    inputs = (seq, *weights, params.b_z, params.b_r, params.b_h)
     w_x = np.concatenate([w.data[hid:] for w in weights], axis=1)
     u_zr = np.concatenate([w.data[:hid] for w in weights[:2]], axis=1)
     u_h = params.w_h.data[:hid]
     bias = np.concatenate([params.b_z.data, params.b_r.data, params.b_h.data])
     rows = t_len * n
     x_rows = np.ascontiguousarray(seq.data.transpose(1, 0, 2)).reshape(rows, feat)
-    live = np.flatnonzero(x_rows.any(axis=1))
+    has_text = x_rows.any(axis=1)
+    live = np.flatnonzero(has_text)
     if 2 * len(live) > rows:
         # gathering and scattering a row costs a third to a half as much as
         # projecting it (F=300, H=200-256), so padding is skipped only
@@ -173,22 +186,30 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     # position t reads h_prev from states[t + src] and writes h to states[t + dst]
     src, dst = (1, 0) if reverse else (0, 1)
     steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    shared = 0  # leading steps, in scan order, scanned for row 0 alone
+    if n > 1 and mask is None and not any(T.needs_grad(x) for x in inputs):
+        text_at = has_text.reshape(t_len, n).any(axis=1)[steps]
+        shared = int(np.append(text_at, True).argmax())
     states = np.zeros((t_len + 1, n, hid), dtype)
     gates = np.empty((t_len, n, 3 * hid), dtype)  # z | r | c
     h_in_all = states[src:src + t_len] if mask is None else np.empty((t_len, n, hid), dtype)
     with np.errstate(over="ignore"):
-        for t in steps:
-            h_prev = states[t + src]
+        for i, t in enumerate(steps):
+            k = 1 if i < shared else n
+            h_prev = states[t + src, :k]
             h_in = h_prev if mask is None else np.multiply(h_prev, mask, out=h_in_all[t])
-            zrc = gates[t]
+            zrc = gates[t, :k]
             pre = h_in @ u_zr
-            pre += proj[t, :, :2 * hid]
+            pre += proj[t, :k, :2 * hid]
             zrc[:, :2 * hid] = 1.0 / (1.0 + np.exp(-pre))
             z, r = zrc[:, :hid], zrc[:, hid:2 * hid]
             pre = (r * h_in) @ u_h
-            pre += proj[t, :, 2 * hid:]
+            pre += proj[t, :k, 2 * hid:]
             c = np.tanh(pre, out=zrc[:, 2 * hid:])
-            states[t + dst] = (1.0 - z) * h_prev + z * c
+            states[t + dst, :k] = (1.0 - z) * h_prev + z * c
+            if i + 1 == shared:
+                prefix = np.asarray(steps[:shared]) + dst
+                states[prefix, 1:] = states[prefix, :1]
     out = np.ascontiguousarray(states[dst:dst + t_len].transpose(1, 0, 2))
 
     def back(g):
@@ -220,7 +241,7 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
         d_seq = (flat @ w_x.T).reshape(t_len, n, feat).transpose(1, 0, 2) if seq_grad else None
         return (d_seq, *d_w, *d_b)
 
-    return record_op(out, (seq, *weights, params.b_z, params.b_r, params.b_h), back)
+    return record_op(out, inputs, back)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ row-vector add. ``matmul``, ``add_bias``, ``einsum2`` and ``concat``
 each check their own operands' shapes and raise ``DimensionError``.
 Set ``BGC_CHECK_FINITE=1`` to assert that every op output is finite.
 
-A :class:`Tape` records ops while it is the active context. ``backward``
+A :class:`Tape` records ops while it is the active context, each op
+only when some input needs a gradient (``needs_grad``): an op over
+constants alone yields a constant and leaves no node. ``backward``
 walks the recorded nodes in reverse creation order, which is a reverse
 topological order because inputs always exist before their outputs.
 Tapes are single-threaded and meant to be discarded after one
@@ -103,6 +105,7 @@ class Tape:
         self.nodes: list[_Node] = []
         self.gradients: dict[int, np.ndarray] = {}
         self._watched: dict[int, Tensor] = {}
+        self._consumed: dict[int, Tensor] = {}  # every op's inputs, held so their ids stay unique
 
     def __enter__(self) -> "Tape":
         stack = getattr(_state, "tapes", None)
@@ -118,18 +121,15 @@ class Tape:
     def watch(self, *tensors: Tensor) -> None:
         """Mark leaves whose gradients will be read; see ``needs_grad``.
 
-        Watch a leaf before any recorded op consumes it: an op may skip
-        the gradient of an input that was neither watched nor recorded
-        when it ran, so watching it later raises ``ContractError``
-        instead of letting its gradient read as zero.
+        Watch a leaf before any op consumes it: an op may skip the
+        gradient of an input that was neither watched nor recorded when
+        it ran, and an op with no such input leaves no node at all, so
+        watching it later raises ``ContractError`` instead of letting its
+        gradient read as zero.
         """
-        if self.nodes:
-            consumed = {id(t) for node in self.nodes for t in node.inputs}
-            late = [t for t in tensors if id(t) in consumed]
-            if late:
-                raise ContractError(
-                    f"watch() after a recorded op consumed {late[0]!r}; watch leaves first"
-                )
+        late = [t for t in tensors if id(t) in self._consumed]
+        if late:
+            raise ContractError(f"watch() after an op consumed {late[0]!r}; watch leaves first")
         self._watched.update((id(t), t) for t in tensors)
 
     def record(self, output: Tensor, inputs, backward) -> None:
@@ -176,18 +176,22 @@ def needs_grad(t: Tensor) -> bool:
 
 
 def record_op(out_data: np.ndarray, inputs, backward_fn) -> Tensor:
-    """Wrap an op result and record it on the active tape, if any.
+    """Wrap an op result and record it on the active tape when some input
+    ``needs_grad``; otherwise the result is a constant and no node is kept.
 
     ``backward_fn(grad_out)`` must return one gradient array per input,
     each matching that input's shape, or None for no gradient. An input
     for which ``needs_grad`` was false when the op ran may get None.
+    ``BGC_CHECK_FINITE`` checks every output, recorded or not.
     """
     if _check_finite and not np.all(np.isfinite(out_data)):
         raise FloatingPointError("non-finite value in op output")
     out = Tensor(out_data)
     tape = active_tape()
     if tape is not None:
-        tape.record(out, inputs, backward_fn)
+        tape._consumed.update((id(t), t) for t in inputs)
+        if any(needs_grad(t) for t in inputs):
+            tape.record(out, inputs, backward_fn)
     return out
 
 

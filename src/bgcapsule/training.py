@@ -216,7 +216,11 @@ def train(model, train_docs, val_docs, config: ModelConfig, log=None) -> TrainRe
 
 
 def evaluate(model, docs, batch_size: int = 256) -> EvalMetrics:
-    """Accuracy and mean loss in eval mode; deterministic."""
+    """Accuracy and mean loss in eval mode; deterministic.
+
+    Results match those of one document at a time to rounding: untaped,
+    a batch's forward GRUs scan the padding its documents share once
+    (``layers.run_gru``)."""
     if not docs:
         raise ContractError("evaluation set is empty")
     classes = model.config.class_count

@@ -40,6 +40,15 @@ def build_toy_model(docs, config=None, ablation=None, dtype=np.float32):
     return model, encoded
 
 
+def randomize_gru_biases(model, seed):
+    """Give every GRU bias normal values, as after training: from the zero
+    init, a GRU reading padding from h = 0 stays at h = 0."""
+    rng = np.random.default_rng(seed)
+    for name, tensor in model.parameters().items():
+        if name.startswith("bigru") and ".b_" in name:
+            tensor.data = rng.normal(size=tensor.shape).astype(tensor.dtype)
+
+
 @pytest.fixture
 def separable_docs():
     return separable_corpus(200, seed=1)

@@ -266,10 +266,43 @@ def test_run_gru_skips_gradient_of_a_constant_sequence():
 def test_run_gru_is_one_tape_op_and_keeps_dtype():
     rng = np.random.default_rng(12)
     seq = T.Tensor(rng.normal(size=(2, 7, 3)).astype(np.float32))
+    params = make_gru(rng, 3, 4, np.float32)
     with T.Tape() as tape:
-        out = L.run_gru(seq, make_gru(rng, 3, 4, np.float32), reverse=True)
+        tape.watch(params.w_z, params.w_r, params.w_h)
+        out = L.run_gru(seq, params, reverse=True)
     assert len(tape.nodes) == 1
     assert out.shape == (2, 7, 4) and out.dtype == np.float32
+
+
+# per case: each row's count of leading zero (padding) positions, and
+# (row, position) pairs of zero (OOV) rows after them
+SHARED_PREFIX_CASES = {
+    "mixed_lengths": ((3, 5, 6, 4), ()),
+    "one_row_fills_t": ((0, 5, 6), ()),
+    "all_padding": ((8, 8, 8), ()),
+    "oov_rows": ((3, 5, 4), ((0, 3), (0, 4), (0, 6), (2, 6))),
+    "one_row": ((3,), ()),
+}
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", sorted(SHARED_PREFIX_CASES))
+def test_untaped_run_gru_matches_gru_scan(case, reverse):
+    # untaped and unmasked, run_gru scans the batch's shared zero prefix for one row
+    leads, oov = SHARED_PREFIX_CASES[case]
+    rng = np.random.default_rng(16)
+    seq = rng.normal(size=(len(leads), 8, 4))
+    for row, lead in enumerate(leads):
+        seq[row, :lead] = 0.0
+    for row, position in oov:
+        seq[row, position] = 0.0
+    params = make_gru(rng, 4, 5)
+    for name in ("b_z", "b_r", "b_h"):
+        setattr(params, name, f64(rng.normal(size=5)))
+    leaves = [params.w_z, params.w_r, params.w_h, params.b_z, params.b_r, params.b_h]
+    got = L.run_gru(f64(seq), params, reverse).data
+    want = gru_scan(seq, *[leaf.data for leaf in leaves], reverse)
+    npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_run_gru_rejects_input_width_its_weights_do_not_take():

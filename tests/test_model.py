@@ -12,7 +12,7 @@ from bgcapsule.text import (LabeledText, batch_of, build_vocab, encode_docs, ran
                             tokenize_lower)
 from bgcapsule.training import softmax_cross_entropy
 
-from conftest import build_toy_model, toy_config
+from conftest import build_toy_model, randomize_gru_biases, toy_config
 
 
 def test_forward_shape_chain(separable_docs):
@@ -112,14 +112,37 @@ def test_watched_frozen_embedding_gets_the_finite_difference_gradient(variant):
 
 def test_trainable_embedding_records_no_node_unless_watched(separable_docs):
     model, encoded = build_toy_model(separable_docs, toy_config(embed_trainable=True))
-    ids = batch_of(encoded[:4]).token_ids
+    batch = batch_of(encoded[:4])
     with T.Tape() as tape:
-        model.logits(ids)
-    assert all(t is not model.embedding for node in tape.nodes for t in node.inputs)
+        model.logits(batch.token_ids)
+    assert tape.nodes == []
     with T.Tape() as watched:
         watched.watch(model.embedding)
-        model.logits(ids)
-    assert len(watched.nodes) == len(tape.nodes) + 1
+        watched.backward(softmax_cross_entropy(model.logits(batch.token_ids), batch.labels))
+    assert any(t is model.embedding for node in watched.nodes for t in node.inputs)
+    assert np.abs(watched.grad(model.embedding).data).max() > 0
+
+
+def test_tape_watching_only_the_head_records_no_gru_and_keeps_its_gradients():
+    # short docs: the batch shares a padding prefix that untaped GRUs scan once
+    docs = separable_corpus(6, seed=4, min_len=3, max_len=8)
+    model, encoded = build_toy_model(docs, toy_config(), dtype=np.float64)
+    randomize_gru_biases(model, 4)
+    batch = batch_of(encoded)
+    assert not batch.token_ids[:, :8].any()
+    params = model.parameters()
+    head = [name for name in params if name.startswith("head.")]
+    grads, grus = [], []
+    for watched in (head, list(params)):
+        with T.Tape() as tape:
+            tape.watch(*(params[name] for name in watched))
+            tape.backward(softmax_cross_entropy(model.logits(batch.token_ids), batch.labels))
+        grads.append({name: tape.grad(params[name]).data for name in head})
+        grus.append(sum(node.backward.__qualname__.startswith("run_gru.")
+                        for node in tape.nodes))
+    assert grus == [0, 4]
+    for name in head:
+        npt.assert_allclose(grads[0][name], grads[1][name], rtol=0, atol=1e-12)
 
 
 def test_predict_text_all_oov(separable_docs):

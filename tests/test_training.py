@@ -15,7 +15,7 @@ from bgcapsule.tensor import Tensor
 from bgcapsule.text import (DatasetSplit, LabeledText, encode_docs, kfold_split,
                             random_embeddings)
 
-from conftest import build_toy_model, toy_config
+from conftest import build_toy_model, randomize_gru_biases, toy_config
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +265,22 @@ def test_evaluate_deterministic_and_class_counts(separable_docs):
     assert m1.accuracy == m2.accuracy
     assert m1.class_total.sum() == len(encoded)
     assert np.all(m1.class_correct <= m1.class_total)
+
+
+def test_evaluate_in_batches_matches_one_document_at_a_time():
+    # short docs share a padding prefix, which batched eval scans once per batch
+    docs = separable_corpus(12, seed=5, min_len=3, max_len=10)
+    model, encoded = build_toy_model(docs, toy_config(), dtype=np.float64)
+    randomize_gru_biases(model, 5)
+    metrics = training.evaluate(model, encoded, 4)
+    losses, correct = [], np.zeros(2, dtype=np.int64)
+    for doc in encoded:
+        logits = model.logits(np.array([doc.tokens]))
+        losses.append(training.softmax_cross_entropy(logits, [doc.label]).item())
+        correct[doc.label] += int(training.predicted_class(logits)[0] == doc.label)
+    npt.assert_array_equal(metrics.class_correct, correct)
+    assert metrics.accuracy == correct.sum() / len(encoded)
+    assert metrics.loss == pytest.approx(np.mean(losses), rel=0, abs=1e-12)
 
 
 def test_chance_level_accuracy_with_uniform_model(separable_docs):
