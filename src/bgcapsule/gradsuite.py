@@ -131,6 +131,36 @@ def _op_checks() -> list[GradCheckReport]:
           conv_bias)
     check("max_pool", lambda t: _sq(L.max_pool_routing(t, 2)), rng.normal(size=(1, 6, 3)))
 
+    # the CNN over distinct positions into primary capsules. Docs: one that
+    # fills T, one all zero, and two with a gap of zero rows inside the
+    # text, the last of them live at position 0 and padded with entries
+    # that repeat it. Each entry counts for the positions it stands for, so
+    # the objective is the sum over every position and stays smooth as a
+    # zero row turns nonzero and the entries change.
+    cnn_x = np.random.default_rng(9).normal(size=(4, 9, 2))
+    cnn_x[1] = cnn_x[2, :3] = cnn_x[2, 4:7] = cnn_x[3, 2:7] = 0.0
+    cnn_kernels = [Tensor(rng.normal(size=(w, 2, 2)), dtype=np.float64) for w in (2, 3)]
+    # one channel of each width live at a dead position, one cut by the ReLU
+    cnn_biases = [Tensor(rng.uniform(0.2, 1.0, size=2) * [1.0, -1.0], dtype=np.float64)
+                  for _ in cnn_kernels]
+    caps_w = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
+    caps_b = Tensor(rng.normal(size=(3,)), dtype=np.float64)
+
+    def cnn_caps(t, per_pair=False):
+        features, distinct = L.cnn_feature_extractor(t, cnn_kernels, cnn_biases)
+        if per_pair:  # laid out over every position
+            return _sq(L.primary_capsules(features, caps_w, caps_b, 1, 3, distinct))
+        caps = L.primary_capsules(features, caps_w, caps_b, 1, 3)
+        root_counts = Tensor(np.sqrt(distinct.counts), dtype=np.float64)
+        return _sq(T.einsum2("nid,ni->nid", caps, root_counts))
+
+    cnn_x_t = Tensor(cnn_x, dtype=np.float64)
+    check("cnn_capsules/x", cnn_caps, cnn_x)
+    check("cnn_capsules/kernel", lambda _: cnn_caps(cnn_x_t), cnn_kernels[1])
+    check("cnn_capsules/bias", lambda _: cnn_caps(cnn_x_t), cnn_biases[0])
+    check("cnn_capsules/per_pair_x", lambda t: cnn_caps(t, per_pair=True), cnn_x)
+    check("cnn_capsules/per_pair_w", lambda _: cnn_caps(cnn_x_t, per_pair=True), caps_w)
+
     return reports
 
 

@@ -285,11 +285,25 @@ class DistinctPositions:
     position 0 is always one of them, as entry 0. Documents with fewer
     than K entries, the batch's largest count, are padded with entries
     that read position 0 again and count zero.
+
+    ``cnn_feature_extractor`` computes its features over this layout,
+    [N,K,F], and ``CapsuleRouting`` projects, votes and routes them as
+    they are. An entry's gradient is then the sum of what the positions
+    it stands for would get; a padding entry gets none, as
+    ``dynamic_routing`` gives a zero-weight capsule. With every position
+    live (``distinct_positions`` of all True) each position is its own
+    entry, which is how ``conv1d_same`` lays out its output.
     """
 
     rows: np.ndarray  # [N*K] flat row n*T + t that each entry reads
     counts: np.ndarray  # [N, K] positions each entry stands for; 0 on padding
     entry: np.ndarray  # [N, T] the entry k that stands for each position
+
+    @property
+    def entry_rows(self) -> np.ndarray:
+        """[N*T] the flat entry row n*K + k that stands for each position."""
+        n, k = self.counts.shape
+        return (self.entry + np.arange(n)[:, None] * k).reshape(-1)
 
     def expand(self, routing: "RoutingInfo", caps_per_pos: int) -> "RoutingInfo":
         """``routing`` over the entries' capsules [N, K*P, J], laid out over
@@ -327,43 +341,43 @@ def distinct_positions(live: np.ndarray) -> DistinctPositions:
 def primary_capsules(features: Tensor, weight: Tensor, bias: Tensor,
                      caps_per_pos: int, caps_dim: int,
                      distinct: DistinctPositions | None = None) -> Tensor:
-    """Project per-position features into capsules and squash.
+    """Project features into capsules, row by row, and squash.
 
-    [N,T,F] with weight [F, caps_per_pos*caps_dim] -> [N, T*caps_per_pos, caps_dim],
-    or, given ``distinct``, the capsules of its K entries only,
-    [N, K*caps_per_pos, caps_dim]. The projection (gather, GEMM, bias) is one
-    op; it keeps no gathered copy, and its backward gathers the rows again
-    for the weight gradient. A position's feature gradient is its entry's
-    divided by the entry's count: the positions an entry stands for hold
-    equal features, so each would have got that share. Padding entries
-    stand for no position and pass back nothing.
+    [N,R,F] with weight [F, caps_per_pos*caps_dim] -> [N, R*caps_per_pos, caps_dim],
+    where the R rows are every position, or the entries of a
+    ``DistinctPositions``, whose capsules routing then weighs by count.
+    Given ``distinct``, the features are its entries, [N,K,F], and their
+    capsules are laid out over every position instead, [N, T*caps_per_pos,
+    caps_dim]: each entry row is projected once and each position reads
+    its entry's capsules. The backward then adds up the gradient of the
+    positions of each entry before the GEMMs, so an entry gets the sum of
+    what its positions get. The projection (GEMM, bias, layout) is one op.
     """
-    n, t_len, feat = features.shape
+    n, rows, feat = features.shape
     if weight.shape != (feat, caps_per_pos * caps_dim):
         raise ConfigError(
             f"primary capsule projection {weight.shape} does not map {feat} features "
             f"to {caps_per_pos}x{caps_dim} capsules"
         )
-    flat = features.data.reshape(n * t_len, feat)
-    projected = (flat if distinct is None else flat[distinct.rows]) @ weight.data
+    flat = features.data.reshape(n * rows, feat)
+    projected = flat @ weight.data
     projected += bias.data
+    to_entry = None if distinct is None else distinct.entry_rows
+    out = projected if to_entry is None else projected[to_entry]
     features_grad = T.needs_grad(features)
 
     def back(g):
-        g = g.reshape(projected.shape)
-        rows = flat if distinct is None else flat[distinct.rows]
-        grad_w = rows.T @ g
+        g = g.reshape(out.shape)
+        if to_entry is not None:
+            summed = np.zeros_like(projected)
+            np.add.at(summed, to_entry, g)
+            g = summed
+        grad_w = flat.T @ g
         grad_b = g.sum(axis=0)
-        if not features_grad:
-            return (None, grad_w, grad_b)
-        if distinct is None:
-            return ((g @ weight.data.T).reshape(features.shape), grad_w, grad_b)
-        share = g / np.maximum(distinct.counts, 1).astype(g.dtype).reshape(-1, 1)
-        entries = distinct.entry + np.arange(n)[:, None] * distinct.counts.shape[1]
-        grad_f = (share @ weight.data.T)[entries.reshape(-1)]
-        return (grad_f.reshape(features.shape), grad_w, grad_b)
+        grad_f = (g @ weight.data.T).reshape(features.shape) if features_grad else None
+        return (grad_f, grad_w, grad_b)
 
-    caps = record_op(projected.reshape(n, -1, caps_dim), (features, weight, bias), back)
+    caps = record_op(out.reshape(n, -1, caps_dim), (features, weight, bias), back)
     return squash(caps, axis=-1)
 
 
@@ -551,37 +565,49 @@ def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """1-d convolution over positions with zero same-padding.
 
     [N,T,F] with kernel [w,F,K] -> [N,T,K]. ``x`` is zero-padded by the
-    kernel's own margins; ``cnn_feature_extractor`` pads once for several
-    widths and runs the same op on that one buffer.
+    kernel's own margins, and every position is its own entry;
+    ``cnn_feature_extractor`` pads once for several widths and runs the
+    same op on that one buffer, over its distinct positions.
     """
     width = kernel.shape[0]
     left = (width - 1) // 2
     padded, row_live = _pad_rows(x.data, left, width - 1 - left)
-    return _conv_padded(x, padded, row_live, 0, kernel, bias)
+    every = distinct_positions(np.ones(x.shape[:2], dtype=bool))
+    return _conv_padded(x, padded, row_live, 0, kernel, bias, every)
 
 
 def _conv_padded(x: Tensor, padded: np.ndarray, row_live: np.ndarray, start: int,
-                 kernel: Tensor, bias: Tensor) -> Tensor:
+                 kernel: Tensor, bias: Tensor, layout: DistinctPositions) -> Tensor:
     """``conv1d_same`` of ``x`` read from ``_pad_rows(x)``, in which the
-    kernel's window for position t starts at padded row start+t.
+    kernel's window for position t starts at padded row start+t, written
+    over the entries of ``layout``: [N,T,F] with kernel [w,F,C] -> [N,K,C],
+    entry k of document n holding the output at the position it reads.
 
     Forward: a window is live when any of its w rows is nonzero; the
     live windows, L of them, are gathered into one [L, w*F] im2col matrix
-    and multiplied by the kernel reshaped to [w*F, K] in one GEMM. Every
-    other output row is the bias alone, which is what the GEMM gives an
-    all-zero window. There is no threshold on the share of padding,
-    unlike ``run_gru``: im2col must copy every window it multiplies
-    anyway, and the gather is that copy, so skipping a window never
-    costs more than keeping it.
+    and multiplied by the kernel reshaped to [w*F, C] in one GEMM. The
+    position of a live window must be its own entry, as in the layout
+    ``cnn_feature_extractor`` builds from every width's windows. The
+    results are scattered to the entries that read them, in a buffer
+    pre-filled with the bias, which is what the GEMM gives an all-zero
+    window. There
+    is no threshold on the share of padding, unlike ``run_gru``: im2col
+    must copy every window it multiplies anyway, and the gather is that
+    copy, so skipping a window never costs more than keeping it.
 
-    Backward: the im2col matrix is not kept. The kernel gradient reads
-    the L live windows only, since an all-zero window adds nothing to
-    it: for each offset d, the [L,F] rows at d of the live windows are
-    gathered again from the padded buffer and multiplied by g of those
-    windows. The bias gradient sums g over every row, accumulated in
-    float64. The input gradient takes ``g . K^T`` from every window,
-    live or not: a window that sees only padding still moves the rows
-    it covers. It is skipped when ``x`` needs none (``tensor.needs_grad``).
+    Backward: an entry's gradient is the sum over the positions it stands
+    for, and a padding entry's is zero (see ``DistinctPositions``). The
+    im2col matrix is not kept. The kernel gradient reads the L live
+    windows only, since an all-zero window adds nothing to it: for each
+    offset d, the [L,F] rows at d of the live windows are gathered again
+    from the padded buffer and multiplied by their entries' gradient. The
+    bias gradient sums the entries' gradient, accumulated in float64. The
+    input gradient gives each position its entry's share, gradient /
+    count: for each offset d, ``share . kernel[d]^T`` is taken over the
+    entries and gathered to the positions. Every window passes it back,
+    live or not, since a window that sees only padding still moves the
+    rows it covers. It is skipped when ``x`` needs none
+    (``tensor.needs_grad``).
     """
     if kernel.ndim != 3 or kernel.shape[1] != x.shape[2]:
         raise DimensionError(f"conv kernel {kernel.shape} does not match input {x.shape}")
@@ -596,45 +622,55 @@ def _conv_padded(x: Tensor, padded: np.ndarray, row_live: np.ndarray, start: int
     live_out = cols @ kernel.data.reshape(width * feat, out_ch)
     live_out += bias.data
     del cols  # before the output is allocated; the backward gathers again
-    out = np.empty((n * t_len, out_ch), dtype=live_out.dtype)
+    window = np.full(n * t_len, -1)
+    window[live] = np.arange(len(live))
+    reads = window[layout.rows]  # the live window each entry reads, or -1
+    hit = np.flatnonzero(reads >= 0)
+    out = np.empty((len(layout.rows), out_ch), dtype=live_out.dtype)
     out[:] = bias.data  # what the GEMM gives an all-zero window
-    out[live] = live_out
-    out = out.reshape(n, t_len, out_ch)
-
+    out[hit] = live_out[reads[hit]]
+    out = out.reshape(n, -1, out_ch)
+    to_entry = layout.entry_rows
     x_grad = T.needs_grad(x)
 
     def back(g):
-        g_rows = g.reshape(n * t_len, out_ch)
-        g_live = g_rows[live]
+        g_rows = g.reshape(-1, out_ch)
+        g_live = g_rows[to_entry[live]]
         grad_k = np.stack([padded[first + d].T @ g_live for d in range(width)])
         grad_b = g_rows.sum(axis=0, dtype=np.float64).astype(g.dtype)
         if not x_grad:
             return (None, grad_k, grad_b)
+        share = g_rows / np.maximum(layout.counts, 1).reshape(-1, 1).astype(g.dtype)
         grad_pad = np.zeros((n, t_len + width - 1, feat), dtype=g.dtype)
         for d in range(width):
-            grad_pad[:, d:d + t_len, :] += (g_rows @ kernel.data[d].T).reshape(n, t_len, feat)
+            grad_pad[:, d:d + t_len, :] += (share @ kernel.data[d].T)[to_entry].reshape(
+                n, t_len, feat)
         return (grad_pad[:, left:left + t_len, :], grad_k, grad_b)
 
     return record_op(out, (x, kernel, bias), back)
 
 
-def cnn_feature_extractor(embedded: Tensor, kernels, biases) -> tuple[Tensor, np.ndarray]:
+def cnn_feature_extractor(embedded: Tensor, kernels, biases) -> tuple[Tensor, DistinctPositions]:
     """Parallel same-padded convolutions with ReLU, channel-concatenated,
-    and which positions are live.
+    over the batch's distinct positions.
 
-    [N,T,E] -> [N,T,sum of filter counts], and live [N,T] bool. ``embedded``
-    is zero-padded once, by the widest margins any kernel needs, and its
-    nonzero rows are found once; every width's convolution gathers its
-    windows from that one buffer, which its backward keeps. A position is
-    live when a window of some width there covers a nonzero row; at a dead
-    one every convolution gives its bias alone, so every dead position of
-    the batch has the same features.
+    [N,T,E] -> [N,K,sum of filter counts] over the entries of
+    ``distinct_positions(live)``, which it also returns. A position is
+    live when a window of some width there covers a nonzero row; at a
+    dead one every convolution gives its bias alone, so every dead
+    position of a document has the same features and one entry stands
+    for them all. Padding entries repeat their document's entry 0.
+    ``embedded`` is zero-padded once, by the widest margins any kernel
+    needs, and its nonzero rows are found once; every width's
+    convolution gathers its windows from that one buffer, which its
+    backward keeps.
     """
     widths = [k.shape[0] for k in kernels]
     left = max((w - 1) // 2 for w in widths)
     right = max(w // 2 for w in widths)
     padded, row_live = _pad_rows(embedded.data, left, right)
-    outputs = [T.relu(_conv_padded(embedded, padded, row_live, left - (k.shape[0] - 1) // 2, k, b))
+    distinct = distinct_positions(_windows_live(row_live, 0, left + right + 1, embedded.shape[1]))
+    outputs = [T.relu(_conv_padded(embedded, padded, row_live, left - (k.shape[0] - 1) // 2,
+                                   k, b, distinct))
                for k, b in zip(kernels, biases)]
-    live = _windows_live(row_live, 0, left + right + 1, embedded.shape[1])
-    return T.concat(outputs, axis=2), live
+    return T.concat(outputs, axis=2), distinct

@@ -12,11 +12,13 @@ its artifact name: drawn in call order for a new model, or, given
 must have that shape; a record no stage asks for is an error. The model
 keeps each tensor as handed out. A stage holds ``width`` and ``forward``.
 
-An extractor's ``forward`` hands the aggregator its features [N,T,F] and
-which positions are live, [N,T] bool, or None when every position may
-differ (the BiGRU ensemble: a GRU state depends on everything before
-it). The CNN's dead positions all hold the same features, which lets
-capsule routing compute them once.
+An extractor's ``forward`` hands the aggregator its features and their
+layout: [N,T,F] and None when every position may differ (the BiGRU
+ensemble: a GRU state depends on everything before it), or, for the CNN,
+whose dead positions all hold the same features, [N,K,F] over the
+entries of a ``layers.DistinctPositions``, each document's dead
+positions computed once as one entry. Capsule routing then projects,
+votes and routes those entries as they are.
 """
 
 from __future__ import annotations
@@ -82,19 +84,20 @@ class CnnExtractor:
             self.biases.append(param(f"cnn{i}.bias", (count,)))
         self.width = len(widths) * count
 
-    def forward(self, embedded: Tensor, dropout_rng) -> tuple[Tensor, np.ndarray]:
+    def forward(self, embedded: Tensor, dropout_rng) -> tuple[Tensor, L.DistinctPositions]:
         return L.cnn_feature_extractor(embedded, self.kernels, self.biases)
 
 
 class CapsuleRouting:
     """Primary capsules per position, votes, agreement routing, flattened.
 
-    Given the extractor's ``live`` positions and shared pair weights,
-    equal positions give equal capsules, votes and couplings, so each
-    document's dead positions are projected, voted and routed once, as
-    one entry that counts for all of them (``layers.distinct_positions``;
-    routing weighs it by that count). With per-pair weights no two
-    positions share a vote, and every position is routed.
+    Given features over the entries of a ``layers.DistinctPositions``
+    and shared pair weights, equal positions give equal capsules, votes
+    and couplings, so the entries are projected, voted and routed as they
+    are, each dead entry counting for all the positions it stands for
+    (routing weighs it by that count). With per-pair weights no two
+    positions share a vote: ``primary_capsules`` lays the entries'
+    capsules out over every position, and every position is routed.
 
     ``last_routing`` holds the couplings of the latest forward pass, over
     every position's capsules [N, T*P, J] either way.
@@ -112,18 +115,17 @@ class CapsuleRouting:
         self.pair_w = param("routing.pair_w", pair_shape)
         self.width = cfg.routed_caps * cfg.routed_caps_dim
 
-    def forward(self, features: Tensor, live: np.ndarray | None = None) -> Tensor:
+    def forward(self, features: Tensor, distinct: L.DistinctPositions | None = None) -> Tensor:
         cfg = self.cfg
         per_pos = cfg.primary_caps_per_pos
-        distinct = (L.distinct_positions(live)
-                    if live is not None and cfg.share_pair_weights else None)
+        merged = distinct is not None and cfg.share_pair_weights
         caps = L.primary_capsules(features, self.caps_w, self.caps_b, per_pos, cfg.caps_dim,
-                                  distinct)
+                                  None if merged else distinct)
         u_hat = L.predict_vectors(caps, self.pair_w)
-        counts = None if distinct is None else np.repeat(distinct.counts, per_pos, axis=1)
+        counts = np.repeat(distinct.counts, per_pos, axis=1) if merged else None
         v, routing = L.dynamic_routing(u_hat, cfg.routing_iters,
                                        normalize_over=cfg.softmax_axis, weights=counts)
-        self.last_routing = routing if distinct is None else distinct.expand(routing, per_pos)
+        self.last_routing = distinct.expand(routing, per_pos) if merged else routing
         return T.reshape(v, (v.shape[0], -1))
 
 
@@ -138,7 +140,7 @@ class MaxPooling:
             raise ConfigError(f"pool window {self.window} exceeds max_len {cfg.max_len}")
         self.width = cfg.max_len // self.window * in_width
 
-    def forward(self, features: Tensor, live: np.ndarray | None = None) -> Tensor:
+    def forward(self, features: Tensor, distinct: L.DistinctPositions | None = None) -> Tensor:
         pooled = L.max_pool_routing(features, self.window)
         return T.reshape(pooled, (pooled.shape[0], -1))
 
@@ -226,8 +228,8 @@ class TextClassifier:
         Recurrent dropout is drawn from ``dropout_rng`` when given (training).
         The embedding gets a gradient only if the tape watches it."""
         embedded = L.embedding_forward(self.embedding, np.asarray(token_ids))
-        features, live = self.extractor.forward(embedded, dropout_rng)
-        return self.head.forward(self.aggregator.forward(features, live))
+        features, distinct = self.extractor.forward(embedded, dropout_rng)
+        return self.head.forward(self.aggregator.forward(features, distinct))
 
     def forward(self, token_ids: np.ndarray) -> Tensor:
         """Token ids [N, max_len] -> class probabilities [N, C], in eval mode."""

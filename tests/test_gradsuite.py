@@ -52,6 +52,8 @@ def test_every_gradsuite_check_passes(monkeypatch):
         assert f"bigru/{attr}" in names
     for attr in ("x", "kernel", "padded_x", "bias"):
         assert f"conv1d/{attr}" in names
+    for attr in ("x", "kernel", "bias", "per_pair_x", "per_pair_w"):
+        assert f"cnn_capsules/{attr}" in names
     for axis in ("output_caps", "input_caps"):
         assert f"dynamic_routing/{axis}" in names and f"dynamic_routing/{axis}/weighted" in names
     failed = [r.line() for r in reports if not r.passed]

@@ -821,57 +821,91 @@ def test_cnn_feature_extractor_concat_width():
     x = f64(rng.normal(size=(1, 6, 4)))
     kernels = [f64(rng.normal(size=(w, 4, 2))) for w in (3, 4, 5)]
     biases = [T.zeros((2,), np.float64) for _ in range(3)]
-    out, live = L.cnn_feature_extractor(x, kernels, biases)
-    assert out.shape == (1, 6, 6) and live.shape == (1, 6) and live.all()
+    out, distinct = L.cnn_feature_extractor(x, kernels, biases)
+    # every position is live, so each is its own entry
+    assert out.shape == (1, 6, 6) and distinct.counts.shape == (1, 6)
+    assert (distinct.counts == 1).all()
+    npt.assert_array_equal(distinct.rows, np.arange(6))
     assert np.all(out.data >= 0)  # ReLU
 
 
 def padded_batch(rng, feat):
-    """Six docs of 12 rows, pre-padded like ``pad_prepend``: one full, one
-    with all-zero rows inside its text, one of unknown tokens only."""
-    x = np.zeros((6, 12, feat))
-    for doc, length in enumerate((12, 9, 0, 3, 1, 6)):
+    """Seven docs of 12 rows, pre-padded like ``pad_prepend``: one full, one
+    with all-zero rows inside its text, one of unknown tokens only, and a
+    full one with a gap wide enough for dead positions inside it, so it is
+    live at position 0 and yet has fewer entries than the full one."""
+    x = np.zeros((7, 12, feat))
+    for doc, length in enumerate((12, 9, 0, 3, 1, 6, 12)):
         x[doc, 12 - length:] = rng.normal(size=(length, feat))
     x[1, 4:9] = 0.0
+    x[6, 3:9] = 0.0
     return x
 
 
 @pytest.mark.parametrize("watched", [False, True])
 def test_cnn_feature_extractor_pads_once_as_each_width_would(watched):
-    # one buffer padded by the widest margins gives each width's convolution
-    # bit for bit: outputs, and the gradients of kernels, biases and input
+    # one buffer padded by the widest margins, written over the batch's
+    # distinct positions, gives each width's convolution at every position
+    # bit for bit: the outputs at each entry's position, and the gradients
+    # of kernels, biases and input when an entry's upstream gradient is the
+    # sum of its positions' (dyadic values, so that every sum is exact)
     rng = np.random.default_rng(34)
     x = f64(padded_batch(rng, 3))
     kernels = [f64(rng.normal(size=(w, 3, 2))) for w in (2, 3, 4, 5)]
     biases = [f64(rng.normal(size=2)) for _ in kernels]
-    upstream = f64(rng.normal(size=(6, 12, 8)))
     results = []
-    for shared in (True, False):
+    for merged in (True, False):
         with T.Tape() as tape:
             tape.watch(*([x] if watched else []), *kernels, *biases)
-            if shared:
-                out, _ = L.cnn_feature_extractor(x, kernels, biases)
+            if merged:
+                out, distinct = L.cnn_feature_extractor(x, kernels, biases)
+                channels = out.shape[2]
+                per_position = rng.integers(-8, 9, size=(distinct.rows.size, channels)) / 8.0
+                upstream = per_position * distinct.counts.reshape(-1, 1)
+                got = out.data
             else:
                 out = T.concat([T.relu(L.conv1d_same(x, k, b)) for k, b in zip(kernels, biases)],
                                axis=2)
-            tape.backward(inner(out, upstream))
-        results.append([out.data] + [tape.gradients.get(id(t)) for t in (x, *kernels, *biases)])
+                upstream = per_position[distinct.entry_rows]
+                got = out.data.reshape(-1, channels)[distinct.rows]
+            tape.backward(inner(out, upstream.reshape(out.shape)))
+        results.append([got.reshape(-1, channels)]
+                       + [tape.gradients.get(id(t)) for t in (x, *kernels, *biases)])
+    assert (distinct.counts > 1).any()
     for got, want in zip(*results):
         if want is None:
             assert got is None
         else:
             npt.assert_array_equal(got, want)
+    # padding entries repeat entry 0, as dynamic_routing wants of a
+    # zero-weight capsule; doc 6 is live there, doc 2 dead
+    padding = distinct.counts == 0
+    assert padding[6].any() and distinct.counts[6, 0] == 1 and padding[2].any()
+    entries = results[0][0].reshape(7, -1, channels)
+    npt.assert_array_equal(entries[padding],
+                           np.broadcast_to(entries[:, :1], entries.shape)[padding])
 
 
 def test_cnn_feature_extractor_live_positions():
     # live where a window of some width covers a nonzero row: for widths
-    # 2..5 that is rows t-2 .. t+2
+    # 2..5 that is rows t-2 .. t+2. Each live position is its own entry;
+    # one entry stands for all of a document's dead ones.
     rng = np.random.default_rng(35)
     x = padded_batch(rng, 3)
     kernels = [f64(rng.normal(size=(w, 3, 2))) for w in (2, 3, 4, 5)]
     biases = [T.zeros((2,), np.float64) for _ in kernels]
-    _, live = L.cnn_feature_extractor(f64(x), kernels, biases)
+    _, distinct = L.cnn_feature_extractor(f64(x), kernels, biases)
     rows = x.any(axis=2)
-    want = np.array([[rows[n, max(t - 2, 0):t + 3].any() for t in range(12)] for n in range(6)])
-    npt.assert_array_equal(live, want)
-    assert live[0].all() and not live[2].any() and not live[1, 6]
+    live = np.array([[rows[n, max(t - 2, 0):t + 3].any() for t in range(12)] for n in range(7)])
+    assert live[0].all() and not live[2].any() and not live[1, 6] and not live[6, 6]
+    counts, entry = distinct.counts, distinct.entry
+    reads = distinct.rows.reshape(counts.shape)
+    for n in range(7):
+        own = entry[n, live[n]]
+        assert len(set(own)) == len(own) and (counts[n, own] == 1).all()
+        npt.assert_array_equal(reads[n, own], n * 12 + np.flatnonzero(live[n]))
+        dead = entry[n, ~live[n]]
+        if len(dead):
+            assert (dead == dead[0]).all() and counts[n, dead[0]] == len(dead)
+            assert dead[0] not in own
+        assert counts[n].sum() == 12

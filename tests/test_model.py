@@ -194,7 +194,7 @@ MERGE_TEXTS = [
 ]
 
 
-def merge_model(axis, share=True):
+def merge_model(axis, share=True, filters=4):
     config = toy_config(max_len=12, primary_caps_per_pos=2, routing_iters=3, dropout=0.0,
                         softmax_axis=axis, share_pair_weights=share, embed_trainable=True)
     docs = [LabeledText(text, i % 2) for i, text in enumerate(MERGE_TEXTS)]
@@ -202,7 +202,7 @@ def merge_model(axis, share=True):
     table = random_embeddings(vocab, config.embed_dim, config.seed)
     table.vectors = table.vectors * 20.0  # a healthy scale for the double squash
     model = TextClassifier(config, vocab, table, AblationConfig(variant="cnn_capsule",
-                                                                cnn_filter_count=4),
+                                                                cnn_filter_count=filters),
                            dtype=np.float64)
     # nonzero biases: at zero ones a dead position's ReLU would pass back no gradient
     rng = np.random.default_rng(5)
@@ -227,18 +227,39 @@ def routed(monkeypatch):
 
 def probs_routing_grads(model, ids, labels, merge):
     """Probabilities, routing and parameter gradients of the model's path, or
-    of the same stages with every position routed."""
+    of the same stages with features computed and routed at every position:
+    each width's ``conv1d_same``, ReLU and concat, then capsules of every
+    position (no ``DistinctPositions``)."""
     params = model.parameters()
     with T.Tape() as tape:
         tape.watch(*params.values())
         if merge:
             logits = model.logits(ids)
         else:
-            features, _ = model.extractor.forward(L.embedding_forward(model.embedding, ids), None)
+            embedded = L.embedding_forward(model.embedding, ids)
+            cnn = model.extractor
+            features = T.concat([T.relu(L.conv1d_same(embedded, k, b))
+                                 for k, b in zip(cnn.kernels, cnn.biases)], axis=2)
             logits = model.head.forward(model.aggregator.forward(features, None))
         tape.backward(softmax_cross_entropy(logits, labels))
         grads = {name: tape.grad(p).data for name, p in params.items()}
     return T.softmax(logits, axis=1).data, model.last_routing, grads
+
+
+def assert_matches_every_position(model, ids, labels):
+    """The model's path against the every-position reference, to 1e-12."""
+    t_caps = model.config.max_len * model.config.primary_caps_per_pos
+    probs, routing, grads = probs_routing_grads(model, ids, labels, merge=True)
+    want_probs, want_routing, want_grads = probs_routing_grads(model, ids, labels, merge=False)
+    npt.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
+    assert routing.logits.shape == want_routing.logits.shape == (len(ids), t_caps, 3)
+    npt.assert_allclose(routing.logits, want_routing.logits, rtol=0, atol=1e-12)
+    assert len(routing.coupling_history) == 3
+    for got, want in zip(routing.coupling_history, want_routing.coupling_history):
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for name, want in want_grads.items():
+        scale = max(np.abs(want).max(), 1e-300)
+        assert np.abs(grads[name] - want).max() <= 1e-12 * scale, name
 
 
 @pytest.mark.parametrize("axis", ["output_caps", "input_caps"])
@@ -248,20 +269,10 @@ def test_cnn_capsule_routes_dead_positions_once_with_the_same_result(axis, monke
     t_caps = model.config.max_len * model.config.primary_caps_per_pos
     for docs in (slice(None), slice(1, None)):  # with and without the doc that fills max_len
         ids, labels = batch.token_ids[docs], batch.labels[docs]
-        probs, routing, grads = probs_routing_grads(model, ids, labels, merge=True)
-        merged_caps, weights = calls[-1]
+        assert_matches_every_position(model, ids, labels)
+        (merged_caps, weights), reference = calls[-2:]
         assert weights is not None and weights.max() > 1 and (weights == 0).any()
-        want_probs, want_routing, want_grads = probs_routing_grads(model, ids, labels, merge=False)
-        assert calls[-1] == (t_caps, None)
-        npt.assert_allclose(probs, want_probs, rtol=0, atol=1e-12)
-        assert routing.logits.shape == want_routing.logits.shape == (len(ids), t_caps, 3)
-        npt.assert_allclose(routing.logits, want_routing.logits, rtol=0, atol=1e-12)
-        assert len(routing.coupling_history) == 3
-        for got, want in zip(routing.coupling_history, want_routing.coupling_history):
-            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
-        for name, want in want_grads.items():
-            scale = max(np.abs(want).max(), 1e-300)
-            assert np.abs(grads[name] - want).max() <= 1e-12 * scale, name
+        assert reference == (t_caps, None)
     # without the full doc, fewer capsules are routed
     assert merged_caps < t_caps
 
@@ -271,3 +282,19 @@ def test_cnn_capsule_with_per_pair_weights_routes_every_position(monkeypatch):
     calls = routed(monkeypatch)
     model.logits(batch.token_ids)
     assert calls == [(model.config.max_len * model.config.primary_caps_per_pos, None)]
+    assert_matches_every_position(model, batch.token_ids[1:], batch.labels[1:])
+
+
+def test_cnn_capsule_step_records_no_every_position_features():
+    # the CNN computes, stores and back-propagates its features at each
+    # document's distinct positions only: no tape node holds T rows of all
+    # channels, or of one width's
+    model, batch = merge_model("output_caps", filters=5)  # a count no other extent has
+    ids, labels = batch.token_ids[1:], batch.labels[1:]  # no doc fills max_len
+    t_len, channels = model.config.max_len, (5, model.extractor.width)
+    with T.Tape() as tape:
+        tape.watch(*model.parameters().values())
+        tape.backward(softmax_cross_entropy(model.logits(ids), labels))
+    shapes = [node.output.shape for node in tape.nodes]
+    features = [s for s in shapes if len(s) == 3 and s[2] in channels]
+    assert features and all(s[1] < t_len for s in features)
