@@ -100,6 +100,10 @@ def init_gru(rng, input_size: int, hidden_size: int, dtype=np.float32) -> GruPar
     return gru_params(drawing(rng, dtype), "gru", input_size, hidden_size)
 
 
+# a recorded GRU scan zeroes smaller state entries (see run_gru)
+FLUSH_BELOW = 1e-15
+
+
 def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
             h_mask: Tensor | None = None) -> Tensor:
     """Scan a GRU over [N,T,F] -> [N,T,H] from h = 0, as one tape op.
@@ -117,24 +121,44 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     the mask above: it reaches the gates and the candidate but not the
     state carried through the interpolation, and it gets no gradient.
 
-    Forward: each weight splits into h-rows ``U`` and x-rows ``W``. One
-    [L,F]x[F,3H] GEMM over ``W_z|W_r|W_h`` plus the biases projects the
-    positions before the loop. L is T*N, or, when all-zero (padding)
-    input rows are half of them or more, the live rows only; a padding
-    row then gets the biases alone, which is what the GEMM gives it.
-    Each step adds one ``h_in.[U_z|U_r]`` and one ``(r*h_in).U_h`` GEMM.
-    Saved for the backward, all time-major: the L projected input rows,
-    the gate outputs z|r|c as [T,N,3H], the states as [T+1,N,H]
+    Forward: each weight splits into h-rows ``U`` and x-rows ``W``.
+    sigmoid(a) is computed as (1 + tanh(a/2)) / 2, which cannot
+    overflow; the 1/2 is folded once per call into the z|r columns of
+    ``W``, ``U`` and the biases. One [L,F]x[F,3H] GEMM over
+    ``W_z|W_r|W_h`` plus the biases projects the positions before the
+    loop. L is T*N, or, when all-zero (padding) input rows are half of
+    them or more, the live rows only; a padding row then gets the biases
+    alone, which is what the GEMM gives it. Each step runs one
+    ``h_in.[U_z|U_r]`` and one ``(r*h_in).U_h`` GEMM, and does its
+    pointwise work in place on [N,2H] and [N,H] arrays allocated once
+    per call, so a step allocates nothing. Saved for the backward, all
+    time-major: the L projected input rows, the gate outputs z|r|c as
+    [T,N,3H] (each step copies its own in), the states as [T+1,N,H]
     (position t reads its previous state from one end and writes its
     own to the other), and the masked states h_in as [T,N,H] when there
     is a mask.
 
-    Backward: BPTT runs the steps in reverse scan order, writing the
-    gradients of the gate pre-activations into one [T,N,3H] buffer and
-    carrying only dh between steps. dW, db and d(seq) then come from a
-    few GEMMs over that buffer flattened to [T*N,3H]; dW_x reads the
-    same L rows, and d(seq) is skipped when ``seq`` needs no gradient
-    (``tensor.needs_grad``), as for a frozen embedding.
+    Flush: a recorded scan zeroes, at each step, every state entry whose
+    magnitude is below ``FLUSH_BELOW`` (1e-15). Under near-zero biases,
+    as in a fresh model, a state decays through the padding it scans (to
+    about 1e-22 over 200 float32 steps), and the backward's GEMMs over
+    products of such values run on subnormals: one reverse direction's
+    backward took 5-6x as long (N=32, T=200, H=256). The candidate is
+    not flushed: once the state is, a candidate is that small only where
+    its bias is, and the backward reads it only elementwise. The flush
+    moves an output by a few times 1e-15 at most. An unrecorded scan has
+    no backward and does not flush.
+
+    Backward: BPTT runs the steps in reverse scan order on [N,H] and
+    [N,2H] arrays allocated once per backward. Each step copies its z,
+    r and c in, computes its pointwise factors in place, runs
+    its two GEMMs on contiguous copies of ``U_h^T`` and ``[U_z|U_r]^T``,
+    and copies the gradients of its gate pre-activations into one
+    [T,N,3H] buffer; only dh is carried between steps. Saved buffers are
+    only read, so a backward can be replayed. dW, db and d(seq) then
+    come from a few GEMMs over that buffer flattened to [T*N,3H]; dW_x
+    reads the same L rows, and d(seq) is skipped when ``seq`` needs no
+    gradient (``tensor.needs_grad``), as for a frozen embedding.
 
     Shared prefix: when none of the seven inputs needs a gradient (so the
     op is not recorded), there is no ``h_mask`` and N > 1, every row
@@ -161,7 +185,9 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     w_x = np.concatenate([w.data[hid:] for w in weights], axis=1)
     u_zr = np.concatenate([w.data[:hid] for w in weights[:2]], axis=1)
     u_h = params.w_h.data[:hid]
-    bias = np.concatenate([params.b_z.data, params.b_r.data, params.b_h.data])
+    # sigmoid(a) = (1 + tanh(a/2)) / 2: the 1/2 is folded into the z|r columns
+    half = np.repeat(np.array([0.5, 0.5, 1.0], dtype), hid)
+    bias = np.concatenate([params.b_z.data, params.b_r.data, params.b_h.data]) * half
     rows = t_len * n
     x_rows = np.ascontiguousarray(seq.data.transpose(1, 0, 2)).reshape(rows, feat)
     has_text = x_rows.any(axis=1)
@@ -172,7 +198,7 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
         # where it fills half the rows or more
         live = slice(None)
     x_rows = x_rows[live]  # all dW_x needs; the full copy is freed
-    proj = x_rows @ w_x
+    proj = x_rows @ (w_x * half)
     proj += bias
     if len(x_rows) < rows:
         full = np.empty((rows, 3 * hid), proj.dtype)
@@ -186,47 +212,82 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     # position t reads h_prev from states[t + src] and writes h to states[t + dst]
     src, dst = (1, 0) if reverse else (0, 1)
     steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    recorded = any(T.needs_grad(x) for x in inputs)
     shared = 0  # leading steps, in scan order, scanned for row 0 alone
-    if n > 1 and mask is None and not any(T.needs_grad(x) for x in inputs):
+    if n > 1 and mask is None and not recorded:
         text_at = has_text.reshape(t_len, n).any(axis=1)[steps]
         shared = int(np.append(text_at, True).argmax())
     states = np.zeros((t_len + 1, n, hid), dtype)
     gates = np.empty((t_len, n, 3 * hid), dtype)  # z | r | c
     h_in_all = states[src:src + t_len] if mask is None else np.empty((t_len, n, hid), dtype)
-    with np.errstate(over="ignore"):
-        for i, t in enumerate(steps):
-            k = 1 if i < shared else n
-            h_prev = states[t + src, :k]
-            h_in = h_prev if mask is None else np.multiply(h_prev, mask, out=h_in_all[t])
-            zrc = gates[t, :k]
-            pre = h_in @ u_zr
-            pre += proj[t, :k, :2 * hid]
-            zrc[:, :2 * hid] = 1.0 / (1.0 + np.exp(-pre))
-            z, r = zrc[:, :hid], zrc[:, hid:2 * hid]
-            pre = (r * h_in) @ u_h
-            pre += proj[t, :k, 2 * hid:]
-            c = np.tanh(pre, out=zrc[:, 2 * hid:])
-            states[t + dst, :k] = (1.0 - z) * h_prev + z * c
-            if i + 1 == shared:
-                prefix = np.asarray(steps[:shared]) + dst
-                states[prefix, 1:] = states[prefix, :1]
+    u_zr_half = u_zr * 0.5
+    zr_buf, c_buf, tmp_buf = (np.empty((n, w), dtype) for w in (2 * hid, hid, hid))
+    tiny = np.empty((n, hid), bool)
+    for i, t in enumerate(steps):
+        k = 1 if i < shared else n
+        h_prev = states[t + src, :k]
+        h_in = h_prev if mask is None else np.multiply(h_prev, mask, out=h_in_all[t])
+        zr, c, tmp = zr_buf[:k], c_buf[:k], tmp_buf[:k]
+        np.matmul(h_in, u_zr_half, out=zr)
+        zr += proj[t, :k, :2 * hid]
+        np.tanh(zr, out=zr)
+        zr *= 0.5
+        zr += 0.5
+        z, r = zr[:, :hid], zr[:, hid:]
+        np.multiply(r, h_in, out=tmp)
+        np.matmul(tmp, u_h, out=c)
+        c += proj[t, :k, 2 * hid:]
+        np.tanh(c, out=c)
+        gates[t, :k, :2 * hid] = zr
+        gates[t, :k, 2 * hid:] = c
+        # h' = (1 - z) * h + z * c = h + z * (c - h)
+        np.subtract(c, h_prev, out=tmp)
+        tmp *= z
+        h = np.add(h_prev, tmp, out=states[t + dst, :k])
+        if recorded:
+            np.abs(h, out=tmp)
+            np.less(tmp, FLUSH_BELOW, out=tiny)
+            np.copyto(h, 0.0, where=tiny)
+        if i + 1 == shared:
+            prefix = np.asarray(steps[:shared]) + dst
+            states[prefix, 1:] = states[prefix, :1]
     out = np.ascontiguousarray(states[dst:dst + t_len].transpose(1, 0, 2))
 
     def back(g):
-        g_tm = g.transpose(1, 0, 2)
+        u_h_t, u_zr_t = np.ascontiguousarray(u_h.T), np.ascontiguousarray(u_zr.T)
         d_pre = np.empty((t_len, n, 3 * hid), dtype)  # d(pre-activation) of z | r | c
-        dh = np.zeros((n, hid), dtype)
+        d_zr = np.empty((n, 2 * hid), dtype)
+        z, r, c, q, dh, d_c, d_rh, dh_in, a = (np.empty((n, hid), dtype) for _ in range(9))
+        dh[:] = 0.0
         for t in reversed(steps):
-            z, r, c = gates[t, :, :hid], gates[t, :, hid:2 * hid], gates[t, :, 2 * hid:]
+            z[:], r[:], c[:] = gates[t, :, :hid], gates[t, :, hid:2 * hid], gates[t, :, 2 * hid:]
             h_in = h_in_all[t]
-            d = d_pre[t]
-            dh = dh + g_tm[t]
-            d[:, :hid] = dh * (c - states[t + src]) * z * (1.0 - z)
-            d[:, 2 * hid:] = dh * z * (1.0 - c * c)
-            d_rh = d[:, 2 * hid:] @ u_h.T
-            d[:, hid:2 * hid] = d_rh * h_in * r * (1.0 - r)
-            dh_in = d_rh * r + d[:, :2 * hid] @ u_zr.T
-            dh = dh * (1.0 - z) + (dh_in if mask is None else dh_in * mask)
+            dh += g[:, t]
+            # d(c pre) = q * (1 - c^2), with q = dh * z
+            np.multiply(dh, z, out=q)
+            np.multiply(c, c, out=a)
+            np.subtract(1.0, a, out=a)
+            np.multiply(a, q, out=d_c)
+            np.matmul(d_c, u_h_t, out=d_rh)
+            # dh becomes dh * (1 - z) = dh - q, the part carried through the interpolation
+            dh -= q
+            # d(z pre) = dh * (c - h_prev) * z * (1 - z)
+            np.subtract(c, states[t + src], out=a)
+            a *= dh
+            np.multiply(a, z, out=d_zr[:, :hid])
+            # d(r pre) = d_rh * h_in * r * (1 - r)
+            np.subtract(1.0, r, out=a)
+            a *= r
+            a *= h_in
+            np.multiply(a, d_rh, out=d_zr[:, hid:])
+            np.matmul(d_zr, u_zr_t, out=dh_in)
+            np.multiply(d_rh, r, out=a)
+            dh_in += a
+            if mask is not None:
+                dh_in *= mask
+            dh += dh_in
+            d_pre[t, :, :2 * hid] = d_zr
+            d_pre[t, :, 2 * hid:] = d_c
 
         flat = d_pre.reshape(rows, 3 * hid)
         rh = gates[:, :, hid:2 * hid] * h_in_all

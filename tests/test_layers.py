@@ -188,16 +188,18 @@ def test_bigru_time_reversal_equivariance():
                         atol=1e-9)
 
 
-def assert_run_gru_matches_unroll(rng, seq, reverse, masked):
-    """Output and all seven gradients of ``run_gru`` vs ``oracles.gru_scan``,
-    which unrolls the GRU step by step in numpy; its gradients are complex-step."""
+def run_gru_and_unroll(rng, seq, reverse, masked, dtype=np.float64):
+    """Output and all seven gradients of ``run_gru`` in ``dtype``, and the
+    same of ``oracles.gru_scan`` in float64 on the same (rounded) values:
+    it unrolls the GRU step by step in numpy; its gradients are complex-step."""
     n, t_len, feat = seq.shape
     hidden = 5
-    params = make_gru(rng, feat, hidden)
+    params = make_gru(rng, feat, hidden, dtype)
     for name in ("b_z", "b_r", "b_h"):
-        setattr(params, name, f64(rng.normal(size=hidden)))
-    mask = f64((rng.random((n, hidden)) >= 0.4) / 0.6) if masked else None
-    weight = rng.normal(size=(n, t_len, hidden))
+        setattr(params, name, T.Tensor(rng.normal(size=hidden).astype(dtype)))
+    mask = T.Tensor(((rng.random((n, hidden)) >= 0.4) / 0.6).astype(dtype)) if masked else None
+    weight = rng.normal(size=(n, t_len, hidden)).astype(dtype).astype(np.float64)
+    seq = T.Tensor(seq.data.astype(dtype))
     leaves = [seq, params.w_z, params.w_r, params.w_h, params.b_z, params.b_r, params.b_h]
     with T.Tape() as tape:
         tape.watch(*leaves)
@@ -205,8 +207,8 @@ def assert_run_gru_matches_unroll(rng, seq, reverse, masked):
         tape.backward(inner(out, weight))
         got = [out.data] + [tape.grad(leaf).data for leaf in leaves]
 
-    args = [leaf.data for leaf in leaves]
-    mask_data = None if mask is None else mask.data
+    args = [leaf.data.astype(np.float64) for leaf in leaves]
+    mask_data = None if mask is None else mask.data.astype(np.float64)
 
     def loss_wrt(k):
         def loss(value):
@@ -215,7 +217,11 @@ def assert_run_gru_matches_unroll(rng, seq, reverse, masked):
 
     want = [gru_scan(*args, reverse, mask_data)] + [complex_step(loss_wrt(k), args[k])
                                                      for k in range(len(args))]
-    for g, w in zip(got, want):
+    return got, want
+
+
+def assert_run_gru_matches_unroll(rng, seq, reverse, masked):
+    for g, w in zip(*run_gru_and_unroll(rng, seq, reverse, masked)):
         npt.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
@@ -247,6 +253,19 @@ def test_run_gru_on_padded_rows_matches_gru_step_unroll(reverse, masked, leads):
     assert_run_gru_matches_unroll(rng, padded_sequence(rng, leads), reverse, masked)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_float32_run_gru_stays_near_float64_unroll(reverse):
+    # each bound is 2.5x the worst error, over seeds 17, 1017, ..., 4017 and
+    # both directions, of a scan that computes sigmoid as 1 / (1 + exp(-a)):
+    # 1.6e-7 for the output, 8.0e-7 for the gradients (of each array's max |.|)
+    rng = np.random.default_rng(17)
+    got, want = run_gru_and_unroll(rng, padded_sequence(rng), reverse, True, np.float32)
+    assert got[0].dtype == np.float32
+    for k, (g, w) in enumerate(zip(got, want)):
+        bound = 4e-7 if k == 0 else 2e-6
+        npt.assert_allclose(g, w, rtol=0, atol=bound * np.abs(w).max())
+
+
 def test_run_gru_skips_gradient_of_a_constant_sequence():
     rng = np.random.default_rng(15)
     seq = padded_sequence(rng)
@@ -272,6 +291,25 @@ def test_run_gru_is_one_tape_op_and_keeps_dtype():
         out = L.run_gru(seq, params, reverse=True)
     assert len(tape.nodes) == 1
     assert out.shape == (2, 7, 4) and out.dtype == np.float32
+
+
+def test_recorded_run_gru_flushes_states_that_decay_through_padding():
+    # zero biases, as in a fresh model: a reverse scan's state decays through
+    # the padding in front of the text, toward float32's subnormal range
+    rng = np.random.default_rng(18)
+    seq = np.zeros((2, 120, 3), np.float32)
+    seq[:, -4:] = rng.normal(size=(2, 4, 3))
+    params = make_gru(rng, 3, 4, np.float32)
+    unrecorded = L.run_gru(T.Tensor(seq), params, reverse=True).data
+    with T.Tape() as tape:
+        tape.watch(params.w_z)
+        recorded = L.run_gru(T.Tensor(seq), params, reverse=True).data
+
+    def tiny(h):
+        return (h != 0) & (np.abs(h) < L.FLUSH_BELOW)
+
+    assert tiny(unrecorded).any() and not tiny(recorded).any()
+    npt.assert_allclose(recorded, unrecorded, rtol=0, atol=3 * L.FLUSH_BELOW)
 
 
 # per case: each row's count of leading zero (padding) positions, and
