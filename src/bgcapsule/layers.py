@@ -100,10 +100,6 @@ def init_gru(rng, input_size: int, hidden_size: int, dtype=np.float32) -> GruPar
     return gru_params(drawing(rng, dtype), "gru", input_size, hidden_size)
 
 
-# a recorded GRU scan zeroes smaller state entries (see run_gru)
-FLUSH_BELOW = 1e-15
-
-
 def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
             h_mask: Tensor | None = None) -> Tensor:
     """Scan a GRU over [N,T,F] -> [N,T,H] from h = 0, as one tape op.
@@ -137,17 +133,6 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     (position t reads its previous state from one end and writes its
     own to the other), and the masked states h_in as [T,N,H] when there
     is a mask.
-
-    Flush: a recorded scan zeroes, at each step, every state entry whose
-    magnitude is below ``FLUSH_BELOW`` (1e-15). Under near-zero biases,
-    as in a fresh model, a state decays through the padding it scans (to
-    about 1e-22 over 200 float32 steps), and the backward's GEMMs over
-    products of such values run on subnormals: one reverse direction's
-    backward took 5-6x as long (N=32, T=200, H=256). The candidate is
-    not flushed: once the state is, a candidate is that small only where
-    its bias is, and the backward reads it only elementwise. The flush
-    moves an output by a few times 1e-15 at most. An unrecorded scan has
-    no backward and does not flush.
 
     Backward: BPTT runs the steps in reverse scan order on [N,H] and
     [N,2H] arrays allocated once per backward. Each step copies its z,
@@ -212,9 +197,8 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     # position t reads h_prev from states[t + src] and writes h to states[t + dst]
     src, dst = (1, 0) if reverse else (0, 1)
     steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    recorded = any(T.needs_grad(x) for x in inputs)
     shared = 0  # leading steps, in scan order, scanned for row 0 alone
-    if n > 1 and mask is None and not recorded:
+    if n > 1 and mask is None and not any(T.needs_grad(x) for x in inputs):
         text_at = has_text.reshape(t_len, n).any(axis=1)[steps]
         shared = int(np.append(text_at, True).argmax())
     states = np.zeros((t_len + 1, n, hid), dtype)
@@ -222,7 +206,6 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     h_in_all = states[src:src + t_len] if mask is None else np.empty((t_len, n, hid), dtype)
     u_zr_half = u_zr * 0.5
     zr_buf, c_buf, tmp_buf = (np.empty((n, w), dtype) for w in (2 * hid, hid, hid))
-    tiny = np.empty((n, hid), bool)
     for i, t in enumerate(steps):
         k = 1 if i < shared else n
         h_prev = states[t + src, :k]
@@ -243,11 +226,7 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
         # h' = (1 - z) * h + z * c = h + z * (c - h)
         np.subtract(c, h_prev, out=tmp)
         tmp *= z
-        h = np.add(h_prev, tmp, out=states[t + dst, :k])
-        if recorded:
-            np.abs(h, out=tmp)
-            np.less(tmp, FLUSH_BELOW, out=tiny)
-            np.copyto(h, 0.0, where=tiny)
+        np.add(h_prev, tmp, out=states[t + dst, :k])
         if i + 1 == shared:
             prefix = np.asarray(steps[:shared]) + dst
             states[prefix, 1:] = states[prefix, :1]

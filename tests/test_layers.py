@@ -293,25 +293,6 @@ def test_run_gru_is_one_tape_op_and_keeps_dtype():
     assert out.shape == (2, 7, 4) and out.dtype == np.float32
 
 
-def test_recorded_run_gru_flushes_states_that_decay_through_padding():
-    # zero biases, as in a fresh model: a reverse scan's state decays through
-    # the padding in front of the text, toward float32's subnormal range
-    rng = np.random.default_rng(18)
-    seq = np.zeros((2, 120, 3), np.float32)
-    seq[:, -4:] = rng.normal(size=(2, 4, 3))
-    params = make_gru(rng, 3, 4, np.float32)
-    unrecorded = L.run_gru(T.Tensor(seq), params, reverse=True).data
-    with T.Tape() as tape:
-        tape.watch(params.w_z)
-        recorded = L.run_gru(T.Tensor(seq), params, reverse=True).data
-
-    def tiny(h):
-        return (h != 0) & (np.abs(h) < L.FLUSH_BELOW)
-
-    assert tiny(unrecorded).any() and not tiny(recorded).any()
-    npt.assert_allclose(recorded, unrecorded, rtol=0, atol=3 * L.FLUSH_BELOW)
-
-
 # per case: each row's count of leading zero (padding) positions, and
 # (row, position) pairs of zero (OOV) rows after them
 SHARED_PREFIX_CASES = {
