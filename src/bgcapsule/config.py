@@ -79,7 +79,6 @@ class ModelConfig(_DictConvertible):
     head_activation: str = "relu"
     softmax_axis: str = "output_caps"
     embed_trainable: bool = False
-    share_pair_weights: bool = True
     truncate_keep: str = "first"
 
     def validate(self) -> "ModelConfig":
@@ -139,7 +138,12 @@ def read_run_entries(data) -> tuple[ModelConfig, AblationConfig]:
     """Both configs from a mapping holding the ``run_entries`` pair; other keys are ignored."""
     if not isinstance(data, dict) or not all(key in data for key in RUN_KEYS):
         raise ConfigError(f"a run configuration needs a mapping with the keys {list(RUN_KEYS)}")
-    return ModelConfig.from_dict(data["config"]), AblationConfig.from_dict(data["ablation"])
+    config = data["config"]
+    if isinstance(config, dict) and "share_pair_weights" in config:  # older files carry true
+        config = dict(config)
+        if config.pop("share_pair_weights") is not True:
+            raise ConfigError("ModelConfig.share_pair_weights must be true: shared weights only")
+    return ModelConfig.from_dict(config), AblationConfig.from_dict(data["ablation"])
 
 
 def _unique_keys(pairs) -> dict:

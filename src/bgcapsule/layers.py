@@ -3,8 +3,8 @@ agreement routing, and the dense head that gives class logits.
 
 Shapes use N for batch, T for sequence length, F for features, I/J for
 capsule counts in the lower/upper layer, and D for capsule dimension.
-Every op here is recorded on the active tape and passes gradient
-checking; see ``gradsuite``. A GRU scans a whole sequence as one op.
+Every op here is recorded on the active tape and passes the gradient
+checks of ``tests/gradsuite.py``. A GRU scans a whole sequence as one op.
 """
 
 from __future__ import annotations
@@ -379,19 +379,13 @@ def distinct_positions(live: np.ndarray) -> DistinctPositions:
 
 
 def primary_capsules(features: Tensor, weight: Tensor, bias: Tensor,
-                     caps_per_pos: int, caps_dim: int,
-                     distinct: DistinctPositions | None = None) -> Tensor:
+                     caps_per_pos: int, caps_dim: int) -> Tensor:
     """Project features into capsules, row by row, and squash.
 
     [N,R,F] with weight [F, caps_per_pos*caps_dim] -> [N, R*caps_per_pos, caps_dim],
     where the R rows are every position, or the entries of a
     ``DistinctPositions``, whose capsules routing then weighs by count.
-    Given ``distinct``, the features are its entries, [N,K,F], and their
-    capsules are laid out over every position instead, [N, T*caps_per_pos,
-    caps_dim]: each entry row is projected once and each position reads
-    its entry's capsules. The backward then adds up the gradient of the
-    positions of each entry before the GEMMs, so an entry gets the sum of
-    what its positions get. The projection (GEMM, bias, layout) is one op.
+    The projection (GEMM and bias) is one op.
     """
     n, rows, feat = features.shape
     if weight.shape != (feat, caps_per_pos * caps_dim):
@@ -402,41 +396,25 @@ def primary_capsules(features: Tensor, weight: Tensor, bias: Tensor,
     flat = features.data.reshape(n * rows, feat)
     projected = flat @ weight.data
     projected += bias.data
-    to_entry = None if distinct is None else distinct.entry_rows
-    out = projected if to_entry is None else projected[to_entry]
     features_grad = T.needs_grad(features)
 
     def back(g):
-        g = g.reshape(out.shape)
-        if to_entry is not None:
-            summed = np.zeros_like(projected)
-            np.add.at(summed, to_entry, g)
-            g = summed
+        g = g.reshape(projected.shape)
         grad_w = flat.T @ g
         grad_b = g.sum(axis=0)
         grad_f = (g @ weight.data.T).reshape(features.shape) if features_grad else None
         return (grad_f, grad_w, grad_b)
 
-    caps = record_op(out.reshape(n, -1, caps_dim), (features, weight, bias), back)
+    caps = record_op(projected.reshape(n, -1, caps_dim), (features, weight, bias), back)
     return squash(caps, axis=-1)
 
 
 def predict_vectors(u: Tensor, weights: Tensor) -> Tensor:
-    """Per-pair votes u_hat[j|i] = W_ij u_i.
-
-    ``weights`` is either [J, D, D'] (shared over input capsules) or
-    [J, I, D, D'] (one matrix per pair); u is [N, I, D]. Returns
-    [N, J, I, D'].
-    """
-    if weights.ndim == 3:
-        if weights.shape[1] != u.shape[2]:
-            raise DimensionError(f"prediction weights {weights.shape} vs capsules {u.shape}")
-        return T.einsum2("nid,jde->njie", u, weights)
-    if weights.ndim == 4:
-        if weights.shape[1] != u.shape[1] or weights.shape[2] != u.shape[2]:
-            raise DimensionError(f"prediction weights {weights.shape} vs capsules {u.shape}")
-        return T.einsum2("nid,jide->njie", u, weights)
-    raise DimensionError(f"prediction weights must have rank 3 or 4, got {weights.shape}")
+    """Votes u_hat[j|i] = W_j u_i [N, J, I, D'] of capsules u [N, I, D], each
+    upper capsule's ``weights`` [J, D, D'] shared by every input capsule."""
+    if weights.ndim != 3 or weights.shape[1] != u.shape[2]:
+        raise DimensionError(f"weights {weights.shape} are not [J, D, D'] for capsules {u.shape}")
+    return T.einsum2("nid,jde->njie", u, weights)
 
 
 @dataclass

@@ -91,13 +91,10 @@ class CnnExtractor:
 class CapsuleRouting:
     """Primary capsules per position, votes, agreement routing, flattened.
 
-    Given features over the entries of a ``layers.DistinctPositions``
-    and shared pair weights, equal positions give equal capsules, votes
-    and couplings, so the entries are projected, voted and routed as they
-    are, each dead entry counting for all the positions it stands for
-    (routing weighs it by that count). With per-pair weights no two
-    positions share a vote: ``primary_capsules`` lays the entries'
-    capsules out over every position, and every position is routed.
+    The vote weights [J, D, D'] are shared by every input capsule, so over
+    the entries of a ``layers.DistinctPositions`` equal positions give
+    equal capsules, votes and couplings: each entry is projected, voted and
+    routed once, weighed by the count of positions it stands for.
 
     ``last_routing`` holds the couplings of the latest forward pass, over
     every position's capsules [N, T*P, J] either way.
@@ -110,22 +107,17 @@ class CapsuleRouting:
         caps_out = cfg.primary_caps_per_pos * cfg.caps_dim
         self.caps_w = param("primary_caps.w", (in_width, caps_out))
         self.caps_b = param("primary_caps.b", (caps_out,))
-        inputs = () if cfg.share_pair_weights else (cfg.max_len * cfg.primary_caps_per_pos,)
-        pair_shape = (cfg.routed_caps, *inputs, cfg.caps_dim, cfg.routed_caps_dim)
-        self.pair_w = param("routing.pair_w", pair_shape)
+        self.pair_w = param("routing.pair_w", (cfg.routed_caps, cfg.caps_dim, cfg.routed_caps_dim))
         self.width = cfg.routed_caps * cfg.routed_caps_dim
 
     def forward(self, features: Tensor, distinct: L.DistinctPositions | None = None) -> Tensor:
         cfg = self.cfg
         per_pos = cfg.primary_caps_per_pos
-        merged = distinct is not None and cfg.share_pair_weights
-        caps = L.primary_capsules(features, self.caps_w, self.caps_b, per_pos, cfg.caps_dim,
-                                  None if merged else distinct)
-        u_hat = L.predict_vectors(caps, self.pair_w)
-        counts = np.repeat(distinct.counts, per_pos, axis=1) if merged else None
-        v, routing = L.dynamic_routing(u_hat, cfg.routing_iters,
+        caps = L.primary_capsules(features, self.caps_w, self.caps_b, per_pos, cfg.caps_dim)
+        counts = None if distinct is None else np.repeat(distinct.counts, per_pos, axis=1)
+        v, routing = L.dynamic_routing(L.predict_vectors(caps, self.pair_w), cfg.routing_iters,
                                        normalize_over=cfg.softmax_axis, weights=counts)
-        self.last_routing = distinct.expand(routing, per_pos) if merged else routing
+        self.last_routing = routing if distinct is None else distinct.expand(routing, per_pos)
         return T.reshape(v, (v.shape[0], -1))
 
 

@@ -4,21 +4,21 @@ Runs each op that ``tensor``, ``layers`` and ``training`` record at
 small shapes in float64, and sweeps every parameter of a tiny model end
 to end, one central difference per element. Each op check reduces its
 op's output to a scalar with ``_sq``, itself one ``einsum2``. Run it
-with ``gradsuite.run_suite(log=print)``; ``tests/test_gradsuite.py``
-requires every check to pass and every recording function to be run.
+with ``gradsuite.run_suite(log=print)``; ``test_gradsuite.py`` requires
+every check to pass and every recording function to be run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import layers as L
-from . import tensor as T
-from .config import VARIANTS, AblationConfig, ModelConfig
-from .model import TextClassifier
-from .tensor import GradCheckReport, Tensor, grad_check
-from .text import LabeledText
-from .training import cross_entropy, prepare_split, softmax_cross_entropy
+from bgcapsule import layers as L
+from bgcapsule import tensor as T
+from bgcapsule.config import VARIANTS, AblationConfig, ModelConfig
+from bgcapsule.model import TextClassifier
+from bgcapsule.tensor import GradCheckReport, Tensor, grad_check
+from bgcapsule.text import LabeledText
+from bgcapsule.training import cross_entropy, prepare_split, softmax_cross_entropy
 
 OP_TOL = 1e-4
 MODEL_TOL = 1e-3
@@ -86,10 +86,7 @@ def _op_checks() -> list[GradCheckReport]:
     check("bigru/padded_w_z", lambda _: bigru(padded_seq), p_fwd.w_z)
 
     u = Tensor(rng.normal(size=(1, 3, 3)), dtype=np.float64)
-    check("predict_vectors/shared", lambda t: _sq(L.predict_vectors(u, t)),
-          rng.normal(size=(2, 3, 4)))
-    check("predict_vectors/per_pair", lambda t: _sq(L.predict_vectors(u, t)),
-          rng.normal(size=(2, 3, 3, 4)))
+    check("predict_vectors", lambda t: _sq(L.predict_vectors(u, t)), rng.normal(size=(2, 3, 4)))
 
     # weights as capsule merging gives them: counts, and 0 on a padding entry
     u_hat = rng.normal(size=(2, 2, 3, 4))
@@ -146,10 +143,8 @@ def _op_checks() -> list[GradCheckReport]:
     caps_w = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
     caps_b = Tensor(rng.normal(size=(3,)), dtype=np.float64)
 
-    def cnn_caps(t, per_pair=False):
+    def cnn_caps(t):
         features, distinct = L.cnn_feature_extractor(t, cnn_kernels, cnn_biases)
-        if per_pair:  # laid out over every position
-            return _sq(L.primary_capsules(features, caps_w, caps_b, 1, 3, distinct))
         caps = L.primary_capsules(features, caps_w, caps_b, 1, 3)
         root_counts = Tensor(np.sqrt(distinct.counts), dtype=np.float64)
         return _sq(T.einsum2("nid,ni->nid", caps, root_counts))
@@ -158,8 +153,6 @@ def _op_checks() -> list[GradCheckReport]:
     check("cnn_capsules/x", cnn_caps, cnn_x)
     check("cnn_capsules/kernel", lambda _: cnn_caps(cnn_x_t), cnn_kernels[1])
     check("cnn_capsules/bias", lambda _: cnn_caps(cnn_x_t), cnn_biases[0])
-    check("cnn_capsules/per_pair_x", lambda t: cnn_caps(t, per_pair=True), cnn_x)
-    check("cnn_capsules/per_pair_w", lambda _: cnn_caps(cnn_x_t, per_pair=True), caps_w)
 
     return reports
 

@@ -199,6 +199,25 @@ def test_config_file_holds_the_config_entries_of_the_header(saved, tmp_path):
         "config": header["config"], "ablation": header["ablation"]}
 
 
+def test_header_with_the_old_shared_weights_key_loads_the_same_model(saved):
+    _, path, ids = saved
+    want = load_model(path)
+    rewrite_header(path, lambda h: h["config"].update(share_pair_weights=True))
+    loaded = load_model(path)
+    assert loaded.config == want.config
+    assert loaded.forward(ids).data.tobytes() == want.forward(ids).data.tobytes()
+    text = "alpha beta unknown gamma"
+    assert loaded.predict_text(text)[1].tobytes() == want.predict_text(text)[1].tobytes()
+
+
+def test_header_asking_for_per_pair_weights_raises_data_error_naming_file(saved):
+    _, path, _ = saved
+    rewrite_header(path, lambda h: h["config"].update(share_pair_weights=False))
+    with pytest.raises(DataError, match=re.escape(f"{path}: bad header: ModelConfig."
+                                                  "share_pair_weights must be true")):
+        load_model(path)
+
+
 def test_header_that_is_not_an_object_raises_data_error(saved):
     _, path, _ = saved
     blob = path.read_bytes()
@@ -221,7 +240,7 @@ def test_non_finite_payload_raises_data_error_naming_tensor(saved):
 
 def test_header_cannot_size_the_load_beyond_the_file(saved):
     _, path, _ = saved
-    rewrite_header(path, lambda h: h["config"].update(max_len=10 ** 6, share_pair_weights=False))
+    rewrite_header(path, lambda h: h["config"].update(routed_caps=10 ** 6))
     size = path.stat().st_size
     tracemalloc.start()
     try:

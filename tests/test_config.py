@@ -16,8 +16,8 @@ def write_config(tmp_path, text):
 
 
 def test_config_file_round_trip(tmp_path):
-    cfg = toy_config(bigru_sizes=[7, 5], lr=0.125, share_pair_weights=False,
-                     softmax_axis="input_caps", truncate_keep="last", head_activation="selu")
+    cfg = toy_config(bigru_sizes=[7, 5], lr=0.125, softmax_axis="input_caps",
+                     truncate_keep="last", head_activation="selu")
     ab = AblationConfig(variant="cnn_capsule", cnn_filter_widths=[2, 5], cnn_filter_count=3,
                         pool_window=2)
     path = tmp_path / "run.json"
@@ -118,3 +118,18 @@ def test_from_dict_rejects_unknown_keys_and_non_mappings(cls):
         cls.from_dict({"typo": 1})
     with pytest.raises(ConfigError, match="mapping"):
         cls.from_dict([("max_len", 16)])
+
+
+def test_config_file_with_the_old_shared_weights_key_loads(tmp_path):
+    path = write_config(tmp_path, '{"config": {"max_len": 16, "share_pair_weights": true}, '
+                                  '"ablation": {}}')
+    assert load_config_file(path) == (ModelConfig(max_len=16), AblationConfig())
+
+
+@pytest.mark.parametrize("value", [False, 1, "true", None])
+def test_config_file_asking_for_per_pair_weights_names_path_and_key(tmp_path, value):
+    text = json.dumps({"config": {"share_pair_weights": value}, "ablation": {}})
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{path}: ModelConfig.share_pair_weights must be true")):
+        load_config_file(path)

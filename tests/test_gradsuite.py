@@ -2,7 +2,9 @@ import ast
 import sys
 from pathlib import Path
 
-from bgcapsule import gradsuite, layers, model, tensor, training
+from bgcapsule import layers, model, tensor, training
+
+import gradsuite
 
 
 def _tree(module):
@@ -52,7 +54,7 @@ def test_every_gradsuite_check_passes(monkeypatch):
         assert f"bigru/{attr}" in names
     for attr in ("x", "kernel", "padded_x", "bias"):
         assert f"conv1d/{attr}" in names
-    for attr in ("x", "kernel", "bias", "per_pair_x", "per_pair_w"):
+    for attr in ("x", "kernel", "bias"):
         assert f"cnn_capsules/{attr}" in names
     for axis in ("output_caps", "input_caps"):
         assert f"dynamic_routing/{axis}" in names and f"dynamic_routing/{axis}/weighted" in names

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -438,9 +440,15 @@ def test_predict_vectors_identity_weights():
 
 def test_predict_vectors_hand_product_single_pair():
     u = f64([[[1.0, 2.0]]])  # N=1, I=1, D=2
-    w = f64([[[[3.0, 0.0], [0.0, 5.0]]]])  # J=1, I=1, D=2, D'=2  (u @ W)
+    w = f64([[[3.0, 0.0], [0.0, 5.0]]])  # J=1, D=2, D'=2  (u @ W)
     out = L.predict_vectors(u, w).data
     npt.assert_allclose(out[0, 0, 0], [3.0, 10.0])
+
+
+def test_predict_vectors_rejects_per_pair_weights():
+    u = f64(np.ones((1, 3, 2)))  # N=1, I=3, D=2
+    with pytest.raises(DimensionError, match=re.escape("(1, 3, 2, 2) are not [J, D, D']")):
+        L.predict_vectors(u, f64(np.ones((1, 3, 2, 2))))  # J=1, I=3, D=2, D'=2
 
 
 def test_predict_vectors_gradient():

@@ -67,13 +67,6 @@ def test_cnn_capsule_uses_same_routing_params(separable_docs):
     assert "routing.pair_w" in names and "primary_caps.w" in names
 
 
-def test_unshared_pair_weights_shape(separable_docs):
-    cfg = toy_config(share_pair_weights=False)
-    model, _ = build_toy_model(separable_docs, cfg)
-    assert model.parameters()["routing.pair_w"].shape == (cfg.routed_caps, cfg.max_len,
-                                                          cfg.caps_dim, cfg.routed_caps_dim)
-
-
 def test_routing_info_exposed(separable_docs):
     model, encoded = build_toy_model(separable_docs)
     model.forward(batch_of(encoded[:3]).token_ids)
@@ -194,9 +187,9 @@ MERGE_TEXTS = [
 ]
 
 
-def merge_model(axis, share=True, filters=4):
+def merge_model(axis, filters=4):
     config = toy_config(max_len=12, primary_caps_per_pos=2, routing_iters=3, dropout=0.0,
-                        softmax_axis=axis, share_pair_weights=share, embed_trainable=True)
+                        softmax_axis=axis, embed_trainable=True)
     docs = [LabeledText(text, i % 2) for i, text in enumerate(MERGE_TEXTS)]
     vocab = build_vocab([MERGE_WORDS])
     table = random_embeddings(vocab, config.embed_dim, config.seed)
@@ -275,14 +268,6 @@ def test_cnn_capsule_routes_dead_positions_once_with_the_same_result(axis, monke
         assert reference == (t_caps, None)
     # without the full doc, fewer capsules are routed
     assert merged_caps < t_caps
-
-
-def test_cnn_capsule_with_per_pair_weights_routes_every_position(monkeypatch):
-    model, batch = merge_model("output_caps", share=False)
-    calls = routed(monkeypatch)
-    model.logits(batch.token_ids)
-    assert calls == [(model.config.max_len * model.config.primary_caps_per_pos, None)]
-    assert_matches_every_position(model, batch.token_ids[1:], batch.labels[1:])
 
 
 def test_cnn_capsule_step_records_no_every_position_features():
