@@ -90,6 +90,8 @@ class ModelConfig(_DictConvertible):
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if len(self.bigru_sizes) != 2 or any(s < 1 for s in self.bigru_sizes):
             raise ConfigError(f"bigru_sizes needs two positive sizes, got {self.bigru_sizes}")
         if not 0.0 <= self.dropout < 1.0:

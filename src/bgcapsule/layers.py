@@ -411,10 +411,19 @@ def primary_capsules(features: Tensor, weight: Tensor, bias: Tensor,
 
 def predict_vectors(u: Tensor, weights: Tensor) -> Tensor:
     """Votes u_hat[j|i] = W_j u_i [N, J, I, D'] of capsules u [N, I, D], each
-    upper capsule's ``weights`` [J, D, D'] shared by every input capsule."""
+    upper capsule's ``weights`` [J, D, D'] shared by every input capsule,
+    as one recorded op whose forward and two adjoints are one einsum each."""
+    if u.ndim != 3:
+        raise DimensionError(f"capsules {u.shape} are not [N, I, D]")
     if weights.ndim != 3 or weights.shape[1] != u.shape[2]:
         raise DimensionError(f"weights {weights.shape} are not [J, D, D'] for capsules {u.shape}")
-    return T.einsum2("nid,jde->njie", u, weights)
+    ud, wd = u.data, weights.data
+
+    def back(g):
+        return (np.einsum("njie,jde->nid", g, wd, optimize=True),
+                np.einsum("nid,njie->jde", ud, g, optimize=True))
+
+    return record_op(np.einsum("nid,jde->njie", ud, wd, optimize=True), (u, weights), back)
 
 
 @dataclass
@@ -501,7 +510,7 @@ def dynamic_routing(u_hat: Tensor, iterations: int, normalize_over: str = "outpu
         du = np.matmul(np.stack(left, axis=3), np.stack(right, axis=2))
         return (du,)
 
-    return record_op(v, (u_hat,), back if grad else lambda g: (None,)), info
+    return record_op(v, (u_hat,), back), info
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Values are numpy arrays in row-major order. float32 is the working
 precision for training; build tensors with ``dtype=np.float64`` when
 checking gradients. The only broadcast is ``add_bias``'s explicit
-row-vector add. ``matmul``, ``add_bias``, ``einsum2`` and ``concat``
-each check their own operands' shapes and raise ``DimensionError``.
+row-vector add. ``matmul``, ``add_bias`` and ``concat`` each check
+their own operands' shapes and raise ``DimensionError``.
 Set ``BGC_CHECK_FINITE=1`` to assert that every op output is finite.
 
 A :class:`Tape` records ops while it is the active context, each op
@@ -285,58 +285,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def reshape(t: Tensor, shape) -> Tensor:
     out = t.data.reshape(shape)
     return record_op(out, (t,), lambda g: (g.reshape(t.shape),))
-
-
-# ---------------------------------------------------------------------------
-# two-operand einsum
-
-
-def _parse_einsum2(subscripts: str, a: Tensor, b: Tensor):
-    try:
-        in_spec, out_spec = subscripts.replace(" ", "").split("->")
-        a_spec, b_spec = in_spec.split(",")
-    except ValueError:
-        raise DimensionError(f"einsum2 spec must look like 'ab,bc->ac', got {subscripts!r}")
-    for spec, t in ((a_spec, a), (b_spec, b)):
-        if len(spec) != t.ndim:
-            raise DimensionError(f"spec {spec!r} does not match shape {t.shape}")
-        if len(set(spec)) != len(spec):
-            raise DimensionError(f"repeated index in operand spec {spec!r} is not supported")
-    known = set(a_spec) | set(b_spec)
-    if not set(out_spec) <= known:
-        raise DimensionError(f"output indices {out_spec!r} not all bound by inputs")
-    # every input index must survive in the other operand or the output,
-    # otherwise the adjoint einsum would be underdetermined
-    for spec, other in ((a_spec, set(b_spec) | set(out_spec)), (b_spec, set(a_spec) | set(out_spec))):
-        if not set(spec) <= other:
-            raise DimensionError(f"index summed inside a single operand in {subscripts!r}")
-    extents: dict[str, int] = {}
-    for spec, t in ((a_spec, a), (b_spec, b)):
-        for letter, extent in zip(spec, t.shape):
-            if extents.setdefault(letter, extent) != extent:
-                raise DimensionError(
-                    f"extent mismatch for index {letter!r} in {subscripts!r}: "
-                    f"{a.shape} vs {b.shape}"
-                )
-    return a_spec, b_spec, out_spec
-
-
-def einsum2(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
-    """Differentiable two-operand einsum for batched contractions.
-
-    Each index must appear in at least two of (a, b, output) so both
-    adjoints are plain einsums; diagonals are rejected.
-    """
-    a_spec, b_spec, out_spec = _parse_einsum2(subscripts, a, b)
-    ad, bd = a.data, b.data
-    out = np.einsum(subscripts, ad, bd, optimize=True)
-
-    def back(g):
-        ga = np.einsum(f"{out_spec},{b_spec}->{a_spec}", g, bd, optimize=True)
-        gb = np.einsum(f"{a_spec},{out_spec}->{b_spec}", ad, g, optimize=True)
-        return (ga, gb)
-
-    return record_op(out, (a, b), back)
 
 
 # ---------------------------------------------------------------------------

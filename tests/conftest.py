@@ -60,12 +60,14 @@ def toy_model(separable_docs):
 
 
 def inner(a, b=None):
-    """sum(a * b) as one taped ``einsum2``: the scalar objective of the
-    tests' backward passes. ``b`` defaults to ``a``; an array or a number
-    is a constant broadcast to ``a``'s shape, so ``inner(a, 1)`` is sum(a)."""
+    """sum(a * b) as a taped [1, K] x [K, 1] ``matmul``: the scalar objective
+    of the tests' backward passes. ``b`` defaults to ``a``; an array or a
+    number is a constant broadcast to ``a``'s shape, so ``inner(a, 1)`` is
+    sum(a)."""
     if b is None:
         b = a
     elif not isinstance(b, T.Tensor):
         b = T.Tensor(np.broadcast_to(b, a.shape).astype(a.dtype))
-    spec = "abcdefgh"[:a.ndim]
-    return T.einsum2(f"{spec},{spec}->", a, b)
+    assert b.shape == a.shape, f"inner of {a.shape} and {b.shape}"
+    k = a.size
+    return T.reshape(T.matmul(T.reshape(a, (1, k)), T.reshape(b, (k, 1))), ())

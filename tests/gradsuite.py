@@ -3,9 +3,10 @@
 Runs each op that ``tensor``, ``layers`` and ``training`` record at
 small shapes in float64, and sweeps every parameter of a tiny model end
 to end, one central difference per element. Each op check reduces its
-op's output to a scalar with ``_sq``, itself one ``einsum2``. Run it
-with ``gradsuite.run_suite(log=print)``; ``test_gradsuite.py`` requires
-every check to pass and every recording function to be run.
+op's output to a scalar with ``_sq``, itself one ``matmul`` between two
+reshapes. Run it with ``gradsuite.run_suite(log=print)``;
+``test_gradsuite.py`` requires every check to pass and every recording
+function to be run.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ MODEL_TOL = 1e-3
 
 
 def _sq(t):
-    """Sum of squares of ``t``, as one taped contraction."""
-    spec = "abcdefgh"[:t.ndim]
-    return T.einsum2(f"{spec},{spec}->", t, t)
+    """Sum of squares of ``t``, as the taped [1, K] x [K, 1] ``matmul``."""
+    k = t.size
+    return T.reshape(T.matmul(T.reshape(t, (1, k)), T.reshape(t, (k, 1))), ())
 
 
 def _op_checks() -> list[GradCheckReport]:
@@ -47,15 +48,16 @@ def _op_checks() -> list[GradCheckReport]:
     check("add_bias", lambda t: _sq(T.add_bias(t, bias)), rng.normal(size=(3, 4)))
     check("softmax", lambda t: _sq(T.softmax(t, axis=1)), rng.normal(size=(3, 5)))
 
+    column = Tensor(np.array([[1.0], [-2.0], [0.5], [3.0]]), dtype=np.float64)
+
     def structural(t):
         grid = T.reshape(t, (3, 4))
-        row_norms = T.reshape(T.einsum2("ab,ab->a", grid, grid), (3, 1))
-        return _sq(T.concat([grid, row_norms], axis=1))
+        return _sq(T.concat([grid, T.matmul(grid, column)], axis=1))
 
     check("structural", structural, rng.normal(size=(12,)))
 
     w_shared = Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64)
-    check("einsum2", lambda t: _sq(T.einsum2("nid,jde->njie", t, w_shared)),
+    check("predict_vectors/u", lambda t: _sq(L.predict_vectors(t, w_shared)),
           rng.normal(size=(1, 5, 3)))
 
     check("squash", lambda t: _sq(L.squash(t)), rng.normal(size=(20,)))
@@ -86,7 +88,8 @@ def _op_checks() -> list[GradCheckReport]:
     check("bigru/padded_w_z", lambda _: bigru(padded_seq), p_fwd.w_z)
 
     u = Tensor(rng.normal(size=(1, 3, 3)), dtype=np.float64)
-    check("predict_vectors", lambda t: _sq(L.predict_vectors(u, t)), rng.normal(size=(2, 3, 4)))
+    check("predict_vectors/weights", lambda t: _sq(L.predict_vectors(u, t)),
+          rng.normal(size=(2, 3, 4)))
 
     # weights as capsule merging gives them: counts, and 0 on a padding entry
     u_hat = rng.normal(size=(2, 2, 3, 4))
@@ -146,8 +149,8 @@ def _op_checks() -> list[GradCheckReport]:
     def cnn_caps(t):
         features, distinct = L.cnn_feature_extractor(t, cnn_kernels, cnn_biases)
         caps = L.primary_capsules(features, caps_w, caps_b, 1, 3)
-        root_counts = Tensor(np.sqrt(distinct.counts), dtype=np.float64)
-        return _sq(T.einsum2("nid,ni->nid", caps, root_counts))
+        root_counts = Tensor(np.diag(np.sqrt(distinct.counts).ravel()), dtype=np.float64)
+        return _sq(T.matmul(root_counts, T.reshape(caps, (-1, caps.shape[2]))))
 
     cnn_x_t = Tensor(cnn_x, dtype=np.float64)
     check("cnn_capsules/x", cnn_caps, cnn_x)

@@ -3,9 +3,10 @@
 Everything here but ``routing_taped`` is deliberately written
 straight-line, without touching the package's tape or layer code, so
 the tests compare two separate routes to the same numbers.
-``routing_taped`` composes agreement routing from the tape's own ops,
-so the fused ``layers.dynamic_routing`` and its hand-written backward
-are checked against what the tape derives op by op.
+``routing_taped`` composes agreement routing from the tape's own ops
+and a test-local contraction op, so the fused
+``layers.dynamic_routing`` and its hand-written backward are checked
+against what the tape derives op by op.
 
 ``gru_scan`` and ``complex_step`` give ``layers.run_gru``'s output and
 every gradient without the tape: the scan runs in plain numpy, and
@@ -141,10 +142,21 @@ def _taped_add(a, b):
     return T.record_op(a.data + b.data, (a, b), lambda g: (g, g))
 
 
+def _taped_contract(spec, a, b):
+    """``np.einsum(spec, a, b)`` for a spec "x,y->z" whose every index is
+    in two of x, y and z, so each adjoint is the einsum of the other two."""
+    x, y, z = spec.replace("->", ",").split(",")
+    ad, bd = a.data, b.data
+    return T.record_op(np.einsum(spec, ad, bd), (a, b),
+                       lambda g: (np.einsum(f"{z},{y}->{x}", g, bd),
+                                  np.einsum(f"{x},{z}->{y}", ad, g)))
+
+
 def routing_taped(u_hat, iterations, normalize_over="output_caps"):
     """Agreement routing over [N, J, I, D'] composed of tape ops: softmax,
-    ``einsum2``, squash and add per iteration. Returns (v, final logits
-    [N, I, J], coupling history), like ``layers.dynamic_routing``."""
+    the vote-sum and agreement contractions, squash and add per
+    iteration. Returns (v, final logits [N, I, J], coupling history),
+    like ``layers.dynamic_routing``."""
     n, j_count, i_count, _ = u_hat.shape
     axis = 2 if normalize_over == "output_caps" else 1
     b = T.zeros((n, i_count, j_count), u_hat.dtype)
@@ -152,8 +164,8 @@ def routing_taped(u_hat, iterations, normalize_over="output_caps"):
     for _ in range(iterations):
         c = T.softmax(b, axis=axis)
         history.append(c.data)
-        v = L.squash(T.einsum2("nij,njie->nje", c, u_hat), axis=-1)
-        b = _taped_add(b, T.einsum2("njie,nje->nij", u_hat, v))
+        v = L.squash(_taped_contract("nij,njie->nje", c, u_hat), axis=-1)
+        b = _taped_add(b, _taped_contract("njie,nje->nij", u_hat, v))
     return v, b.data, history
 
 

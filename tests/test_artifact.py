@@ -168,6 +168,7 @@ HEADER_MUTATIONS = {
     "max_len_as_string": lambda h: h["config"].update(max_len="16"),
     "max_len_as_bool": lambda h: h["config"].update(max_len=True),
     "lr_not_finite": lambda h: h["config"].update(lr=float("nan")),
+    "seed_negative": lambda h: h["config"].update(seed=-1),
     "filter_widths_as_int": lambda h: h["ablation"].update(cnn_filter_widths=3),
     "unknown_variant": lambda h: h["ablation"].update(variant="transformer"),
     "config_as_list": lambda h: h.update(config=[1, 2]),

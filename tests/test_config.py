@@ -58,6 +58,12 @@ def test_config_file_rejects_non_finite_lr(tmp_path):
             load_config_file(path)
 
 
+def test_config_file_rejects_a_negative_seed(tmp_path):
+    path = write_config(tmp_path, '{"config": {"seed": -1}, "ablation": {}}')
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: seed must be >= 0")):
+        load_config_file(path)
+
+
 @pytest.mark.parametrize("text, repeated", [
     ('{"config": {"lr": 0.1, "lr": 0.01}, "ablation": {}}', "lr"),
     ('{"config": {}, "ablation": {}, "config": {"lr": 0.01}}', "config"),

@@ -56,6 +56,8 @@ def test_every_gradsuite_check_passes(monkeypatch):
         assert f"conv1d/{attr}" in names
     for attr in ("x", "kernel", "bias"):
         assert f"cnn_capsules/{attr}" in names
+    for attr in ("u", "weights"):
+        assert f"predict_vectors/{attr}" in names
     for axis in ("output_caps", "input_caps"):
         assert f"dynamic_routing/{axis}" in names and f"dynamic_routing/{axis}/weighted" in names
     failed = [r.line() for r in reports if not r.passed]

@@ -449,6 +449,28 @@ def test_predict_vectors_rejects_per_pair_weights():
     u = f64(np.ones((1, 3, 2)))  # N=1, I=3, D=2
     with pytest.raises(DimensionError, match=re.escape("(1, 3, 2, 2) are not [J, D, D']")):
         L.predict_vectors(u, f64(np.ones((1, 3, 2, 2))))  # J=1, I=3, D=2, D'=2
+    with pytest.raises(DimensionError, match=re.escape("(3, 2) are not [N, I, D]")):
+        L.predict_vectors(f64(np.ones((3, 2))), f64(np.ones((1, 2, 2))))
+
+
+def test_predict_vectors_adjoints_match_plain_sums():
+    rng = np.random.default_rng(15)
+    n, i_count, d, j_count, e = 2, 3, 4, 2, 3
+    u, w = f64(rng.normal(size=(n, i_count, d))), f64(rng.normal(size=(j_count, d, e)))
+    g = rng.normal(size=(n, j_count, i_count, e))
+    with T.Tape() as tape:
+        tape.watch(u, w)
+        tape.backward(inner(L.predict_vectors(u, w), g))
+    du = np.zeros(u.shape)
+    dw = np.zeros(w.shape)
+    for b, i, k in np.ndindex(u.shape):
+        du[b, i, k] = sum(g[b, j, i, f] * w.data[j, k, f]
+                          for j in range(j_count) for f in range(e))
+    for j, k, f in np.ndindex(w.shape):
+        dw[j, k, f] = sum(g[b, j, i, f] * u.data[b, i, k]
+                          for b in range(n) for i in range(i_count))
+    npt.assert_allclose(tape.grad(u).data, du, rtol=1e-12, atol=1e-12)
+    npt.assert_allclose(tape.grad(w).data, dw, rtol=1e-12, atol=1e-12)
 
 
 def test_predict_vectors_gradient():

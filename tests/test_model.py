@@ -172,6 +172,8 @@ def test_config_validation():
         ModelConfig(head_activation="gelu").validate()
     with pytest.raises(ConfigError):
         ModelConfig(bigru_sizes=[5]).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        ModelConfig(seed=-1).validate()
     with pytest.raises(ConfigError):
         AblationConfig(variant="other").validate()
 
