@@ -30,6 +30,7 @@ class VariantResult:
     accuracy: float
     train_accuracy: float
     parameter_count: int
+    best_epoch: int
 
 
 @dataclass
@@ -77,9 +78,11 @@ def run_ablation(split: DatasetSplit, config: ModelConfig, dataset_name: str = "
     for model, outcome, metrics in fit_and_test(train_raw, test_raw, config, ablations,
                                                 glove_path, val_fraction):
         result = VariantResult(model.ablation.variant, metrics.accuracy,
-                               outcome.final_train_acc, model.parameter_count())
+                               outcome.final_train_acc, model.parameter_count(),
+                               outcome.best_epoch)
         results[result.variant] = result
         if log:
             log(f"variant={result.variant} acc={result.accuracy:.4f} "
-                f"train_acc={result.train_accuracy:.4f} params={result.parameter_count}")
+                f"train_acc={result.train_accuracy:.4f} params={result.parameter_count} "
+                f"best_epoch={result.best_epoch}")
     return AblationResult(dataset=dataset_name, results=results)

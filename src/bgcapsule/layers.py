@@ -9,7 +9,7 @@ checks of ``tests/gradsuite.py``. A GRU scans a whole sequence as one op.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,7 +67,11 @@ def embedding_forward(table: Tensor, token_ids: np.ndarray) -> Tensor:
 
 @dataclass
 class GruParams:
-    """Gate and candidate weights over the [h, x] concatenation."""
+    """Gate and candidate weights over the [h, x] concatenation.
+
+    ``padding`` is ``run_gru``'s memo of the states over all-padding
+    input: (dtype, copies of the arrays they came from, states).
+    """
 
     w_z: Tensor  # (hidden+input, hidden)
     w_r: Tensor
@@ -75,6 +79,7 @@ class GruParams:
     b_z: Tensor  # (hidden,)
     b_r: Tensor
     b_h: Tensor
+    padding: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def hidden_size(self) -> int:
@@ -129,10 +134,10 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     pointwise work in place on [N,2H] and [N,H] arrays allocated once
     per call, so a step allocates nothing. Saved for the backward, all
     time-major: the L projected input rows, the gate outputs z|r|c as
-    [T,N,3H] (each step copies its own in), the states as [T+1,N,H]
-    (position t reads its previous state from one end and writes its
-    own to the other), and the masked states h_in as [T,N,H] when there
-    is a mask.
+    [T,N,3H] (each step copies its own in; kept only when the op is
+    recorded), the states as [T+1,N,H] (position t reads its previous
+    state from one end and writes its own to the other), and the masked
+    states h_in as [T,N,H] when there is a mask.
 
     Backward: BPTT runs the steps in reverse scan order on [N,H] and
     [N,2H] arrays allocated once per backward. Each step copies its z,
@@ -145,18 +150,25 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     reads the same L rows, and d(seq) is skipped when ``seq`` needs no
     gradient (``tensor.needs_grad``), as for a frozen embedding.
 
-    Shared prefix: when none of the seven inputs needs a gradient (so the
-    op is not recorded), there is no ``h_mask`` and N > 1, every row
+    Padding trajectory: when none of the seven inputs needs a gradient
+    (so the op is not recorded) and there is no ``h_mask``, every row
     holds the same state through the leading steps, in scan order, where
-    every row's input is all zero, since each starts from h = 0 and reads
-    the same bias-only projection. Those steps are scanned for row 0
-    alone and its states copied to the other rows; the rest are scanned
-    for all N rows. With padding in front (``text.pad_prepend``) a
-    forward scan's prefix is the padding the batch has in common; a
-    reverse scan meets text first and rarely has one. The result matches
-    the full scan to rounding, not bitwise: a one-row GEMM may sum in
-    another order than an N-row one. Training (masked, watched weights)
-    and every gradient check scan all rows at every step.
+    every row's input is all zero: each starts from h = 0 and reads the
+    bias-only projection. Those states depend only on the h-rows of the
+    weights and on the biases, so they are kept in ``params.padding``
+    with copies of those arrays and the dtype. A call whose arrays and
+    dtype equal the kept ones (``np.array_equal``) and whose prefix is no
+    longer than the kept trajectory broadcasts its states to every row
+    and scans the rest; any other call first scans the trajectory to the
+    full T for one row with the same step code. Values are compared, not
+    identities, so weights changed in place (an optimizer step, restored
+    state, a gradient check's perturbation) are always seen. With
+    padding in front (``text.pad_prepend``) a forward scan's prefix is
+    the padding its batch has in common, and a single text scans only its
+    own tokens; a reverse scan meets text first and rarely has one. The
+    result matches the full scan to rounding, not bitwise: a one-row GEMM
+    may sum in another order than an N-row one. A recorded scan (training,
+    or the taped pass of a gradient check) scans all rows at every step.
     """
     if seq.ndim != 3 or seq.shape[2] + params.hidden_size != params.w_z.shape[0]:
         raise DimensionError(
@@ -172,7 +184,8 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     u_h = params.w_h.data[:hid]
     # sigmoid(a) = (1 + tanh(a/2)) / 2: the 1/2 is folded into the z|r columns
     half = np.repeat(np.array([0.5, 0.5, 1.0], dtype), hid)
-    bias = np.concatenate([params.b_z.data, params.b_r.data, params.b_h.data]) * half
+    raw_bias = np.concatenate([params.b_z.data, params.b_r.data, params.b_h.data])
+    bias = raw_bias * half
     rows = t_len * n
     x_rows = np.ascontiguousarray(seq.data.transpose(1, 0, 2)).reshape(rows, feat)
     has_text = x_rows.any(axis=1)
@@ -194,42 +207,56 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     seq_grad = T.needs_grad(seq)
 
     mask = None if h_mask is None else h_mask.data
+    recorded = any(T.needs_grad(x) for x in inputs)
     # position t reads h_prev from states[t + src] and writes h to states[t + dst]
     src, dst = (1, 0) if reverse else (0, 1)
     steps = range(t_len - 1, -1, -1) if reverse else range(t_len)
-    shared = 0  # leading steps, in scan order, scanned for row 0 alone
-    if n > 1 and mask is None and not any(T.needs_grad(x) for x in inputs):
-        text_at = has_text.reshape(t_len, n).any(axis=1)[steps]
-        shared = int(np.append(text_at, True).argmax())
     states = np.zeros((t_len + 1, n, hid), dtype)
-    gates = np.empty((t_len, n, 3 * hid), dtype)  # z | r | c
+    gates = np.empty((t_len, n, 3 * hid), dtype) if recorded else None  # z | r | c
     h_in_all = states[src:src + t_len] if mask is None else np.empty((t_len, n, hid), dtype)
     u_zr_half = u_zr * 0.5
     zr_buf, c_buf, tmp_buf = (np.empty((n, w), dtype) for w in (2 * hid, hid, hid))
-    for i, t in enumerate(steps):
-        k = 1 if i < shared else n
-        h_prev = states[t + src, :k]
-        h_in = h_prev if mask is None else np.multiply(h_prev, mask, out=h_in_all[t])
-        zr, c, tmp = zr_buf[:k], c_buf[:k], tmp_buf[:k]
+
+    def step(h_prev, h_in, proj_t, h_out, zr, c, tmp):
+        """One step for the rows of ``h_prev``; leaves z|r in ``zr`` and c in ``c``."""
         np.matmul(h_in, u_zr_half, out=zr)
-        zr += proj[t, :k, :2 * hid]
+        zr += proj_t[:, :2 * hid]
         np.tanh(zr, out=zr)
         zr *= 0.5
         zr += 0.5
         z, r = zr[:, :hid], zr[:, hid:]
         np.multiply(r, h_in, out=tmp)
         np.matmul(tmp, u_h, out=c)
-        c += proj[t, :k, 2 * hid:]
+        c += proj_t[:, 2 * hid:]
         np.tanh(c, out=c)
-        gates[t, :k, :2 * hid] = zr
-        gates[t, :k, 2 * hid:] = c
         # h' = (1 - z) * h + z * c = h + z * (c - h)
         np.subtract(c, h_prev, out=tmp)
         tmp *= z
-        np.add(h_prev, tmp, out=states[t + dst, :k])
-        if i + 1 == shared:
-            prefix = np.asarray(steps[:shared]) + dst
-            states[prefix, 1:] = states[prefix, :1]
+        np.add(h_prev, tmp, out=h_out)
+
+    start = 0  # leading steps, in scan order, whose states are the padding trajectory
+    if mask is None and not recorded:
+        text_at = has_text.reshape(t_len, n).any(axis=1)[steps]
+        start = int(np.append(text_at, True).argmax())
+    if start:
+        key = (u_zr, u_h, raw_bias)
+        memo = params.padding
+        if (memo is None or memo[0] != dtype or len(memo[2]) <= start
+                or not all(a.dtype == b.dtype and np.array_equal(a, b)
+                           for a, b in zip(memo[1], key))):
+            trajectory = np.zeros((t_len + 1, 1, hid), dtype)
+            for i in range(t_len):
+                step(trajectory[i], trajectory[i], bias[None], trajectory[i + 1],
+                     zr_buf[:1], c_buf[:1], tmp_buf[:1])
+            memo = params.padding = (dtype, (u_zr, u_h.copy(), raw_bias), trajectory)
+        states[np.asarray(steps[:start]) + dst] = memo[2][1:start + 1]
+    for t in steps[start:]:
+        h_prev = states[t + src]
+        h_in = h_prev if mask is None else np.multiply(h_prev, mask, out=h_in_all[t])
+        step(h_prev, h_in, proj[t], states[t + dst], zr_buf, c_buf, tmp_buf)
+        if recorded:
+            gates[t, :, :2 * hid] = zr_buf
+            gates[t, :, 2 * hid:] = c_buf
     out = np.ascontiguousarray(states[dst:dst + t_len].transpose(1, 0, 2))
 
     def back(g):

@@ -219,8 +219,9 @@ def evaluate(model, docs, batch_size: int = 256) -> EvalMetrics:
     """Accuracy and mean loss in eval mode; deterministic.
 
     Results match those of one document at a time to rounding: untaped,
-    a batch's forward GRUs scan the padding its documents share once
-    (``layers.run_gru``)."""
+    a batch's forward GRUs take the states over the padding its documents
+    share from each direction's padding trajectory, scanned once per
+    change of the weights (``layers.run_gru``), and scan only the rest."""
     if not docs:
         raise ContractError("evaluation set is empty")
     classes = model.config.class_count

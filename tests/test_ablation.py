@@ -11,7 +11,7 @@ from bgcapsule.text import DatasetSplit, encode_docs
 
 from conftest import toy_config
 
-LOG_LINE = re.compile(r"variant=(\w+) acc=\d\.\d{4} train_acc=\d\.\d{4} params=\d+")
+LOG_LINE = re.compile(r"variant=(\w+) acc=\d\.\d{4} train_acc=\d\.\d{4} params=\d+ best_epoch=\d+")
 
 
 def test_every_variant_list_names_the_same_variants():
@@ -22,25 +22,26 @@ def test_every_variant_list_names_the_same_variants():
 
 @pytest.fixture(scope="module")
 def ablation_run():
-    """One run over a tiny split, with every ``train`` call recorded."""
+    """One run over a tiny split, with every ``train`` call and its result recorded."""
     split = DatasetSplit(train=separable_corpus(48, seed=1), test=separable_corpus(16, seed=2),
                          class_count=2)
     config = toy_config(epochs=2)
-    calls, lines = [], []
+    calls, lines, outcomes = [], [], []
     real_train = training.train
 
     def recording_train(model, train_docs, val_docs, cfg, log=None):
         calls.append((model, train_docs, val_docs))
-        return real_train(model, train_docs, val_docs, cfg, log)
+        outcomes.append(real_train(model, train_docs, val_docs, cfg, log))
+        return outcomes[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(training, "train", recording_train)
         result = ablation.run_ablation(split, config, "toy", val_fraction=0.25, log=lines.append)
-    return split, config, result, calls, lines
+    return split, config, result, calls, lines, outcomes
 
 
 def test_every_variant_is_trained_and_logged(ablation_run):
-    _, _, result, calls, lines = ablation_run
+    _, _, result, calls, lines, _ = ablation_run
     assert [model.ablation.variant for model, _, _ in calls] == list(ablation.VARIANT_ORDER)
     assert sorted(result.results) == sorted(ablation.VARIANT_ORDER)
     assert [LOG_LINE.fullmatch(line).group(1) for line in lines] == list(ablation.VARIANT_ORDER)
@@ -48,8 +49,19 @@ def test_every_variant_is_trained_and_logged(ablation_run):
         assert result.results[variant].parameter_count == model.parameter_count() > 0
 
 
+def test_variant_line_keeps_its_keys_and_ends_with_the_best_epoch(ablation_run):
+    _, _, result, _, lines, outcomes = ablation_run
+    assert len(lines) == len(outcomes) == len(ablation.VARIANT_ORDER)
+    for line, outcome, variant in zip(lines, outcomes, ablation.VARIANT_ORDER):
+        got = result.results[variant]
+        assert got.best_epoch == outcome.best_epoch
+        assert line == (f"variant={variant} acc={got.accuracy:.4f} "
+                        f"train_acc={got.train_accuracy:.4f} params={got.parameter_count} "
+                        f"best_epoch={outcome.best_epoch}")
+
+
 def test_best_epoch_is_picked_on_training_docs_not_on_test_docs(ablation_run):
-    split, config, result, calls, _ = ablation_run
+    split, config, result, calls, _, _ = ablation_run
     for model, fit_docs, val_docs in calls:
         test_docs = encode_docs(split.test, model.vocab, config.max_len, config.truncate_keep)
         val = {tuple(d.tokens) for d in val_docs}
@@ -61,7 +73,7 @@ def test_best_epoch_is_picked_on_training_docs_not_on_test_docs(ablation_run):
 
 
 def test_table_and_csv_render_every_variant(ablation_run, tmp_path):
-    _, _, result, _, _ = ablation_run
+    _, _, result, _, _, _ = ablation_run
     header, row = result.table_lines()
     positions = [header.index(ablation.COLUMN_TITLES[v]) for v in ablation.VARIANT_ORDER]
     assert header.startswith("dataset") and positions == sorted(positions)

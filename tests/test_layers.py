@@ -326,6 +326,73 @@ def test_untaped_run_gru_matches_gru_scan(case, reverse):
     npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+GRU_ARRAYS = ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h")
+
+
+def padded_gru_case(dtype=np.float64):
+    """GRU params with nonzero biases, and a [2,8,4] batch led by 3 and 5 padding rows."""
+    rng = np.random.default_rng(18)
+    params = L.GruParams(*[T.Tensor(rng.normal(size=shape).astype(dtype))
+                           for shape in [(9, 5)] * 3 + [(5,)] * 3])
+    seq = rng.normal(size=(2, 8, 4)).astype(dtype)
+    seq[0, :3] = seq[1, :5] = 0.0
+    return params, T.Tensor(seq)
+
+
+def fresh_scan(params, seq, reverse=False):
+    """``run_gru`` on new ``GruParams`` holding copies of ``params``' values."""
+    copies = L.GruParams(*[T.Tensor(getattr(params, name).data.copy()) for name in GRU_ARRAYS])
+    return L.run_gru(seq, copies, reverse).data
+
+
+@pytest.mark.parametrize("name", GRU_ARRAYS)
+def test_untaped_run_gru_sees_a_padding_array_changed_in_place(name):
+    # the h-rows of a weight, or a bias: both shape the padding trajectory
+    params, seq = padded_gru_case()
+    before = L.run_gru(seq, params).data
+    getattr(params, name).data[0] += 0.5
+    for rows in (seq, T.Tensor(seq.data[1:])):
+        got = L.run_gru(rows, params).data
+        npt.assert_array_equal(got, fresh_scan(params, rows))
+    assert not np.array_equal(L.run_gru(seq, params).data, before)
+
+
+def test_untaped_run_gru_keeps_its_padding_trajectory_when_only_x_rows_change():
+    params, seq = padded_gru_case()
+    L.run_gru(seq, params)
+    trajectory = params.padding[2]
+    params.w_h.data[-1] += 0.5
+    npt.assert_array_equal(L.run_gru(seq, params).data, fresh_scan(params, seq))
+    assert params.padding[2] is trajectory
+
+
+def test_untaped_run_gru_in_float64_after_float32_matches_a_fresh_scan():
+    params, seq = padded_gru_case(np.float32)
+    L.run_gru(seq, params)
+    # the same values in float64 compare equal to the float32 copies
+    for name in GRU_ARRAYS:
+        getattr(params, name).data = getattr(params, name).data.astype(np.float64)
+    seq64 = T.Tensor(seq.data, dtype=np.float64)
+    got = L.run_gru(seq64, params).data
+    assert got.dtype == np.float64
+    npt.assert_array_equal(got, fresh_scan(params, seq64))
+
+
+def test_untaped_run_gru_with_nan_weights_matches_a_fresh_scan(monkeypatch):
+    monkeypatch.setattr(T, "_check_finite", False)
+    params, seq = padded_gru_case()
+    finite = L.run_gru(seq, params).data
+    for name in ("w_r", "b_h"):
+        kept = getattr(params, name).data[0].copy()
+        getattr(params, name).data[0] = np.nan
+        for _ in range(2):
+            got = L.run_gru(seq, params).data
+            assert np.isnan(got).any()
+            npt.assert_array_equal(got, fresh_scan(params, seq))
+        getattr(params, name).data[0] = kept
+        npt.assert_array_equal(L.run_gru(seq, params).data, finite)
+
+
 def test_run_gru_rejects_input_width_its_weights_do_not_take():
     params = make_gru(np.random.default_rng(13), 3, 2)
     with pytest.raises(DimensionError):

@@ -7,6 +7,7 @@ import pytest
 from bgcapsule import tensor as T
 from bgcapsule import training
 from bgcapsule.ablation import run_ablation
+from bgcapsule.artifact import load_model, save_model
 from bgcapsule.config import AblationConfig
 from bgcapsule.errors import ConfigError, ContractError, DataError
 from bgcapsule.model import recurrent_dropout_mask
@@ -281,6 +282,22 @@ def test_evaluate_in_batches_matches_one_document_at_a_time():
     npt.assert_array_equal(metrics.class_correct, correct)
     assert metrics.accuracy == correct.sum() / len(encoded)
     assert metrics.loss == pytest.approx(np.mean(losses), rel=0, abs=1e-12)
+
+
+def test_predict_text_after_a_training_step_matches_a_loaded_copy(separable_docs, tmp_path):
+    # the first predictions keep padding trajectories of the initial weights,
+    # which the Adam step then changes in place
+    model, encoded = build_toy_model(separable_docs, toy_config(epochs=1))
+    texts = [doc.text for doc in separable_docs[:6]] + ["the", ""]
+    before = [model.predict_text(text)[1] for text in texts]
+    training.train(model, encoded[:8], [], model.config)
+    path = tmp_path / "model.bgc"
+    save_model(model, path)
+    loaded = load_model(path)
+    for text, old in zip(texts, before):
+        got = model.predict_text(text)[1]
+        npt.assert_array_equal(got, loaded.predict_text(text)[1])
+        assert not np.array_equal(got, old)
 
 
 def test_chance_level_accuracy_with_uniform_model(separable_docs):
