@@ -125,19 +125,26 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     Forward: each weight splits into h-rows ``U`` and x-rows ``W``.
     sigmoid(a) is computed as (1 + tanh(a/2)) / 2, which cannot
     overflow; the 1/2 is folded once per call into the z|r columns of
-    ``W``, ``U`` and the biases. One [L,F]x[F,3H] GEMM over
-    ``W_z|W_r|W_h`` plus the biases projects the positions before the
-    loop. L is T*N, or, when all-zero (padding) input rows are half of
-    them or more, the live rows only; a padding row then gets the biases
-    alone, which is what the GEMM gives it. Each step runs one
-    ``h_in.[U_z|U_r]`` and one ``(r*h_in).U_h`` GEMM, and does its
-    pointwise work in place on [N,2H] and [N,H] arrays allocated once
-    per call, so a step allocates nothing. Saved for the backward, all
-    time-major: the L projected input rows, the gate outputs z|r|c as
+    ``W``, ``U`` and the biases. One [N,T] reduction of ``seq`` finds
+    the rows with text (any nonzero input). Before the loop, one
+    [L,F]x[F,3H] GEMM over ``W_z|W_r|W_h`` plus the biases projects L
+    input rows in time-major order: all T*N, from a transposed copy of
+    ``seq``, or, when the rows with text are half of them or fewer,
+    those rows alone, gathered from ``seq``. In the second case only the
+    S steps where some row has text keep projected rows, as [S,N,3H]; a
+    padding row among them holds the biases, and a step without text
+    reads the biases as one broadcast row. Both are what the GEMM gives
+    an all-zero row. Each step runs one ``h_in.[U_z|U_r]`` and one
+    ``(r*h_in).U_h`` GEMM, and does its pointwise work in place on
+    [N,2H] and [N,H] arrays allocated once per call, so a step allocates
+    nothing. The output is the state buffer seen as [N,T,H], a
+    transposed view, not a copy. Saved for the backward, all
+    time-major: the L input rows (for dW_x), the gate outputs z|r|c as
     [T,N,3H] (each step copies its own in; kept only when the op is
     recorded), the states as [T+1,N,H] (position t reads its previous
-    state from one end and writes its own to the other), and the masked
-    states h_in as [T,N,H] when there is a mask.
+    state from one end and writes its own to the other; the output
+    views them too), and the masked states h_in as [T,N,H] when there
+    is a mask.
 
     Backward: BPTT runs the steps in reverse scan order on [N,H] and
     [N,2H] arrays allocated once per backward. Each step copies its z,
@@ -187,23 +194,32 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     raw_bias = np.concatenate([params.b_z.data, params.b_r.data, params.b_h.data])
     bias = raw_bias * half
     rows = t_len * n
-    x_rows = np.ascontiguousarray(seq.data.transpose(1, 0, 2)).reshape(rows, feat)
-    has_text = x_rows.any(axis=1)
-    live = np.flatnonzero(has_text)
-    if 2 * len(live) > rows:
-        # gathering and scattering a row costs a third to a half as much as
-        # projecting it (F=300, H=200-256), so padding is skipped only
-        # where it fills half the rows or more
+    text = seq.data.any(axis=2).T  # [T,N]: which rows hold text, time-major
+    text_at = text.any(axis=1)
+    live = np.flatnonzero(text)  # time-major row numbers t*N + n
+    # gathering and scattering a row costs a third to a half as much as
+    # projecting it (F=300, H=200-256), so padding is skipped only where it
+    # fills half the rows or more
+    dense = 2 * len(live) > rows
+    if dense:
         live = slice(None)
-    x_rows = x_rows[live]  # all dW_x needs; the full copy is freed
+        x_rows = np.ascontiguousarray(seq.data.transpose(1, 0, 2)).reshape(rows, feat)
+    else:
+        at, row = np.divmod(live, n)
+        x_rows = seq.data[row, at]  # all dW_x needs
     proj = x_rows @ (w_x * half)
     proj += bias
-    if len(x_rows) < rows:
-        full = np.empty((rows, 3 * hid), proj.dtype)
-        full[:] = bias  # what the GEMM gives an all-zero (padding) row
-        full[live] = proj
-        proj = full
-    proj = proj.reshape(t_len, n, 3 * hid)
+    bias_row = bias[None]
+    if dense:
+        proj_at = proj.reshape(t_len, n, 3 * hid)
+    else:
+        slot = np.cumsum(text_at) - 1
+        text_rows = np.empty((np.count_nonzero(text_at), n, 3 * hid), proj.dtype)
+        text_rows[:] = bias  # what the GEMM gives an all-zero (padding) row
+        text_rows[slot[at], row] = proj
+        proj_at = [bias_row] * t_len  # what a step without text reads
+        for t, rows_t in zip(np.flatnonzero(text_at).tolist(), text_rows):
+            proj_at[t] = rows_t
     seq_grad = T.needs_grad(seq)
 
     mask = None if h_mask is None else h_mask.data
@@ -236,8 +252,7 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
 
     start = 0  # leading steps, in scan order, whose states are the padding trajectory
     if mask is None and not recorded:
-        text_at = has_text.reshape(t_len, n).any(axis=1)[steps]
-        start = int(np.append(text_at, True).argmax())
+        start = int(np.append(text_at[steps], True).argmax())
     if start:
         key = (u_zr, u_h, raw_bias)
         memo = params.padding
@@ -246,18 +261,18 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
                            for a, b in zip(memo[1], key))):
             trajectory = np.zeros((t_len + 1, 1, hid), dtype)
             for i in range(t_len):
-                step(trajectory[i], trajectory[i], bias[None], trajectory[i + 1],
+                step(trajectory[i], trajectory[i], bias_row, trajectory[i + 1],
                      zr_buf[:1], c_buf[:1], tmp_buf[:1])
             memo = params.padding = (dtype, (u_zr, u_h.copy(), raw_bias), trajectory)
         states[np.asarray(steps[:start]) + dst] = memo[2][1:start + 1]
     for t in steps[start:]:
         h_prev = states[t + src]
         h_in = h_prev if mask is None else np.multiply(h_prev, mask, out=h_in_all[t])
-        step(h_prev, h_in, proj[t], states[t + dst], zr_buf, c_buf, tmp_buf)
+        step(h_prev, h_in, proj_at[t], states[t + dst], zr_buf, c_buf, tmp_buf)
         if recorded:
             gates[t, :, :2 * hid] = zr_buf
             gates[t, :, 2 * hid:] = c_buf
-    out = np.ascontiguousarray(states[dst:dst + t_len].transpose(1, 0, 2))
+    out = states[dst:dst + t_len].transpose(1, 0, 2)
 
     def back(g):
         u_h_t, u_zr_t = np.ascontiguousarray(u_h.T), np.ascontiguousarray(u_zr.T)

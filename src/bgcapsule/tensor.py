@@ -265,6 +265,12 @@ def _check_axis(t: Tensor, axis: int) -> int:
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
+    """Join tensors of equal shape off ``axis`` into one C-contiguous array.
+
+    The result is written into a new C-ordered array whatever the inputs'
+    layout: ``np.concatenate`` of transposed views (``layers.run_gru``'s
+    outputs) would follow their layout, and a later ``reshape`` of that
+    would copy."""
     tensors = list(tensors)
     if not tensors:
         raise DimensionError("concat of zero tensors")
@@ -276,8 +282,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
             raise DimensionError(
                 f"concat shapes differ off axis {axis}: {tensors[0].shape} vs {t.shape}"
             )
-    out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
+    base[axis] = sum(sizes)
+    arrays = [t.data for t in tensors]
+    out = np.concatenate(arrays, axis=axis, out=np.empty(base, np.result_type(*arrays)))
     offsets = np.cumsum(sizes)[:-1]
     return record_op(out, tensors, lambda g: tuple(np.split(g, offsets, axis=axis)))
 

@@ -326,6 +326,40 @@ def test_untaped_run_gru_matches_gru_scan(case, reverse):
     npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+# run_gru projects only the rows with text when they are half the rows or
+# fewer, and a step where no row has text reads the bias alone. Per case:
+# each row's count of leading padding positions, and the positions that are
+# zero in every row (one OOV word shared by the batch), over T=8.
+STEP_MAP_CASES = {
+    "shared_oov_step": ((3, 4, 4), (5,)),  # 10 of 24 rows live, step 5 has none
+    "half_live": ((4, 4), ()),  # 8 of 16: the most rows that still skip padding
+    "one_over_half_live": ((4, 3), ()),  # 9 of 16: every row is projected
+    "all_padding": ((8, 8, 8), ()),
+    "one_row": ((3,), (5,)),
+}
+
+
+@pytest.mark.parametrize("mode", ["recorded", "masked", "untaped"])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("case", sorted(STEP_MAP_CASES))
+def test_run_gru_reads_the_bias_at_steps_without_text(case, reverse, mode):
+    leads, shared_oov = STEP_MAP_CASES[case]
+    rng = np.random.default_rng(19)
+    seq = rng.normal(size=(len(leads), 8, 4))
+    for row, lead in enumerate(leads):
+        seq[row, :lead] = 0.0
+    seq[:, list(shared_oov)] = 0.0
+    if mode != "untaped":
+        assert_run_gru_matches_unroll(rng, f64(seq), reverse, mode == "masked")
+        return
+    params = make_gru(rng, 4, 5)
+    for name in ("b_z", "b_r", "b_h"):
+        setattr(params, name, f64(rng.normal(size=5)))
+    leaves = [params.w_z, params.w_r, params.w_h, params.b_z, params.b_r, params.b_h]
+    want = gru_scan(seq, *[leaf.data for leaf in leaves], reverse)
+    npt.assert_allclose(L.run_gru(f64(seq), params, reverse).data, want, rtol=0, atol=1e-12)
+
+
 GRU_ARRAYS = ("w_z", "w_r", "w_h", "b_z", "b_r", "b_h")
 
 

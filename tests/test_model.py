@@ -285,3 +285,29 @@ def test_cnn_capsule_step_records_no_every_position_features():
     shapes = [node.output.shape for node in tape.nodes]
     features = [s for s in shapes if len(s) == 3 and s[2] in channels]
     assert features and all(s[1] < t_len for s in features)
+
+
+def test_bgcapsule_step_keeps_the_gru_states_and_features_without_copies(separable_docs):
+    # each run_gru output is a transposed view of its scan's [T+1,N,H] state
+    # buffer, which the backward keeps anyway, and concat writes the ensemble's
+    # features C-contiguous, so primary_capsules' row-major reshape is a view
+    model, encoded = build_toy_model(separable_docs)
+    batch = batch_of(encoded[:8])
+    with T.Tape() as tape:
+        tape.watch(*model.parameters().values())
+        loss = softmax_cross_entropy(model.logits(batch.token_ids, np.random.default_rng(0)),
+                                     batch.labels)
+        tape.backward(loss)
+
+    def nodes_of(op):
+        return [node for node in tape.nodes if node.backward.__qualname__.startswith(op + ".")]
+
+    grus = nodes_of("run_gru")
+    assert len(grus) == 4
+    for node in grus:
+        states = node.output.data.base
+        assert states is not None and states.shape[0] == model.config.max_len + 1
+    (caps,) = nodes_of("primary_capsules")
+    features = caps.inputs[0].data
+    assert features.shape == (8, model.config.max_len, model.extractor.width)
+    assert features.flags.c_contiguous

@@ -107,6 +107,15 @@ def test_structural_round_trips():
     npt.assert_array_equal(joined.data, [1.0, 2.0, 3.0])
 
 
+def test_concat_of_transposed_views_is_c_contiguous():
+    # np.concatenate of transposed views follows their layout; concat does not
+    rng = np.random.default_rng(1)
+    views = [rng.normal(size=(5, 2, w)).transpose(1, 0, 2) for w in (3, 4)]
+    joined = T.concat([T.Tensor(v) for v in views], axis=2).data
+    assert joined.flags.c_contiguous
+    npt.assert_array_equal(joined, np.concatenate(views, axis=2))
+
+
 def test_reshape_preserves_row_major_order():
     t = T.Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))
     npt.assert_array_equal(T.reshape(t, (6,)).data, np.arange(6))
