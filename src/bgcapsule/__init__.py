@@ -3,7 +3,8 @@
 Everything runs on the package's own numpy-backed gradient tape; no
 deep-learning framework is required. ``text`` reads the data formats,
 ``training`` trains and evaluates, and ``artifact`` saves and loads
-models.
+models. The finite-difference gradient checks are test code and live in
+``tests/``.
 """
 
 from .errors import (
@@ -14,7 +15,7 @@ from .errors import (
     DimensionError,
     ParseError,
 )
-from .tensor import Tape, Tensor, grad_check
+from .tensor import Tape, Tensor
 
 __all__ = [
     "BgcError",
@@ -25,7 +26,6 @@ __all__ = [
     "ParseError",
     "Tape",
     "Tensor",
-    "grad_check",
 ]
 
 __version__ = "0.1.0"

@@ -3,8 +3,10 @@ agreement routing, and the dense head that gives class logits.
 
 Shapes use N for batch, T for sequence length, F for features, I/J for
 capsule counts in the lower/upper layer, and D for capsule dimension.
-Every op here is recorded on the active tape and passes the gradient
-checks of ``tests/gradsuite.py``. A GRU scans a whole sequence as one op.
+Every op here is recorded on the active tape and passes the
+finite-difference checks of ``tests/gradsuite.py``. A GRU scans a whole
+sequence as one op, and each convolution width is one op over the
+batch's distinct positions.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from .tensor import Tensor, record_op
 
 def glorot_uniform(rng, shape, dtype=np.float32) -> Tensor:
     """Fan-based uniform init; fans are the trailing two extents."""
-    fan_in, fan_out = (shape[0], shape[0]) if len(shape) == 1 else (shape[-2], shape[-1])
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    limit = np.sqrt(6.0 / (shape[-2] + shape[-1]))
     return Tensor(rng.uniform(-limit, limit, size=shape).astype(dtype))
 
 
@@ -373,8 +374,7 @@ class DistinctPositions:
     they are. An entry's gradient is then the sum of what the positions
     it stands for would get; a padding entry gets none, as
     ``dynamic_routing`` gives a zero-weight capsule. With every position
-    live (``distinct_positions`` of all True) each position is its own
-    entry, which is how ``conv1d_same`` lays out its output.
+    live each position is its own entry, in order.
     """
 
     rows: np.ndarray  # [N*K] flat row n*T + t that each entry reads
@@ -474,11 +474,6 @@ class RoutingInfo:
 
     logits: np.ndarray  # [N, I, J]
     coupling_history: list  # one [N, I, J] array per iteration
-
-    @property
-    def couplings(self) -> np.ndarray:
-        """The last iteration's couplings [N, I, J]."""
-        return self.coupling_history[-1]
 
 
 def dynamic_routing(u_hat: Tensor, iterations: int, normalize_over: str = "output_caps",
@@ -630,27 +625,14 @@ def _windows_live(row_live: np.ndarray, start: int, width: int, t_len: int) -> n
     return np.lib.stride_tricks.sliding_window_view(rows, width, axis=1).any(axis=2)
 
 
-def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """1-d convolution over positions with zero same-padding.
-
-    [N,T,F] with kernel [w,F,K] -> [N,T,K]. ``x`` is zero-padded by the
-    kernel's own margins, and every position is its own entry;
-    ``cnn_feature_extractor`` pads once for several widths and runs the
-    same op on that one buffer, over its distinct positions.
-    """
-    width = kernel.shape[0]
-    left = (width - 1) // 2
-    padded, row_live = _pad_rows(x.data, left, width - 1 - left)
-    every = distinct_positions(np.ones(x.shape[:2], dtype=bool))
-    return _conv_padded(x, padded, row_live, 0, kernel, bias, every)
-
-
 def _conv_padded(x: Tensor, padded: np.ndarray, row_live: np.ndarray, start: int,
                  kernel: Tensor, bias: Tensor, layout: DistinctPositions) -> Tensor:
-    """``conv1d_same`` of ``x`` read from ``_pad_rows(x)``, in which the
-    kernel's window for position t starts at padded row start+t, written
-    over the entries of ``layout``: [N,T,F] with kernel [w,F,C] -> [N,K,C],
-    entry k of document n holding the output at the position it reads.
+    """The 1-d convolution of ``x`` with zero same-padding, read from
+    ``_pad_rows(x)``, in which the kernel's window for position t starts
+    at padded row start+t, and written over the entries of ``layout``:
+    [N,T,F] with kernel [w,F,C] -> [N,K,C], entry k of document n holding
+    the output at the position it reads. Position t's window covers rows
+    t - (w-1)//2 .. t + w//2 of ``x``.
 
     Forward: a window is live when any of its w rows is nonzero; the
     live windows, L of them, are gathered into one [L, w*F] im2col matrix

@@ -2,10 +2,12 @@
 
 Values are numpy arrays in row-major order. float32 is the working
 precision for training; build tensors with ``dtype=np.float64`` when
-checking gradients. The only broadcast is ``add_bias``'s explicit
+checking gradients against finite differences (``tests/oracles.py``'s
+``grad_check``). The only broadcast is ``add_bias``'s explicit
 row-vector add. ``matmul``, ``add_bias`` and ``concat`` each check
 their own operands' shapes and raise ``DimensionError``.
-Set ``BGC_CHECK_FINITE=1`` to assert that every op output is finite.
+Set ``BGC_CHECK_FINITE=1`` to assert that every op output is finite;
+it is read once, at import.
 
 A :class:`Tape` records ops while it is the active context, each op
 only when some input needs a gradient (``needs_grad``): an op over
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +34,6 @@ SELU_ALPHA = 1.6732632423543772
 
 _state = threading.local()
 _check_finite = os.environ.get("BGC_CHECK_FINITE", "") == "1"
-
-
-def set_check_finite(enabled: bool) -> None:
-    """Toggle the NaN/Inf assertion on op outputs (BGC_CHECK_FINITE)."""
-    global _check_finite
-    _check_finite = bool(enabled)
 
 
 class Tensor:
@@ -294,81 +289,3 @@ def reshape(t: Tensor, shape) -> Tensor:
     out = t.data.reshape(shape)
     return record_op(out, (t,), lambda g: (g.reshape(t.shape),))
 
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-@dataclass
-class GradCheckReport:
-    """Comparison of analytic vs central-difference gradients.
-
-    Per element the error is min(absolute, relative) difference, so a
-    check passes where either measure is small; ``max_err`` is the worst
-    element.
-    """
-
-    name: str
-    max_abs_err: float
-    max_rel_err: float
-    max_err: float
-    tol: float
-    passed: bool
-
-    def line(self) -> str:
-        status = "ok" if self.passed else "FAIL"
-        return f"op={self.name} err={self.max_err:.3e} abs={self.max_abs_err:.3e} rel={self.max_rel_err:.3e} {status}"
-
-
-def error_stats(analytic: np.ndarray, numeric: np.ndarray):
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
-    abs_err = np.abs(analytic - numeric)
-    denom = np.maximum(np.abs(analytic), np.abs(numeric))
-    rel_err = np.where(denom > 0, abs_err / np.where(denom > 0, denom, 1.0), 0.0)
-    combined = np.minimum(abs_err, rel_err)
-    if abs_err.size == 0:
-        return 0.0, 0.0, 0.0
-    return float(abs_err.max()), float(rel_err.max()), float(combined.max())
-
-
-def grad_check(f, x: Tensor, step: float = 1e-5, tol: float = 1e-4, name: str = "") -> GradCheckReport:
-    """Check d f(x) / d x against central finite differences.
-
-    ``f`` must be deterministic and return a scalar Tensor. ``x`` must be
-    float64, else ``ContractError``. Each element of ``x.data`` is
-    perturbed in place and restored bitwise, so ``f`` may ignore its
-    argument and read ``x`` where it is held, such as a model's weight.
-    """
-    if x.dtype != np.float64:
-        raise ContractError(f"grad_check needs a float64 tensor, got {x.dtype}")
-    with Tape() as tape:
-        tape.watch(x)
-        loss = f(x)
-        if loss.shape != ():
-            raise ContractError("grad_check target must return a scalar")
-        tape.backward(loss)
-        analytic = tape.grad(x).data
-
-    data = x.data
-    numeric = np.empty_like(data)
-    for i in np.ndindex(data.shape):
-        orig = data[i]
-        try:
-            data[i] = orig + step
-            up = f(x).item()
-            data[i] = orig - step
-            down = f(x).item()
-        finally:
-            data[i] = orig
-        numeric[i] = (up - down) / (2.0 * step)
-
-    max_abs, max_rel, max_err = error_stats(analytic, numeric)
-    return GradCheckReport(
-        name=name or getattr(f, "__name__", "f"),
-        max_abs_err=max_abs,
-        max_rel_err=max_rel,
-        max_err=max_err,
-        tol=tol,
-        passed=max_err < tol,
-    )

@@ -232,11 +232,10 @@ def evaluate(model, docs, batch_size: int = 256) -> EvalMetrics:
         logits = model.logits(batch.token_ids)
         total_loss += softmax_cross_entropy(logits, batch.labels).item() * len(batch.labels)
         predicted = predicted_class(logits)
-        for cls in range(classes):
-            of_class = batch.labels == cls
-            class_total[cls] += int(of_class.sum())
-            class_correct[cls] += int((predicted[of_class] == cls).sum())
-        correct += float((predicted == batch.labels).sum())
+        hits = batch.labels[predicted == batch.labels]
+        class_total += np.bincount(batch.labels, minlength=classes)
+        class_correct += np.bincount(hits, minlength=classes)
+        correct += float(len(hits))
     return EvalMetrics(loss=total_loss / len(docs), accuracy=correct / len(docs),
                        class_total=class_total, class_correct=class_correct)
 

@@ -2,9 +2,10 @@
 
 Runs each op that ``tensor``, ``layers`` and ``training`` record at
 small shapes in float64, and sweeps every parameter of a tiny model end
-to end, one central difference per element. Each op check reduces its
-op's output to a scalar with ``_sq``, itself one ``matmul`` between two
-reshapes. Run it with ``gradsuite.run_suite(log=print)``;
+to end, one central difference per element (``oracles.grad_check``).
+The CNN's convolution is checked where the model runs it, inside
+``layers.cnn_feature_extractor``. Each op check reduces its op's output
+to a scalar with ``_sq``, itself one ``matmul`` between two reshapes. Run it with ``gradsuite.run_suite(log=print)``;
 ``test_gradsuite.py`` requires every check to pass and every recording
 function to be run.
 """
@@ -17,9 +18,11 @@ from bgcapsule import layers as L
 from bgcapsule import tensor as T
 from bgcapsule.config import VARIANTS, AblationConfig, ModelConfig
 from bgcapsule.model import TextClassifier
-from bgcapsule.tensor import GradCheckReport, Tensor, grad_check
+from bgcapsule.tensor import Tensor
 from bgcapsule.text import LabeledText
 from bgcapsule.training import cross_entropy, prepare_split, softmax_cross_entropy
+
+from oracles import GradCheckReport, grad_check
 
 OP_TOL = 1e-4
 MODEL_TOL = 1e-3
@@ -115,28 +118,15 @@ def _op_checks() -> list[GradCheckReport]:
     check("softmax_cross_entropy", lambda t: softmax_cross_entropy(t, labels),
           rng.normal(size=(2, 4)) * np.array([[1.0], [60.0]]))
 
-    kernel = Tensor(rng.normal(size=(3, 2, 3)), dtype=np.float64)
-    conv_bias = Tensor(rng.normal(size=(3,)), dtype=np.float64)
-    check("conv1d/x", lambda t: _sq(L.conv1d_same(t, kernel, conv_bias)),
-          rng.normal(size=(1, 5, 2)))
-    check("conv1d/kernel", lambda t: _sq(L.conv1d_same(seq, t, conv_bias)),
-          rng.normal(size=(3, 3, 3)))
-    # left zero padding longer than the kernel: all-zero windows get the bias
-    # alone but still pass gradient to the rows they cover
-    padded_x = np.random.default_rng(8).normal(size=(2, 7, 2))
-    padded_x[0, :4] = padded_x[1, :1] = padded_x[1, 5] = 0.0
-    check("conv1d/padded_x", lambda t: _sq(L.conv1d_same(t, kernel, conv_bias)), padded_x)
-    padded_conv_x = Tensor(padded_x, dtype=np.float64)
-    check("conv1d/bias", lambda _: _sq(L.conv1d_same(padded_conv_x, kernel, conv_bias)),
-          conv_bias)
     check("max_pool", lambda t: _sq(L.max_pool_routing(t, 2)), rng.normal(size=(1, 6, 3)))
 
     # the CNN over distinct positions into primary capsules. Docs: one that
     # fills T, one all zero, and two with a gap of zero rows inside the
     # text, the last of them live at position 0 and padded with entries
-    # that repeat it. Each entry counts for the positions it stands for, so
-    # the objective is the sum over every position and stays smooth as a
-    # zero row turns nonzero and the entries change.
+    # that repeat it. All-zero windows give the bias alone but still pass
+    # gradient to the rows they cover. Each entry counts for the positions
+    # it stands for, so the objective is the sum over every position and
+    # stays smooth as a zero row turns nonzero and the entries change.
     cnn_x = np.random.default_rng(9).normal(size=(4, 9, 2))
     cnn_x[1] = cnn_x[2, :3] = cnn_x[2, 4:7] = cnn_x[3, 2:7] = 0.0
     cnn_kernels = [Tensor(rng.normal(size=(w, 2, 2)), dtype=np.float64) for w in (2, 3)]
@@ -156,6 +146,7 @@ def _op_checks() -> list[GradCheckReport]:
     check("cnn_capsules/x", cnn_caps, cnn_x)
     check("cnn_capsules/kernel", lambda _: cnn_caps(cnn_x_t), cnn_kernels[1])
     check("cnn_capsules/bias", lambda _: cnn_caps(cnn_x_t), cnn_biases[0])
+    check("cnn_capsules/wide_bias", lambda _: cnn_caps(cnn_x_t), cnn_biases[1])
 
     return reports
 

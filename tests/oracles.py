@@ -1,42 +1,108 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the
+finite-difference gradient check.
 
-Everything here but ``routing_taped`` is deliberately written
-straight-line, without touching the package's tape or layer code, so
-the tests compare two separate routes to the same numbers.
-``routing_taped`` composes agreement routing from the tape's own ops
-and a test-local contraction op, so the fused
+Everything here but ``routing_taped``, ``conv_taped`` and ``grad_check``
+is deliberately written straight-line, without touching the package's
+tape or layer code, so the tests compare two separate routes to the
+same numbers. ``routing_taped`` composes agreement routing from the
+tape's own ops and a test-local contraction op, so the fused
 ``layers.dynamic_routing`` and its hand-written backward are checked
-against what the tape derives op by op.
+against what the tape derives op by op. ``conv_taped`` does the same
+for the CNN's convolution, which the model runs only inside
+``layers.cnn_feature_extractor``.
 
-``gru_scan`` and ``complex_step`` give ``layers.run_gru``'s output and
-every gradient without the tape: the scan runs in plain numpy, and
-complex-step differentiation has no subtraction to cancel, so its
-gradients are exact to rounding and can be compared at 1e-12.
+``grad_check`` compares a tape gradient with ``finite_difference``, the
+one central-difference loop of the tests; ``gradsuite.py`` runs it on
+every op. ``gru_scan`` and ``complex_step`` give ``layers.run_gru``'s
+output and every gradient without the tape: the scan runs in plain
+numpy, and complex-step differentiation has no subtraction to cancel,
+so its gradients are exact to rounding and can be compared at 1e-12.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from bgcapsule import layers as L
 from bgcapsule import tensor as T
+from bgcapsule.errors import ContractError
 
 
 def finite_difference(f, x, step=1e-5):
-    """Central-difference gradient of a scalar function of an ndarray."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    out = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        up = float(f(x))
-        flat[i] = orig - step
-        down = float(f(x))
-        flat[i] = orig
-        out[i] = (up - down) / (2.0 * step)
+    """Central-difference gradient of a scalar function ``f(x)`` of a float64
+    ndarray ``x``, else ``ContractError``.
+
+    Each element of ``x`` is perturbed in place and restored bitwise, also
+    when ``f`` raises, so ``f`` may ignore its argument and read ``x`` where
+    it is held, such as a model's weight.
+    """
+    if x.dtype != np.float64:
+        raise ContractError(f"finite differences need a float64 array, got {x.dtype}")
+    grad = np.empty_like(x)
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        try:
+            x[i] = orig + step
+            up = float(f(x))
+            x[i] = orig - step
+            down = float(f(x))
+        finally:
+            x[i] = orig
+        grad[i] = (up - down) / (2.0 * step)
     return grad
+
+
+@dataclass
+class GradCheckReport:
+    """Comparison of analytic vs central-difference gradients.
+
+    Per element the error is min(absolute, relative) difference, so a
+    check passes where either measure is small; ``max_err`` is the worst
+    element.
+    """
+
+    name: str
+    max_abs_err: float
+    max_rel_err: float
+    max_err: float
+    tol: float
+    passed: bool
+
+    def line(self) -> str:
+        status = "ok" if self.passed else "FAIL"
+        return f"op={self.name} err={self.max_err:.3e} abs={self.max_abs_err:.3e} rel={self.max_rel_err:.3e} {status}"
+
+
+def error_stats(analytic, numeric):
+    """(max absolute, max relative, max of the per-element minimum) error."""
+    analytic = np.asarray(analytic, dtype=np.float64)
+    numeric = np.asarray(numeric, dtype=np.float64)
+    if analytic.size == 0:
+        return 0.0, 0.0, 0.0
+    abs_err = np.abs(analytic - numeric)
+    denom = np.maximum(np.abs(analytic), np.abs(numeric))
+    rel_err = np.where(denom > 0, abs_err / np.where(denom > 0, denom, 1.0), 0.0)
+    return float(abs_err.max()), float(rel_err.max()), float(np.minimum(abs_err, rel_err).max())
+
+
+def grad_check(f, x, step=1e-5, tol=1e-4, name=""):
+    """Check d f(x) / d x of a float64 Tensor ``x`` against ``finite_difference``.
+
+    ``f`` must be deterministic and return a scalar Tensor; like
+    ``finite_difference`` it may read ``x`` where it is held.
+    """
+    with T.Tape() as tape:
+        tape.watch(x)
+        loss = f(x)
+        if loss.shape != ():
+            raise ContractError("grad_check target must return a scalar")
+        tape.backward(loss)
+        analytic = tape.grad(x).data
+    numeric = finite_difference(lambda _: f(x).item(), x.data, step)
+    max_abs, max_rel, max_err = error_stats(analytic, numeric)
+    return GradCheckReport(name=name or getattr(f, "__name__", "f"), max_abs_err=max_abs,
+                           max_rel_err=max_rel, max_err=max_err, tol=tol, passed=max_err < tol)
 
 
 def complex_step(f, x, step=1e-30):
@@ -167,6 +233,23 @@ def routing_taped(u_hat, iterations, normalize_over="output_caps"):
         v = L.squash(_taped_contract("nij,njie->nje", c, u_hat), axis=-1)
         b = _taped_add(b, _taped_contract("njie,nje->nij", u_hat, v))
     return v, b.data, history
+
+
+def conv_taped(x, kernel, bias):
+    """1-d convolution with zero same-padding, [N,T,F] with kernel [w,F,C]
+    -> [N,T,C], at every position, composed of tape ops: for each offset d
+    a ``matmul`` by a constant block-diagonal shift matrix, which moves each
+    document's rows by d - (w-1)//2 and fills with zeros, a ``concat`` of
+    the w shifted copies into [N*T, w*F], a ``matmul`` by the kernel
+    reshaped to [w*F, C], and ``add_bias``."""
+    n, t_len, feat = x.shape
+    width, _, out_ch = kernel.shape
+    left = (width - 1) // 2
+    rows = T.reshape(x, (n * t_len, feat))
+    shifted = [T.matmul(T.Tensor(np.kron(np.eye(n), np.eye(t_len, k=d - left)), x.dtype), rows)
+               for d in range(width)]
+    cols = T.matmul(T.concat(shifted, axis=1), T.reshape(kernel, (width * feat, out_ch)))
+    return T.reshape(T.add_bias(cols, bias), (n, t_len, out_ch))
 
 
 def conv1d_same_padding(x, kernel, bias):

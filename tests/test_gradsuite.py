@@ -29,9 +29,36 @@ def _recording_functions(module):
     return found
 
 
-def _tensor_names_used(module):
-    return {node.attr for node in ast.walk(_tree(module))
-            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "T"}
+def _top_level_names(module):
+    """Names that ``module`` defines at its top level and does not mark private."""
+    names = set()
+    for node in _tree(module).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _names_read(path, module):
+    """Top-level names of ``module`` that the code of the package file
+    ``path`` reads: any name in ``module`` itself; elsewhere ``alias.name``
+    after ``from . import <module> as alias``, or a name brought in by
+    ``from .<module> import``."""
+    tree = ast.parse(path.read_text())
+    stem = Path(module.__file__).stem
+    loads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load)]
+    if path.stem == stem:
+        return {node.id for node in loads}
+    imports = [(node.module, alias) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    aliases = {alias.asname or alias.name for src, alias in imports
+               if src is None and alias.name == stem}
+    imported = {alias.asname or alias.name: alias.name for src, alias in imports if src == stem}
+    return ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and getattr(node.value, "id", None) in aliases}
+            | {imported[node.id] for node in loads if node.id in imported})
 
 
 def test_every_gradsuite_check_passes(monkeypatch):
@@ -52,9 +79,7 @@ def test_every_gradsuite_check_passes(monkeypatch):
     for attr in ("seq", "masked_seq", "padded_seq", "padded_w_z",
                  "w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
         assert f"bigru/{attr}" in names
-    for attr in ("x", "kernel", "padded_x", "bias"):
-        assert f"conv1d/{attr}" in names
-    for attr in ("x", "kernel", "bias"):
+    for attr in ("x", "kernel", "bias", "wide_bias"):
         assert f"cnn_capsules/{attr}" in names
     for attr in ("u", "weights"):
         assert f"predict_vectors/{attr}" in names
@@ -71,5 +96,20 @@ def test_every_gradsuite_check_passes(monkeypatch):
 
 def test_every_tensor_op_has_a_model_caller():
     ops = {name for _, name in _recording_functions(tensor)}
-    used = set().union(*map(_tensor_names_used, (model, layers, training)))
+    used = set().union(*(_names_read(Path(m.__file__), tensor) for m in (model, layers, training)))
     assert ops and not ops - used, f"tape ops with no model caller: {sorted(ops - used)}"
+
+
+# public compute names that only callers outside the package keep, and why
+OUTSIDE_CALLERS = {"layers.init_gru": "perfbench/test_smoke.py draws its GRUs with it"}
+
+
+def test_every_public_compute_name_has_a_package_caller():
+    # test-only helpers belong in tests/, not in the two compute modules
+    package = sorted(Path(tensor.__file__).parent.glob("*.py"))
+    unused = set()
+    for module in (tensor, layers):
+        read = set().union(*(_names_read(path, module) for path in package))
+        unused |= {f"{Path(module.__file__).stem}.{name}"
+                   for name in _top_level_names(module) - read}
+    assert unused == set(OUTSIDE_CALLERS), f"public names no package module reads: {sorted(unused)}"

@@ -11,8 +11,8 @@ from bgcapsule.errors import ConfigError, ContractError, DimensionError
 from bgcapsule.model import BiGruEnsemble, CapsuleRouting
 
 from conftest import inner
-from oracles import (complex_step, conv1d_same_padding, gru_scan, routing_plain_loops,
-                     routing_taped, scalar_gru_step, squash_vector)
+from oracles import (complex_step, conv1d_same_padding, conv_taped, grad_check, gru_scan,
+                     routing_plain_loops, routing_taped, scalar_gru_step, squash_vector)
 
 
 def f64(arr):
@@ -490,7 +490,7 @@ def test_squash_matches_vector_oracle_batched():
 
 def test_squash_gradient_including_zero_branch():
     rng = np.random.default_rng(11)
-    report = T.grad_check(
+    report = grad_check(
         lambda t: inner(L.squash(t)),
         f64(rng.normal(size=20)),
         name="squash",
@@ -578,7 +578,7 @@ def test_predict_vectors_gradient():
     rng = np.random.default_rng(14)
     u = f64(rng.normal(size=(1, 2, 3)))
     w = rng.normal(size=(2, 3, 3))
-    report = T.grad_check(
+    report = grad_check(
         lambda t: inner(L.predict_vectors(u, t)),
         f64(w),
         name="predict_vectors",
@@ -595,7 +595,8 @@ def test_routing_single_iteration_uniform_couplings():
     j_count = 4
     u_hat = rng.normal(size=(1, j_count, 3, 5))
     v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), iterations=1)
-    npt.assert_allclose(info.couplings, np.full((1, 3, j_count), 1.0 / j_count), atol=1e-12)
+    npt.assert_allclose(info.coupling_history[-1], np.full((1, 3, j_count), 1.0 / j_count),
+                        atol=1e-12)
     for j in range(j_count):
         expected = squash_vector(u_hat[0, j].sum(axis=0) / j_count)
         npt.assert_allclose(v.data[0, j], expected, atol=1e-10)
@@ -604,7 +605,7 @@ def test_routing_single_iteration_uniform_couplings():
 def test_routing_degenerate_single_pair():
     u_hat = np.array([[[[3.0, 4.0]]]])  # N=1, J=1, I=1, D=2
     v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), iterations=2)
-    npt.assert_allclose(info.couplings, np.ones((1, 1, 1)))
+    npt.assert_allclose(info.coupling_history[-1], np.ones((1, 1, 1)))
     npt.assert_allclose(v.data[0, 0], squash_vector([3.0, 4.0]), atol=1e-12)
 
 
@@ -622,7 +623,7 @@ def test_routing_matches_plain_loop_oracle(iterations, axis):
     for n in range(2):
         want_v, want_c, history = routing_plain_loops(u_hat[n], iterations, axis == "output_caps")
         npt.assert_allclose(v.data[n], want_v, rtol=0, atol=1e-12)
-        npt.assert_allclose(info.couplings[n], want_c, rtol=0, atol=1e-12)
+        npt.assert_allclose(info.coupling_history[-1][n], want_c, rtol=0, atol=1e-12)
         for step, c_hist in enumerate(history):
             npt.assert_allclose(info.coupling_history[step][n], c_hist, rtol=0, atol=1e-12)
 
@@ -716,8 +717,9 @@ def test_routing_identical_predictions_identical_coupling_rows():
     row = rng.normal(size=(1, 3, 1, 4))
     u_hat = np.tile(row, (1, 1, 5, 1))
     _, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), 3)
+    couplings = info.coupling_history[-1]
     for i in range(1, 5):
-        npt.assert_allclose(info.couplings[0, i], info.couplings[0, 0], atol=1e-9)
+        npt.assert_allclose(couplings[0, i], couplings[0, 0], atol=1e-9)
 
 
 def test_routing_rejects_zero_iterations():
@@ -734,7 +736,7 @@ def test_routing_full_unroll_gradient():
                 v, _ = L.dynamic_routing(t, 3, axis, weights)
                 return inner(v)
 
-            report = T.grad_check(target, f64(u_hat), name=f"dynamic_routing/{axis}")
+            report = grad_check(target, f64(u_hat), name=f"dynamic_routing/{axis}")
             assert report.passed, report.line()
 
 
@@ -832,7 +834,7 @@ def test_max_pool_gradient_routes_to_argmax():
 def test_max_pool_gradient_vs_fd_off_ties():
     rng = np.random.default_rng(25)
     x = rng.normal(size=(2, 8, 3))
-    report = T.grad_check(
+    report = grad_check(
         lambda t: inner(L.max_pool_routing(t, 4)),
         f64(x),
         name="max_pool",
@@ -845,12 +847,32 @@ def test_max_pool_contract_error():
         L.max_pool_routing(T.zeros((1, 4, 1)), 0)
 
 
+def conv_at_every_position(x, kernel, bias):
+    """The convolution ``cnn_feature_extractor`` computes with one kernel, at
+    every position [N,T,C]: with y its output, relu(y) - relu(-y) = y, taken
+    from the kernel and from its negation, whose layout is the same."""
+    def relu_at_positions(k, b):
+        out, distinct = L.cnn_feature_extractor(x, [k], [b])
+        return out.data.reshape(-1, out.shape[2])[distinct.entry_rows].reshape(*x.shape[:2], -1)
+
+    return relu_at_positions(kernel, bias) - relu_at_positions(f64(-kernel.data), f64(-bias.data))
+
+
+def every_position_sq(x, kernel, bias):
+    """Sum over every position of the squared features of one kernel: each
+    entry weighted by the count of positions it stands for, so the sum stays
+    smooth when a zero row turns nonzero and the entries change."""
+    out, distinct = L.cnn_feature_extractor(x, [kernel], [bias])
+    flat = T.reshape(out, (-1, out.shape[2]))
+    return inner(flat, T.matmul(T.Tensor(np.diag(distinct.counts.ravel()), out.dtype), flat))
+
+
 def test_conv1d_matches_hand_oracle():
     rng = np.random.default_rng(26)
     x = rng.normal(size=(5, 3))
     k = rng.normal(size=(3, 3, 2))
     b = rng.normal(size=2)
-    out = L.conv1d_same(T.Tensor(x[None], dtype=np.float64), f64(k), f64(b)).data[0]
+    out = conv_at_every_position(T.Tensor(x[None], dtype=np.float64), f64(k), f64(b))[0]
     npt.assert_allclose(out, conv1d_same_padding(x, k, b), atol=1e-10)
 
 
@@ -861,17 +883,20 @@ def test_conv1d_width3_detects_spike():
     k = np.zeros((3, 1, 1))
     k[1, 0, 0] = 2.0
     k[0, 0, 0] = k[2, 0, 0] = 1.0
-    out = L.conv1d_same(T.Tensor(x, dtype=np.float64), f64(k), T.zeros((1,), np.float64)).data
+    out = conv_at_every_position(T.Tensor(x, dtype=np.float64), f64(k), T.zeros((1,), np.float64))
     assert out[0, :, 0].argmax() == 4
     npt.assert_allclose(out[0, 3:6, 0], [1.0, 2.0, 1.0])
 
 
 def test_conv1d_same_length_output():
+    # every position is live, so each is its own entry, in order
     rng = np.random.default_rng(27)
     for width in (1, 2, 3, 4, 5):
         k = f64(rng.normal(size=(width, 2, 3)))
-        out = L.conv1d_same(f64(rng.normal(size=(1, 7, 2))), k, T.zeros((3,), np.float64))
+        out, distinct = L.cnn_feature_extractor(f64(rng.normal(size=(1, 7, 2))), [k],
+                                                 [T.zeros((3,), np.float64)])
         assert out.shape == (1, 7, 3)
+        npt.assert_array_equal(distinct.rows, np.arange(7))
 
 
 def test_conv1d_gradients():
@@ -882,18 +907,18 @@ def test_conv1d_gradients():
     kt, bt = f64(k), f64(b)
 
     def wrt_x(t):
-        y = L.conv1d_same(t, kt, bt)
+        y, _ = L.cnn_feature_extractor(t, [kt], [bt])
         return inner(y)
 
-    assert T.grad_check(wrt_x, f64(x), name="conv-x").passed
+    assert grad_check(wrt_x, f64(x), name="conv-x").passed
 
     xt = f64(x)
 
     def wrt_k(t):
-        y = L.conv1d_same(xt, t, bt)
+        y, _ = L.cnn_feature_extractor(xt, [t], [bt])
         return inner(y)
 
-    assert T.grad_check(wrt_k, f64(k), name="conv-k").passed
+    assert grad_check(wrt_k, f64(k), name="conv-k").passed
 
 
 def test_conv1d_skips_gradient_of_a_constant_input():
@@ -904,7 +929,7 @@ def test_conv1d_skips_gradient_of_a_constant_input():
     for watched in ([x], []):
         with T.Tape() as tape:
             tape.watch(*watched, kernel, bias)
-            y = L.conv1d_same(x, kernel, bias)
+            y, _ = L.cnn_feature_extractor(x, [kernel], [bias])
             tape.backward(inner(y))
         results.append([tape.gradients[id(kernel)], tape.gradients[id(bias)]])
     assert id(x) not in tape.gradients
@@ -920,21 +945,22 @@ def test_conv1d_on_padded_input_matches_oracle(width):
     x = rng.normal(size=(2, 10, 2))
     x[0, :6] = 0.0
     x[1, :1] = x[1, 5] = 0.0
-    kernel, bias = f64(rng.normal(size=(width, 2, 3))), f64(rng.normal(size=3))
-    out = L.conv1d_same(f64(x), kernel, bias).data
+    kernel = f64(rng.normal(size=(width, 2, 3)))
+    # one channel live where a window sees only padding, one cut by the ReLU
+    bias = f64(np.abs(rng.normal(size=3)) * [1.0, -1.0, 1.0])
+    out = conv_at_every_position(f64(x), kernel, bias)
     for doc in range(2):
         npt.assert_allclose(out[doc], conv1d_same_padding(x[doc], kernel.data, bias.data),
                             rtol=1e-12, atol=1e-12)
 
     def loss(x_t):
-        y = L.conv1d_same(x_t, kernel, bias)
-        return inner(y)
+        return every_position_sq(x_t, kernel, bias)
 
     # zero rows covered only by all-zero windows still get gradient from them
-    assert T.grad_check(loss, f64(x), name="conv-padded-x").passed
+    assert grad_check(loss, f64(x), name="conv-padded-x").passed
     xt = f64(x)
-    assert T.grad_check(lambda _: loss(xt), kernel, name="conv-padded-k").passed
-    assert T.grad_check(lambda _: loss(xt), bias, name="conv-padded-b").passed
+    assert grad_check(lambda _: loss(xt), kernel, name="conv-padded-k").passed
+    assert grad_check(lambda _: loss(xt), bias, name="conv-padded-b").passed
 
     results = []
     for watched in ([xt], []):
@@ -948,22 +974,25 @@ def test_conv1d_on_padded_input_matches_oracle(width):
 
 
 def test_conv1d_bias_gradient_is_summed_in_float64():
-    # most windows see only padding; a plain float32 sum of this gradient
-    # over its 12,800 rows is off by 1.7e-6 relative
+    # most positions see only padding, so a dead entry's gradient sums about
+    # 180 positions'; a plain float32 sum of the entries' gradient is off by
+    # 4.4e-7 relative here, and the float64 sum rounded once by 2**-24 at most
     rng = np.random.default_rng(33)
     x = np.zeros((64, 200, 8), np.float32)
     for doc, length in enumerate(rng.integers(5, 30, size=64)):
         x[doc, 200 - length:] = rng.normal(size=(length, 8))
     kernel = T.Tensor(rng.normal(size=(3, 8, 8)).astype(np.float32))
-    bias = T.zeros((8,))
-    upstream = rng.uniform(0.5, 1.0, size=(64, 200, 8)).astype(np.float32)
+    bias = T.Tensor(np.full(8, 0.5, np.float32))
     with T.Tape() as tape:
         tape.watch(bias)
-        y = L.conv1d_same(T.Tensor(x), kernel, bias)
+        y, distinct = L.cnn_feature_extractor(T.Tensor(x), [kernel], [bias])
+        per_position = rng.uniform(0.5, 1.0, size=y.shape).astype(np.float32)
+        upstream = per_position * distinct.counts[:, :, None].astype(np.float32)
         tape.backward(inner(y, upstream))
         grad_b = tape.grad(bias).data
     assert grad_b.dtype == np.float32
-    npt.assert_allclose(grad_b, upstream.sum(axis=(0, 1), dtype=np.float64), rtol=1e-6)
+    npt.assert_allclose(grad_b, (upstream * (y.data > 0)).sum(axis=(0, 1), dtype=np.float64),
+                        rtol=1e-7)
 
 
 def test_cnn_feature_extractor_concat_width():
@@ -995,10 +1024,11 @@ def padded_batch(rng, feat):
 @pytest.mark.parametrize("watched", [False, True])
 def test_cnn_feature_extractor_pads_once_as_each_width_would(watched):
     # one buffer padded by the widest margins, written over the batch's
-    # distinct positions, gives each width's convolution at every position
-    # bit for bit: the outputs at each entry's position, and the gradients
-    # of kernels, biases and input when an entry's upstream gradient is the
-    # sum of its positions' (dyadic values, so that every sum is exact)
+    # distinct positions, gives each width's convolution at every position,
+    # as ``conv_taped`` composes it of tape ops, to rounding: the outputs at
+    # each entry's position, and the gradients of kernels, biases and input
+    # when an entry's upstream gradient is the sum of its positions' (dyadic
+    # values, so that every sum is exact)
     rng = np.random.default_rng(34)
     x = f64(padded_batch(rng, 3))
     kernels = [f64(rng.normal(size=(w, 3, 2))) for w in (2, 3, 4, 5)]
@@ -1014,7 +1044,7 @@ def test_cnn_feature_extractor_pads_once_as_each_width_would(watched):
                 upstream = per_position * distinct.counts.reshape(-1, 1)
                 got = out.data
             else:
-                out = T.concat([T.relu(L.conv1d_same(x, k, b)) for k, b in zip(kernels, biases)],
+                out = T.concat([T.relu(conv_taped(x, k, b)) for k, b in zip(kernels, biases)],
                                axis=2)
                 upstream = per_position[distinct.entry_rows]
                 got = out.data.reshape(-1, channels)[distinct.rows]
@@ -1026,7 +1056,7 @@ def test_cnn_feature_extractor_pads_once_as_each_width_would(watched):
         if want is None:
             assert got is None
         else:
-            npt.assert_array_equal(got, want)
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
     # padding entries repeat entry 0, as dynamic_routing wants of a
     # zero-weight capsule; doc 6 is live there, doc 2 dead
     padding = distinct.counts == 0

@@ -13,6 +13,7 @@ from bgcapsule.text import (LabeledText, batch_of, build_vocab, encode_docs, ran
 from bgcapsule.training import softmax_cross_entropy
 
 from conftest import build_toy_model, randomize_gru_biases, toy_config
+from oracles import conv_taped, grad_check
 
 
 def test_forward_shape_chain(separable_docs):
@@ -72,8 +73,8 @@ def test_routing_info_exposed(separable_docs):
     model.forward(batch_of(encoded[:3]).token_ids)
     info = model.last_routing
     assert info is not None
-    assert info.couplings.shape == (3, model.config.max_len, model.config.routed_caps)
-    npt.assert_allclose(info.couplings.sum(axis=2), np.ones((3, model.config.max_len)),
+    assert info.coupling_history[-1].shape == (3, model.config.max_len, model.config.routed_caps)
+    npt.assert_allclose(info.coupling_history[-1].sum(axis=2), np.ones((3, model.config.max_len)),
                         atol=1e-5)
 
 
@@ -81,7 +82,7 @@ def test_softmax_axis_flag_changes_normalization(separable_docs):
     cfg = toy_config(softmax_axis="input_caps")
     model, encoded = build_toy_model(separable_docs, cfg)
     model.forward(batch_of(encoded[:2]).token_ids)
-    sums = model.last_routing.couplings.sum(axis=1)
+    sums = model.last_routing.coupling_history[-1].sum(axis=1)
     npt.assert_allclose(sums, np.ones((2, cfg.routed_caps)), atol=1e-5)
 
 
@@ -97,7 +98,7 @@ def test_watched_frozen_embedding_gets_the_finite_difference_gradient(variant):
     # below the finite-difference step
     model.embedding.data *= 20.0
     batch = batch_of(encoded)
-    report = T.grad_check(lambda _: softmax_cross_entropy(model.logits(batch.token_ids),
+    report = grad_check(lambda _: softmax_cross_entropy(model.logits(batch.token_ids),
                                                           batch.labels),
                           model.embedding, tol=1e-3)
     assert report.passed, report.line()
@@ -223,7 +224,7 @@ def routed(monkeypatch):
 def probs_routing_grads(model, ids, labels, merge):
     """Probabilities, routing and parameter gradients of the model's path, or
     of the same stages with features computed and routed at every position:
-    each width's ``conv1d_same``, ReLU and concat, then capsules of every
+    each width's ``conv_taped``, ReLU and concat, then capsules of every
     position (no ``DistinctPositions``)."""
     params = model.parameters()
     with T.Tape() as tape:
@@ -233,7 +234,7 @@ def probs_routing_grads(model, ids, labels, merge):
         else:
             embedded = L.embedding_forward(model.embedding, ids)
             cnn = model.extractor
-            features = T.concat([T.relu(L.conv1d_same(embedded, k, b))
+            features = T.concat([T.relu(conv_taped(embedded, k, b))
                                  for k, b in zip(cnn.kernels, cnn.biases)], axis=2)
             logits = model.head.forward(model.aggregator.forward(features, None))
         tape.backward(softmax_cross_entropy(logits, labels))

@@ -10,7 +10,7 @@ from bgcapsule import tensor as T
 from bgcapsule.errors import ContractError, DimensionError
 
 from conftest import inner
-from oracles import finite_difference
+from oracles import error_stats, finite_difference, grad_check
 
 
 def f64(arr):
@@ -49,8 +49,8 @@ def test_matmul_gradient_vs_finite_differences():
 
     na = finite_difference(lambda x: (x @ b).sum(), a)
     nb = finite_difference(lambda x: (a @ x).sum(), b)
-    assert T.error_stats(ga, na)[2] < 1e-4
-    assert T.error_stats(gb, nb)[2] < 1e-4
+    assert error_stats(ga, na)[2] < 1e-4
+    assert error_stats(gb, nb)[2] < 1e-4
 
 
 def test_selu_published_constants():
@@ -259,13 +259,13 @@ def test_backward_replay_of_fused_layer_ops_is_deterministic(name):
 def test_gradients_of_pointwise_ops(name, fn):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     x = rng.normal(size=(5,))
-    report = T.grad_check(lambda t: inner(fn(t)), f64(x), name=name)
+    report = grad_check(lambda t: inner(fn(t)), f64(x), name=name)
     assert report.passed, report.line()
 
 
 def test_relu_gradient_off_kink():
     x = np.array([-2.0, -0.5, 0.7, 1.5])
-    report = T.grad_check(lambda t: inner(T.relu(t)), f64(x))
+    report = grad_check(lambda t: inner(T.relu(t)), f64(x))
     assert report.passed, report.line()
 
 
@@ -289,7 +289,7 @@ def test_gradients_random_shapes_many_ops(seed):
         both = T.concat([gram, flat], axis=0)
         return inner(both)
 
-    report = T.grad_check(composite, f64(x), name=f"composite-{seed}")
+    report = grad_check(composite, f64(x), name=f"composite-{seed}")
     assert report.passed, report.line()
 
 
@@ -297,7 +297,7 @@ def test_add_bias_gradient():
     rng = np.random.default_rng(11)
     x = f64(rng.normal(size=(4, 3)))
     b = rng.normal(size=(3,))
-    report = T.grad_check(lambda t: inner(T.add_bias(x, t)), f64(b))
+    report = grad_check(lambda t: inner(T.add_bias(x, t)), f64(b))
     assert report.passed, report.line()
 
 
@@ -311,18 +311,15 @@ def test_grad_check_selu_against_analytic_derivative():
         analytic = tape.grad(xt).item()
     assert math.isclose(analytic, 1.0507009873554805 * 1.6732632423543772 * math.exp(x),
                         rel_tol=1e-12)
-    report = T.grad_check(T.selu, f64(x), name="selu-scalar")
+    report = grad_check(T.selu, f64(x), name="selu-scalar")
     assert report.passed and report.max_rel_err < 1e-6
 
 
-def test_check_finite_flag():
-    was = T._check_finite
-    T.set_check_finite(True)
-    try:
-        with pytest.raises(FloatingPointError):
-            T.relu(T.Tensor([np.nan]))
-    finally:
-        T.set_check_finite(was)
+def test_check_finite_flag(monkeypatch):
+    # the flag BGC_CHECK_FINITE sets at import
+    monkeypatch.setattr(T, "_check_finite", True)
+    with pytest.raises(FloatingPointError):
+        T.relu(T.Tensor([np.nan]))
 
 
 def test_no_tape_means_no_recording():
@@ -334,8 +331,8 @@ def test_no_tape_means_no_recording():
 def test_grad_check_restores_x_bitwise_and_needs_float64():
     x = f64(np.random.default_rng(12).normal(size=(3, 4)))
     before = x.data.copy()
-    report = T.grad_check(lambda t: inner(T.selu(t), t), x)
+    report = grad_check(lambda t: inner(T.selu(t), t), x)
     assert report.passed, report.line()
     assert x.data.tobytes() == before.tobytes()
     with pytest.raises(ContractError, match="float64"):
-        T.grad_check(lambda t: inner(t, 1), T.Tensor(np.ones(3, dtype=np.float32)))
+        grad_check(lambda t: inner(t, 1), T.Tensor(np.ones(3, dtype=np.float32)))

@@ -17,6 +17,7 @@ from bgcapsule.text import (DatasetSplit, LabeledText, encode_docs, kfold_split,
                             random_embeddings)
 
 from conftest import build_toy_model, randomize_gru_biases, toy_config
+from oracles import grad_check
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,7 @@ def test_cross_entropy_gradient_through_softmax():
     rng = np.random.default_rng(0)
     logits = rng.normal(size=(3, 4))
     labels = np.array([0, 2, 3])
-    report = T.grad_check(
+    report = grad_check(
         lambda t: training.cross_entropy(T.softmax(t, axis=1), labels),
         Tensor(logits, dtype=np.float64),
         name="softmax-xent",
