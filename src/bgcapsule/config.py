@@ -16,8 +16,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
 
-HEAD_ACTIVATIONS = ("relu", "selu")
-SOFTMAX_AXES = ("output_caps", "input_caps")
 TRUNCATION_SIDES = ("first", "last")
 VARIANTS = ("bgcapsule", "bigru_maxpool", "cnn_capsule")
 
@@ -59,6 +57,9 @@ class ModelConfig(_DictConvertible):
 
     Defaults are desk-scale where that differs from the published
     setup; the published one trains at batch 1000.
+
+    ``head_activation`` and ``softmax_axis`` are fixed to the paper's ReLU head and
+    couplings over upper capsules; they stay so that saved files keep their bytes.
     """
 
     max_len: int = 200
@@ -98,10 +99,9 @@ class ModelConfig(_DictConvertible):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if self.head_activation not in HEAD_ACTIVATIONS:
-            raise ConfigError(f"head_activation must be one of {HEAD_ACTIVATIONS}")
-        if self.softmax_axis not in SOFTMAX_AXES:
-            raise ConfigError(f"softmax_axis must be one of {SOFTMAX_AXES}")
+        for name, only in (("head_activation", "relu"), ("softmax_axis", "output_caps")):
+            if getattr(self, name) != only:
+                raise ConfigError(f"ModelConfig.{name} must be {only!r}: the paper's model only")
         if self.truncate_keep not in TRUNCATION_SIDES:
             raise ConfigError(f"truncate_keep must be one of {TRUNCATION_SIDES}")
         return self

@@ -107,7 +107,7 @@ def init_gru(rng, input_size: int, hidden_size: int, dtype=np.float32) -> GruPar
 
 
 def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
-            h_mask: Tensor | None = None) -> Tensor:
+            mask: np.ndarray | None = None) -> Tensor:
     """Scan a GRU over [N,T,F] -> [N,T,H] from h = 0, as one tape op.
 
     At each position, with h the previous state, x the input and
@@ -119,9 +119,9 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
         h' = (1 - z) * h + z * c
 
     With ``reverse`` the scan runs right-to-left but outputs stay at
-    their original positions. ``h_mask`` (recurrent dropout, [N,H]) is
-    the mask above: it reaches the gates and the candidate but not the
-    state carried through the interpolation, and it gets no gradient.
+    their original positions. ``mask`` (recurrent dropout, an [N,H]
+    array, not an op input) is the mask above: it reaches the gates and
+    the candidate but not the state carried through the interpolation.
 
     Forward: each weight splits into h-rows ``U`` and x-rows ``W``.
     sigmoid(a) is computed as (1 + tanh(a/2)) / 2, which cannot
@@ -159,7 +159,7 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     gradient (``tensor.needs_grad``), as for a frozen embedding.
 
     Padding trajectory: when none of the seven inputs needs a gradient
-    (so the op is not recorded) and there is no ``h_mask``, every row
+    (so the op is not recorded) and there is no ``mask``, every row
     holds the same state through the leading steps, in scan order, where
     every row's input is all zero: each starts from h = 0 and reads the
     bias-only projection. Those states depend only on the h-rows of the
@@ -223,7 +223,6 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
             proj_at[t] = rows_t
     seq_grad = T.needs_grad(seq)
 
-    mask = None if h_mask is None else h_mask.data
     recorded = any(T.needs_grad(x) for x in inputs)
     # position t reads h_prev from states[t + src] and writes h to states[t + dst]
     src, dst = (1, 0) if reverse else (0, 1)
@@ -331,33 +330,32 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
 # capsules
 
 
-def _squash_parts(x: np.ndarray, axis: int):
-    """``squash`` of ``x`` along ``axis``, and what its gradient reads."""
-    q = (x * x).sum(axis=axis, keepdims=True)  # |s|^2
+def _squash_parts(x: np.ndarray):
+    """``squash`` of ``x`` along its last axis, and what its gradient reads."""
+    q = (x * x).sum(axis=-1, keepdims=True)  # |s|^2
     safe_q = np.where(q > 0, q, 1.0)
     root = np.sqrt(safe_q)
     scale = np.where(q > 0, root / (1.0 + q), 0.0)
     return (x * scale).astype(x.dtype, copy=False), (q, root, scale)
 
 
-def _squash_grad(g: np.ndarray, x: np.ndarray, parts, axis: int) -> np.ndarray:
+def _squash_grad(g: np.ndarray, x: np.ndarray, parts) -> np.ndarray:
     # d scale/d q = (1 - q) / (2 sqrt(q) (1+q)^2), chain through q = sum s^2
     q, root, scale = parts
     dscale_dq = np.where(q > 0, (1.0 - q) / (2.0 * root * (1.0 + q) ** 2), 0.0)
-    inner = (g * x).sum(axis=axis, keepdims=True)
+    inner = (g * x).sum(axis=-1, keepdims=True)
     return (g * scale + 2.0 * x * dscale_dq * inner).astype(x.dtype, copy=False)
 
 
-def squash(t: Tensor, axis: int = -1) -> Tensor:
-    """Norm-limiting nonlinearity: v = (|s|^2 / (1+|s|^2)) * s/|s|.
+def squash(t: Tensor) -> Tensor:
+    """Norm-limiting nonlinearity on the last axis: v = (|s|^2 / (1+|s|^2)) * s/|s|.
 
     Keeps direction, maps norms into [0, 1). Zero vectors stay zero and
     get zero gradient.
     """
     x = t.data
-    axis = axis % x.ndim if x.ndim else 0
-    out, parts = _squash_parts(x, axis)
-    return record_op(out, (t,), lambda g: (_squash_grad(g, x, parts, axis),))
+    out, parts = _squash_parts(x)
+    return record_op(out, (t,), lambda g: (_squash_grad(g, x, parts),))
 
 
 @dataclass
@@ -448,7 +446,7 @@ def primary_capsules(features: Tensor, weight: Tensor, bias: Tensor,
         return (grad_f, grad_w, grad_b)
 
     caps = record_op(projected.reshape(n, -1, caps_dim), (features, weight, bias), back)
-    return squash(caps, axis=-1)
+    return squash(caps)
 
 
 def predict_vectors(u: Tensor, weights: Tensor) -> Tensor:
@@ -476,24 +474,19 @@ class RoutingInfo:
     coupling_history: list  # one [N, I, J] array per iteration
 
 
-def dynamic_routing(u_hat: Tensor, iterations: int, normalize_over: str = "output_caps",
+def dynamic_routing(u_hat: Tensor, iterations: int,
                     weights: np.ndarray | None = None) -> tuple[Tensor, RoutingInfo]:
     """Agreement routing over prediction vectors [N, J, I, D'], as one op.
 
-    Logits start at zero; each round takes the coupling softmax, forms
-    the weighted vote sum per upper capsule, squashes it, and adds the
-    vote/output dot products back into the logits. ``normalize_over``
-    picks the softmax axis: couplings of one input capsule over upper
-    capsules ("output_caps", default) or of one upper capsule over
-    inputs ("input_caps").
+    Logits start at zero; each round takes the couplings, each input
+    capsule's softmax over the upper capsules, forms the weighted vote
+    sum per upper capsule, squashes it, and adds the vote/output dot
+    products back into the logits.
 
-    ``weights`` [N, I], if given, is how many identical input capsules
-    each one stands for: it scales a capsule's coupled vote in the vote
-    sum and, for "input_caps", its term in the softmax denominator, so
-    routing I distinct capsules with their counts gives what routing
-    every copy would. A zero-weight capsule changes no output, gets no
-    gradient, and should repeat a weighted capsule of its row, so that
-    it shifts no softmax maximum.
+    ``weights`` [N, I], if given, counts the identical input capsules each
+    one stands for and scales its coupled vote, so routing I distinct
+    capsules with their counts gives what routing every copy would. A
+    zero-weight capsule changes no output and gets no gradient.
 
     Logits are kept as [N, J, I], so the vote sum and the agreements are
     batched ``matmul`` calls on ``u_hat``; ``RoutingInfo`` holds them as
@@ -505,22 +498,18 @@ def dynamic_routing(u_hat: Tensor, iterations: int, normalize_over: str = "outpu
     """
     if iterations < 1:
         raise ContractError(f"routing needs at least 1 iteration, got {iterations}")
-    if normalize_over not in ("output_caps", "input_caps"):
-        raise ConfigError(f"unknown routing normalization {normalize_over!r}")
     u = u_hat.data
     n, j_count, i_count, _ = u.shape
-    over_inputs = normalize_over == "input_caps"
-    axis = 2 if over_inputs else 1
     w = None if weights is None else np.asarray(weights, u.dtype).reshape(n, 1, i_count)
     grad = T.needs_grad(u_hat)
     b = np.zeros((n, j_count, i_count), u.dtype)
     history, saved = [], []
     for _ in range(iterations):
-        e = np.exp(b - b.max(axis=axis, keepdims=True))
-        c = e / (e if w is None or not over_inputs else e * w).sum(axis=axis, keepdims=True)
+        e = np.exp(b - b.max(axis=1, keepdims=True))
+        c = e / e.sum(axis=1, keepdims=True)
         cw = c if w is None else c * w
         s = np.matmul(cw[:, :, None, :], u)[:, :, 0, :]
-        v, parts = _squash_parts(s, 2)
+        v, parts = _squash_parts(s)
         b = b + np.matmul(u, v[:, :, :, None])[:, :, :, 0]
         history.append(c.transpose(0, 2, 1))
         if grad:
@@ -537,13 +526,12 @@ def dynamic_routing(u_hat: Tensor, iterations: int, normalize_over: str = "outpu
                 dv = np.matmul(db[:, :, None, :], u)[:, :, 0, :]
                 left.append(db)
                 right.append(v)
-            ds = _squash_grad(dv, s, parts, 2)
+            ds = _squash_grad(dv, s, parts)
             dcw = np.matmul(u, ds[:, :, :, None])[:, :, :, 0]
             left.append(cw)
             right.append(ds)
-            # softmax adjoint with the counts folded in, on either axis
-            dot = (cw if over_inputs else c) * dcw
-            db = db + cw * (dcw - dot.sum(axis=axis, keepdims=True))
+            # softmax adjoint with the counts folded in
+            db = db + cw * (dcw - (c * dcw).sum(axis=1, keepdims=True))
         du = np.matmul(np.stack(left, axis=3), np.stack(right, axis=2))
         return (du,)
 
@@ -568,12 +556,9 @@ def head_params(param, in_size: int, hidden: int, classes: int) -> HeadParams:
                       w2=param("head.w2", (hidden, classes)), b2=param("head.b2", (classes,)))
 
 
-def dense_head(x: Tensor, params: HeadParams, activation: str = "relu") -> Tensor:
-    """Hidden layer + linear -> class logits [N, C]."""
-    act = {"relu": T.relu, "selu": T.selu}.get(activation)
-    if act is None:
-        raise ConfigError(f"unknown head activation {activation!r}")
-    hidden = act(T.add_bias(T.matmul(x, params.w1), params.b1))
+def dense_head(x: Tensor, params: HeadParams) -> Tensor:
+    """ReLU hidden layer + linear -> class logits [N, C]."""
+    hidden = T.relu(T.add_bias(T.matmul(x, params.w1), params.b1))
     return T.add_bias(T.matmul(hidden, params.w2), params.b2)
 
 
@@ -581,7 +566,7 @@ def dense_head(x: Tensor, params: HeadParams, activation: str = "relu") -> Tenso
 # ablation building blocks
 
 
-def max_pool_routing(features: Tensor, window: int = 4) -> Tensor:
+def max_pool_routing(features: Tensor, window: int) -> Tensor:
     """Elementwise max over non-overlapping position windows.
 
     [N,T,F] -> [N, T//window, F]; a trailing remainder is dropped.

@@ -62,8 +62,7 @@ class BiGruEnsemble:
             if dropout_rng is None or self.dropout == 0.0:
                 return None
             shape = (embedded.shape[0], gru.hidden_size)
-            return Tensor(recurrent_dropout_mask(shape, self.dropout, dropout_rng)
-                          .astype(embedded.dtype))
+            return recurrent_dropout_mask(shape, self.dropout, dropout_rng).astype(embedded.dtype)
 
         # each call gets the model's own GruParams as its second argument, by
         # which perfbench's tracer names the direction
@@ -116,7 +115,7 @@ class CapsuleRouting:
         caps = L.primary_capsules(features, self.caps_w, self.caps_b, per_pos, cfg.caps_dim)
         counts = None if distinct is None else np.repeat(distinct.counts, per_pos, axis=1)
         v, routing = L.dynamic_routing(L.predict_vectors(caps, self.pair_w), cfg.routing_iters,
-                                       normalize_over=cfg.softmax_axis, weights=counts)
+                                       counts)
         self.last_routing = routing if distinct is None else distinct.expand(routing, per_pos)
         return T.reshape(v, (v.shape[0], -1))
 
@@ -138,14 +137,13 @@ class MaxPooling:
 
 
 class DenseHead:
-    """Hidden layer and a linear layer to class logits."""
+    """ReLU hidden layer and a linear layer to class logits."""
 
     def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
         self.weights = L.head_params(param, in_width, cfg.dense_hidden, cfg.class_count)
-        self.activation = cfg.head_activation
 
     def forward(self, flat: Tensor) -> Tensor:
-        return L.dense_head(flat, self.weights, self.activation)
+        return L.dense_head(flat, self.weights)
 
 
 VARIANT_STAGES = {

@@ -29,9 +29,6 @@ from .errors import ContractError, DimensionError
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-SELU_LAMBDA = 1.0507009873554805
-SELU_ALPHA = 1.6732632423543772
-
 _state = threading.local()
 _check_finite = os.environ.get("BGC_CHECK_FINITE", "") == "1"
 
@@ -222,16 +219,6 @@ def relu(t: Tensor) -> Tensor:
     x = t.data
     out = np.maximum(x, 0)
     return record_op(out, (t,), lambda g: (g * (x > 0),))
-
-
-def selu(t: Tensor) -> Tensor:
-    x = t.data
-    pos = x > 0
-    out = np.where(pos, SELU_LAMBDA * x, SELU_LAMBDA * SELU_ALPHA * np.expm1(np.minimum(x, 0.0)))
-    out = out.astype(t.dtype, copy=False)
-    return record_op(
-        out, (t,), lambda g: (g * np.where(pos, SELU_LAMBDA, out + SELU_LAMBDA * SELU_ALPHA),)
-    )
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:

@@ -215,7 +215,7 @@ def train(model, train_docs, val_docs, config: ModelConfig, log=None) -> TrainRe
                        final_train_acc=final_train_acc)
 
 
-def evaluate(model, docs, batch_size: int = 256) -> EvalMetrics:
+def evaluate(model, docs, batch_size: int) -> EvalMetrics:
     """Accuracy and mean loss in eval mode; deterministic.
 
     Results match those of one document at a time to rounding: untaped,

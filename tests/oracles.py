@@ -165,7 +165,7 @@ def squash_vector(s):
     return (n * n / (1.0 + n * n)) * (s / n)
 
 
-def routing_plain_loops(u_hat, iterations, normalize_over_output=True):
+def routing_plain_loops(u_hat, iterations):
     """Agreement routing written with explicit loops over every index.
 
     u_hat has shape [J, I, D] for a single item; returns (v [J, D],
@@ -180,18 +180,10 @@ def routing_plain_loops(u_hat, iterations, normalize_over_output=True):
     for _ in range(iterations):
         c = np.zeros((i_count, j_count))
         for i in range(i_count):
-            if normalize_over_output:
-                exps = [math.exp(b[i, j] - max(b[i])) for j in range(j_count)]
-                total = sum(exps)
-                for j in range(j_count):
-                    c[i, j] = exps[j] / total
-        if not normalize_over_output:
+            exps = [math.exp(b[i, j] - max(b[i])) for j in range(j_count)]
+            total = sum(exps)
             for j in range(j_count):
-                col_max = max(b[i, j] for i in range(i_count))
-                exps = [math.exp(b[i, j] - col_max) for i in range(i_count)]
-                total = sum(exps)
-                for i in range(i_count):
-                    c[i, j] = exps[i] / total
+                c[i, j] = exps[j] / total
         history.append(c.copy())
         for j in range(j_count):
             s = np.zeros(dim)
@@ -218,19 +210,18 @@ def _taped_contract(spec, a, b):
                                   np.einsum(f"{x},{z}->{y}", ad, g)))
 
 
-def routing_taped(u_hat, iterations, normalize_over="output_caps"):
+def routing_taped(u_hat, iterations):
     """Agreement routing over [N, J, I, D'] composed of tape ops: softmax,
     the vote-sum and agreement contractions, squash and add per
     iteration. Returns (v, final logits [N, I, J], coupling history),
     like ``layers.dynamic_routing``."""
     n, j_count, i_count, _ = u_hat.shape
-    axis = 2 if normalize_over == "output_caps" else 1
     b = T.zeros((n, i_count, j_count), u_hat.dtype)
     history = []
     for _ in range(iterations):
-        c = T.softmax(b, axis=axis)
+        c = T.softmax(b, axis=2)
         history.append(c.data)
-        v = L.squash(_taped_contract("nij,njie->nje", c, u_hat), axis=-1)
+        v = L.squash(_taped_contract("nij,njie->nje", c, u_hat))
         b = _taped_add(b, _taped_contract("njie,nje->nij", u_hat, v))
     return v, b.data, history
 

@@ -171,6 +171,8 @@ HEADER_MUTATIONS = {
     "seed_negative": lambda h: h["config"].update(seed=-1),
     "filter_widths_as_int": lambda h: h["ablation"].update(cnn_filter_widths=3),
     "unknown_variant": lambda h: h["ablation"].update(variant="transformer"),
+    "selu_head": lambda h: h["config"].update(head_activation="selu"),
+    "softmax_over_inputs": lambda h: h["config"].update(softmax_axis="input_caps"),
     "config_as_list": lambda h: h.update(config=[1, 2]),
     "ablation_missing": lambda h: h.pop("ablation"),
     "vocab_as_list": lambda h: h.update(vocab=list(h["vocab"])),

@@ -16,8 +16,7 @@ def write_config(tmp_path, text):
 
 
 def test_config_file_round_trip(tmp_path):
-    cfg = toy_config(bigru_sizes=[7, 5], lr=0.125, softmax_axis="input_caps",
-                     truncate_keep="last", head_activation="selu")
+    cfg = toy_config(bigru_sizes=[7, 5], lr=0.125, truncate_keep="last")
     ab = AblationConfig(variant="cnn_capsule", cnn_filter_widths=[2, 5], cnn_filter_count=3,
                         pool_window=2)
     path = tmp_path / "run.json"
@@ -42,8 +41,11 @@ def test_config_file_unknown_key_names_path(tmp_path, text, unknown):
 
 
 @pytest.mark.parametrize("key, value", [("max_len", 1.5), ("dropout", "half"),
-                                        ("bigru_sizes", [4, "x"]), ("embed_trainable", "maybe")],
-                         ids=["max_len", "dropout", "bigru_sizes", "embed_trainable"])
+                                        ("bigru_sizes", [4, "x"]), ("embed_trainable", "maybe"),
+                                        ("head_activation", "selu"),
+                                        ("softmax_axis", "input_caps")],
+                         ids=["max_len", "dropout", "bigru_sizes", "embed_trainable",
+                              "head_activation", "softmax_axis"])
 def test_config_file_bad_value_names_path_and_field(tmp_path, key, value):
     text = json.dumps({"config": {"seed": 3, key: value}, "ablation": {}})
     path = write_config(tmp_path, text)

@@ -1,8 +1,9 @@
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
-from bgcapsule import layers, model, tensor, training
+from bgcapsule import config, layers, model, tensor, training
 
 import gradsuite
 
@@ -83,8 +84,7 @@ def test_every_gradsuite_check_passes(monkeypatch):
         assert f"cnn_capsules/{attr}" in names
     for attr in ("u", "weights"):
         assert f"predict_vectors/{attr}" in names
-    for axis in ("output_caps", "input_caps"):
-        assert f"dynamic_routing/{axis}" in names and f"dynamic_routing/{axis}/weighted" in names
+    assert "dynamic_routing" in names and "dynamic_routing/weighted" in names
     failed = [r.line() for r in reports if not r.passed]
     assert not failed, "\n".join(failed)
 
@@ -113,3 +113,24 @@ def test_every_public_compute_name_has_a_package_caller():
         unused |= {f"{Path(module.__file__).stem}.{name}"
                    for name in _top_level_names(module) - read}
     assert unused == set(OUTSIDE_CALLERS), f"public names no package module reads: {sorted(unused)}"
+
+
+# config fields that no package module reads, and why they are kept
+FIXED_CONFIG_FIELDS = {
+    "ModelConfig.head_activation": "fixed to 'relu'; perfbench/checks.py reads it, and config "
+                                   "files and artifact headers carry it",
+    "ModelConfig.softmax_axis": "fixed to 'output_caps'; perfbench/checks.py reads it, and "
+                                "config files and artifact headers carry it",
+}
+
+
+def test_every_config_field_has_a_package_reader():
+    # a field that no module reads is a setting that changes nothing
+    package = sorted(Path(config.__file__).parent.glob("*.py"))
+    read = {node.attr for path in package if path.name != "config.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = {f"{cls.__name__}.{field.name}"
+              for cls in (config.ModelConfig, config.AblationConfig)
+              for field in dataclasses.fields(cls) if field.name not in read}
+    assert unread == set(FIXED_CONFIG_FIELDS), f"fields no package module reads: {sorted(unread)}"

@@ -199,7 +199,7 @@ def run_gru_and_unroll(rng, seq, reverse, masked, dtype=np.float64):
     params = make_gru(rng, feat, hidden, dtype)
     for name in ("b_z", "b_r", "b_h"):
         setattr(params, name, T.Tensor(rng.normal(size=hidden).astype(dtype)))
-    mask = T.Tensor(((rng.random((n, hidden)) >= 0.4) / 0.6).astype(dtype)) if masked else None
+    mask = ((rng.random((n, hidden)) >= 0.4) / 0.6).astype(dtype) if masked else None
     weight = rng.normal(size=(n, t_len, hidden)).astype(dtype).astype(np.float64)
     seq = T.Tensor(seq.data.astype(dtype))
     leaves = [seq, params.w_z, params.w_r, params.w_h, params.b_z, params.b_r, params.b_h]
@@ -210,7 +210,7 @@ def run_gru_and_unroll(rng, seq, reverse, masked, dtype=np.float64):
         got = [out.data] + [tape.grad(leaf).data for leaf in leaves]
 
     args = [leaf.data.astype(np.float64) for leaf in leaves]
-    mask_data = None if mask is None else mask.data.astype(np.float64)
+    mask_data = None if mask is None else mask.astype(np.float64)
 
     def loss_wrt(k):
         def loss(value):
@@ -482,7 +482,7 @@ def test_squash_norm_ten():
 def test_squash_matches_vector_oracle_batched():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(4, 5, 3))
-    out = L.squash(T.Tensor(x, dtype=np.float64), axis=-1).data
+    out = L.squash(T.Tensor(x, dtype=np.float64)).data
     for n in range(4):
         for i in range(5):
             npt.assert_allclose(out[n, i], squash_vector(x[n, i]), atol=1e-12)
@@ -609,19 +609,14 @@ def test_routing_degenerate_single_pair():
     npt.assert_allclose(v.data[0, 0], squash_vector([3.0, 4.0]), atol=1e-12)
 
 
-AXES = ("output_caps", "input_caps")
-
-
-@pytest.mark.parametrize("iterations,axis", [
-    pytest.param(i, axis, id=str(i) if axis == "output_caps" else f"{i}-{axis}")
-    for axis in AXES for i in (1, 2, 3)])
-def test_routing_matches_plain_loop_oracle(iterations, axis):
+@pytest.mark.parametrize("iterations", [1, 2, 3])
+def test_routing_matches_plain_loop_oracle(iterations):
     rng = np.random.default_rng(16 + iterations)
     i_count, j_count, dim = 5, 3, 8
     u_hat = rng.normal(size=(2, j_count, i_count, dim))
-    v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), iterations, axis)
+    v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), iterations)
     for n in range(2):
-        want_v, want_c, history = routing_plain_loops(u_hat[n], iterations, axis == "output_caps")
+        want_v, want_c, history = routing_plain_loops(u_hat[n], iterations)
         npt.assert_allclose(v.data[n], want_v, rtol=0, atol=1e-12)
         npt.assert_allclose(info.coupling_history[-1][n], want_c, rtol=0, atol=1e-12)
         for step, c_hist in enumerate(history):
@@ -634,19 +629,15 @@ def test_routing_coupling_rows_sum_to_one_every_iteration():
     _, info = L.dynamic_routing(u_hat, iterations=3)
     for c in info.coupling_history:
         npt.assert_allclose(c.sum(axis=2), np.ones((3, 6)), rtol=0, atol=1e-12)
-    _, info = L.dynamic_routing(u_hat, iterations=3, normalize_over="input_caps")
-    for c in info.coupling_history:
-        npt.assert_allclose(c.sum(axis=1), np.ones((3, 4)), rtol=0, atol=1e-12)
 
 
 def test_routing_permutation_invariance():
     rng = np.random.default_rng(21)
     u_hat = rng.normal(size=(1, 3, 6, 4))
     perm = rng.permutation(6)
-    for axis in AXES:
-        v1, _ = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), 3, axis)
-        v2, _ = L.dynamic_routing(T.Tensor(u_hat[:, :, perm, :], dtype=np.float64), 3, axis)
-        npt.assert_allclose(v1.data, v2.data, rtol=0, atol=1e-12)
+    v1, _ = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), 3)
+    v2, _ = L.dynamic_routing(T.Tensor(u_hat[:, :, perm, :], dtype=np.float64), 3)
+    npt.assert_allclose(v1.data, v2.data, rtol=0, atol=1e-12)
 
 
 def routing_and_grad(route, u_hat, upstream):
@@ -659,20 +650,19 @@ def routing_and_grad(route, u_hat, upstream):
         return v.data, logits, history, tape.grad(u).data
 
 
-def fused(iterations, axis, weights=None):
+def fused(iterations, weights=None):
     def route(u):
-        v, info = L.dynamic_routing(u, iterations, axis, weights)
+        v, info = L.dynamic_routing(u, iterations, weights)
         return v, info.logits, info.coupling_history
     return route
 
 
-@pytest.mark.parametrize("axis", AXES)
-def test_fused_routing_matches_taped_oracle(axis):
+def test_fused_routing_matches_taped_oracle():
     rng = np.random.default_rng(40)
     u_hat = rng.normal(size=(3, 4, 7, 5))
     upstream = rng.normal(size=(3, 4, 5))
-    got = routing_and_grad(fused(3, axis), u_hat, upstream)
-    want = routing_and_grad(lambda u: routing_taped(u, 3, axis), u_hat, upstream)
+    got = routing_and_grad(fused(3), u_hat, upstream)
+    want = routing_and_grad(lambda u: routing_taped(u, 3), u_hat, upstream)
     for g, w in zip(got[:2], want[:2]):
         npt.assert_allclose(g, w, rtol=0, atol=1e-12)
     assert len(got[2]) == len(want[2]) == 3
@@ -681,8 +671,7 @@ def test_fused_routing_matches_taped_oracle(axis):
     npt.assert_allclose(got[3], want[3], rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("axis", AXES)
-def test_routing_duplicates_equal_distinct_capsules_with_counts(axis):
+def test_routing_duplicates_equal_distinct_capsules_with_counts():
     # three distinct capsules standing for 3, 1 and 2 copies, plus a
     # zero-weight entry that repeats the first, as batch padding does
     rng = np.random.default_rng(41)
@@ -692,9 +681,9 @@ def test_routing_duplicates_equal_distinct_capsules_with_counts(axis):
     counts = np.array([3.0, 1.0, 2.0, 0.0])
     upstream = rng.normal(size=(2, 3, 4))
     v, logits, history, grad = routing_and_grad(
-        fused(3, axis), distinct[:, :, copies], upstream)
+        fused(3), distinct[:, :, copies], upstream)
     v_m, logits_m, history_m, grad_m = routing_and_grad(
-        fused(3, axis, np.tile(counts, (2, 1))), merged, upstream)
+        fused(3, np.tile(counts, (2, 1))), merged, upstream)
     npt.assert_allclose(v_m, v, rtol=0, atol=1e-12)
     npt.assert_allclose(logits_m[:, copies], logits, rtol=0, atol=1e-12)
     for c_m, c in zip(history_m, history):
@@ -730,14 +719,13 @@ def test_routing_rejects_zero_iterations():
 def test_routing_full_unroll_gradient():
     rng = np.random.default_rng(23)
     u_hat = rng.normal(size=(2, 2, 3, 4))
-    for axis in AXES:
-        for weights in (None, np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0]])):
-            def target(t):
-                v, _ = L.dynamic_routing(t, 3, axis, weights)
-                return inner(v)
+    for weights in (None, np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0]])):
+        def target(t):
+            v, _ = L.dynamic_routing(t, 3, weights)
+            return inner(v)
 
-            report = grad_check(target, f64(u_hat), name=f"dynamic_routing/{axis}")
-            assert report.passed, report.line()
+        report = grad_check(target, f64(u_hat), name="dynamic_routing")
+        assert report.passed, report.line()
 
 
 # ---------------------------------------------------------------------------
@@ -785,15 +773,8 @@ def test_dense_head_rows_sum_to_one_and_uniform_at_zero():
     npt.assert_allclose(probs, np.full((3, 4), 0.25), atol=1e-12)
 
     params = L.head_params(L.drawing(rng, np.float64), 6, 5, 4)
-    probs = T.softmax(L.dense_head(x, params, activation="selu"), axis=1).data
+    probs = T.softmax(L.dense_head(x, params), axis=1).data
     npt.assert_allclose(probs.sum(axis=1), np.ones(3), atol=1e-6)
-
-
-def test_dense_head_rejects_unknown_activation():
-    rng = np.random.default_rng(25)
-    params = L.head_params(L.drawing(rng, np.float64), 6, 5, 4)
-    with pytest.raises(ConfigError, match="gelu"):
-        L.dense_head(f64(rng.normal(size=(3, 6))), params, activation="gelu")
 
 
 # ---------------------------------------------------------------------------

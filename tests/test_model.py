@@ -78,14 +78,6 @@ def test_routing_info_exposed(separable_docs):
                         atol=1e-5)
 
 
-def test_softmax_axis_flag_changes_normalization(separable_docs):
-    cfg = toy_config(softmax_axis="input_caps")
-    model, encoded = build_toy_model(separable_docs, cfg)
-    model.forward(batch_of(encoded[:2]).token_ids)
-    sums = model.last_routing.coupling_history[-1].sum(axis=1)
-    npt.assert_allclose(sums, np.ones((2, cfg.routed_caps)), atol=1e-5)
-
-
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_watched_frozen_embedding_gets_the_finite_difference_gradient(variant):
     # full-length docs: no padding row, whose gradient the embedding pins to zero
@@ -169,8 +161,9 @@ def test_config_validation():
         ModelConfig(dropout=1.5).validate()
     with pytest.raises(ConfigError):
         ModelConfig(epochs=0).validate()
-    with pytest.raises(ConfigError):
-        ModelConfig(head_activation="gelu").validate()
+    for field, value in (("head_activation", "selu"), ("softmax_axis", "input_caps")):
+        with pytest.raises(ConfigError, match=f"ModelConfig.{field} must be"):
+            ModelConfig(**{field: value}).validate()
     with pytest.raises(ConfigError):
         ModelConfig(bigru_sizes=[5]).validate()
     with pytest.raises(ConfigError, match="seed"):
@@ -190,9 +183,9 @@ MERGE_TEXTS = [
 ]
 
 
-def merge_model(axis, filters=4):
+def merge_model(filters=4):
     config = toy_config(max_len=12, primary_caps_per_pos=2, routing_iters=3, dropout=0.0,
-                        softmax_axis=axis, embed_trainable=True)
+                        embed_trainable=True)
     docs = [LabeledText(text, i % 2) for i, text in enumerate(MERGE_TEXTS)]
     vocab = build_vocab([MERGE_WORDS])
     table = random_embeddings(vocab, config.embed_dim, config.seed)
@@ -213,9 +206,9 @@ def routed(monkeypatch):
     calls = []
     real = L.dynamic_routing
 
-    def spy(u_hat, iterations, normalize_over="output_caps", weights=None):
+    def spy(u_hat, iterations, weights=None):
         calls.append((u_hat.shape[2], weights))
-        return real(u_hat, iterations, normalize_over, weights)
+        return real(u_hat, iterations, weights)
 
     monkeypatch.setattr(L, "dynamic_routing", spy)
     return calls
@@ -258,9 +251,8 @@ def assert_matches_every_position(model, ids, labels):
         assert np.abs(grads[name] - want).max() <= 1e-12 * scale, name
 
 
-@pytest.mark.parametrize("axis", ["output_caps", "input_caps"])
-def test_cnn_capsule_routes_dead_positions_once_with_the_same_result(axis, monkeypatch):
-    model, batch = merge_model(axis)
+def test_cnn_capsule_routes_dead_positions_once_with_the_same_result(monkeypatch):
+    model, batch = merge_model()
     calls = routed(monkeypatch)
     t_caps = model.config.max_len * model.config.primary_caps_per_pos
     for docs in (slice(None), slice(1, None)):  # with and without the doc that fills max_len
@@ -277,7 +269,7 @@ def test_cnn_capsule_step_records_no_every_position_features():
     # the CNN computes, stores and back-propagates its features at each
     # document's distinct positions only: no tape node holds T rows of all
     # channels, or of one width's
-    model, batch = merge_model("output_caps", filters=5)  # a count no other extent has
+    model, batch = merge_model(filters=5)  # a count no other extent has
     ids, labels = batch.token_ids[1:], batch.labels[1:]  # no doc fills max_len
     t_len, channels = model.config.max_len, (5, model.extractor.width)
     with T.Tape() as tape:

@@ -1,4 +1,3 @@
-import math
 import zlib
 
 import numpy as np
@@ -51,14 +50,6 @@ def test_matmul_gradient_vs_finite_differences():
     nb = finite_difference(lambda x: (a @ x).sum(), b)
     assert error_stats(ga, na)[2] < 1e-4
     assert error_stats(gb, nb)[2] < 1e-4
-
-
-def test_selu_published_constants():
-    # lambda * x for positive x, cross-checked against a direct evaluation
-    expected = 1.0507009873554805 * 1.0
-    assert math.isclose(T.selu(f64(1.0)).item(), expected, rel_tol=1e-12)
-    neg = 1.0507009873554805 * 1.6732632423543772 * (math.exp(-2.0) - 1.0)
-    assert math.isclose(T.selu(f64(-2.0)).item(), neg, rel_tol=1e-10)
 
 
 def test_elementwise_shape_error():
@@ -224,7 +215,7 @@ def fused_layer_op(name, rng):
     for row, lead in enumerate((2, 4, 0)):
         seq.data[row, :lead] = 0.0
     params = L.GruParams(*[f32(9, 5) for _ in range(3)], *[f32(5) for _ in range(3)])
-    mask = T.Tensor(((rng.random((3, 5)) >= 0.4) / 0.6).astype(np.float32))
+    mask = ((rng.random((3, 5)) >= 0.4) / 0.6).astype(np.float32)
     leaves = [seq, *(tensor for _, tensor in params.named("gru"))]
     return leaves, lambda: L.run_gru(seq, params, name == "run_gru_reverse", mask)
 
@@ -252,7 +243,6 @@ def test_backward_replay_of_fused_layer_ops_is_deterministic(name):
 @pytest.mark.parametrize(
     "name,fn",
     [
-        ("selu", T.selu),
         ("softmax", lambda t: T.softmax(t, axis=0)),
     ],
 )
@@ -282,7 +272,7 @@ def test_gradients_random_shapes_many_ops(seed):
 
     def composite(t):
         h = T.add_bias(T.matmul(t, wt), bt)
-        h = T.selu(h)
+        h = T.relu(h)
         s = T.softmax(h, axis=1)
         flat = T.reshape(s, (3 * rows,))
         gram = T.reshape(T.matmul(T.reshape(s, (3, rows)), s), (9,))
@@ -301,20 +291,6 @@ def test_add_bias_gradient():
     assert report.passed, report.line()
 
 
-def test_grad_check_selu_against_analytic_derivative():
-    # independent oracle: selu'(x) = lambda * alpha * e^x for x < 0
-    x = -0.3
-    with T.Tape() as tape:
-        xt = f64(x)
-        tape.watch(xt)
-        tape.backward(T.selu(xt))
-        analytic = tape.grad(xt).item()
-    assert math.isclose(analytic, 1.0507009873554805 * 1.6732632423543772 * math.exp(x),
-                        rel_tol=1e-12)
-    report = grad_check(T.selu, f64(x), name="selu-scalar")
-    assert report.passed and report.max_rel_err < 1e-6
-
-
 def test_check_finite_flag(monkeypatch):
     # the flag BGC_CHECK_FINITE sets at import
     monkeypatch.setattr(T, "_check_finite", True)
@@ -331,7 +307,7 @@ def test_no_tape_means_no_recording():
 def test_grad_check_restores_x_bitwise_and_needs_float64():
     x = f64(np.random.default_rng(12).normal(size=(3, 4)))
     before = x.data.copy()
-    report = grad_check(lambda t: inner(T.selu(t), t), x)
+    report = grad_check(lambda t: inner(T.relu(t), t), x)
     assert report.passed, report.line()
     assert x.data.tobytes() == before.tobytes()
     with pytest.raises(ContractError, match="float64"):
