@@ -127,25 +127,23 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     sigmoid(a) is computed as (1 + tanh(a/2)) / 2, which cannot
     overflow; the 1/2 is folded once per call into the z|r columns of
     ``W``, ``U`` and the biases. One [N,T] reduction of ``seq`` finds
-    the rows with text (any nonzero input). Before the loop, one
-    [L,F]x[F,3H] GEMM over ``W_z|W_r|W_h`` plus the biases projects L
-    input rows in time-major order: all T*N, from a transposed copy of
-    ``seq``, or, when the rows with text are half of them or fewer,
-    those rows alone, gathered from ``seq``. In the second case only the
-    S steps where some row has text keep projected rows, as [S,N,3H]; a
-    padding row among them holds the biases, and a step without text
-    reads the biases as one broadcast row. Both are what the GEMM gives
-    an all-zero row. Each step runs one ``h_in.[U_z|U_r]`` and one
-    ``(r*h_in).U_h`` GEMM, and does its pointwise work in place on
-    [N,2H] and [N,H] arrays allocated once per call, so a step allocates
-    nothing. The output is the state buffer seen as [N,T,H], a
-    transposed view, not a copy. Saved for the backward, all
-    time-major: the L input rows (for dW_x), the gate outputs z|r|c as
-    [T,N,3H] (each step copies its own in; kept only when the op is
-    recorded), the states as [T+1,N,H] (position t reads its previous
-    state from one end and writes its own to the other; the output
-    views them too), and the masked states h_in as [T,N,H] when there
-    is a mask.
+    the L rows with text (any nonzero input). Before the loop they are
+    gathered from ``seq`` in time-major order and projected by one
+    [L,F]x[F,3H] GEMM over ``W_z|W_r|W_h`` plus the biases, then
+    scattered into an [S,N,3H] buffer over the S steps where some row
+    has text. A padding row in that buffer holds the biases, and a step
+    without text reads the biases as one broadcast row: both are what
+    the GEMM gives an all-zero row. Each step runs one
+    ``h_in.[U_z|U_r]`` and one ``(r*h_in).U_h`` GEMM, and does its
+    pointwise work in place on [N,2H] and [N,H] arrays allocated once
+    per call, so a step allocates nothing. The output is the state
+    buffer seen as [N,T,H], a transposed view, not a copy. Saved for
+    the backward, all time-major: the L input rows (for dW_x), the gate
+    outputs z|r|c as [T,N,3H] (each step copies its own in; kept only
+    when the op is recorded), the states as [T+1,N,H] (position t reads
+    its previous state from one end and writes its own to the other;
+    the output views them too), and the masked states h_in as [T,N,H]
+    when there is a mask.
 
     Backward: BPTT runs the steps in reverse scan order on [N,H] and
     [N,2H] arrays allocated once per backward. Each step copies its z,
@@ -155,8 +153,9 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     [T,N,3H] buffer; only dh is carried between steps. Saved buffers are
     only read, so a backward can be replayed. dW, db and d(seq) then
     come from a few GEMMs over that buffer flattened to [T*N,3H]; dW_x
-    reads the same L rows, and d(seq) is skipped when ``seq`` needs no
-    gradient (``tensor.needs_grad``), as for a frozen embedding.
+    reads it at the L rows with text only, and d(seq) is skipped when
+    ``seq`` needs no gradient (``tensor.needs_grad``), as for a frozen
+    embedding.
 
     Padding trajectory: when none of the seven inputs needs a gradient
     (so the op is not recorded) and there is no ``mask``, every row
@@ -197,30 +196,17 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     rows = t_len * n
     text = seq.data.any(axis=2).T  # [T,N]: which rows hold text, time-major
     text_at = text.any(axis=1)
-    live = np.flatnonzero(text)  # time-major row numbers t*N + n
-    # gathering and scattering a row costs a third to a half as much as
-    # projecting it (F=300, H=200-256), so padding is skipped only where it
-    # fills half the rows or more
-    dense = 2 * len(live) > rows
-    if dense:
-        live = slice(None)
-        x_rows = np.ascontiguousarray(seq.data.transpose(1, 0, 2)).reshape(rows, feat)
-    else:
-        at, row = np.divmod(live, n)
-        x_rows = seq.data[row, at]  # all dW_x needs
+    at, row = np.nonzero(text)  # the rows with text, time-major
+    x_rows = seq.data[row, at]  # all dW_x needs
     proj = x_rows @ (w_x * half)
     proj += bias
-    bias_row = bias[None]
-    if dense:
-        proj_at = proj.reshape(t_len, n, 3 * hid)
-    else:
-        slot = np.cumsum(text_at) - 1
-        text_rows = np.empty((np.count_nonzero(text_at), n, 3 * hid), proj.dtype)
-        text_rows[:] = bias  # what the GEMM gives an all-zero (padding) row
-        text_rows[slot[at], row] = proj
-        proj_at = [bias_row] * t_len  # what a step without text reads
-        for t, rows_t in zip(np.flatnonzero(text_at).tolist(), text_rows):
-            proj_at[t] = rows_t
+    bias_row = bias[None]  # what the GEMM gives an all-zero (padding) row
+    slot = np.cumsum(text_at) - 1
+    text_rows = np.full((np.count_nonzero(text_at), n, 3 * hid), bias, proj.dtype)
+    text_rows[slot[at], row] = proj
+    del proj
+    # the steps where some row has text; any other step reads bias_row
+    proj_at = dict(zip(np.flatnonzero(text_at).tolist(), text_rows))
     seq_grad = T.needs_grad(seq)
 
     recorded = any(T.needs_grad(x) for x in inputs)
@@ -268,7 +254,7 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     for t in steps[start:]:
         h_prev = states[t + src]
         h_in = h_prev if mask is None else np.multiply(h_prev, mask, out=h_in_all[t])
-        step(h_prev, h_in, proj_at[t], states[t + dst], zr_buf, c_buf, tmp_buf)
+        step(h_prev, h_in, proj_at.get(t, bias_row), states[t + dst], zr_buf, c_buf, tmp_buf)
         if recorded:
             gates[t, :, :2 * hid] = zr_buf
             gates[t, :, 2 * hid:] = c_buf
@@ -316,7 +302,7 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
             h_in_all.reshape(rows, hid).T @ flat[:, :2 * hid],
             rh.reshape(rows, hid).T @ flat[:, 2 * hid:],
         ], axis=1)
-        d_wx = x_rows.T @ flat[live]
+        d_wx = x_rows.T @ d_pre[at, row]
         d_w = [np.concatenate([d_u[:, k * hid:(k + 1) * hid], d_wx[:, k * hid:(k + 1) * hid]])
                for k in range(3)]
         d_b = np.split(flat.sum(axis=0), 3)
@@ -626,10 +612,7 @@ def _conv_padded(x: Tensor, padded: np.ndarray, row_live: np.ndarray, start: int
     ``cnn_feature_extractor`` builds from every width's windows. The
     results are scattered to the entries that read them, in a buffer
     pre-filled with the bias, which is what the GEMM gives an all-zero
-    window. There
-    is no threshold on the share of padding, unlike ``run_gru``: im2col
-    must copy every window it multiplies anyway, and the gather is that
-    copy, so skipping a window never costs more than keeping it.
+    window.
 
     Backward: an entry's gradient is the sum over the positions it stands
     for, and a padding entry's is zero (see ``DistinctPositions``). The

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bgcapsule import tensor as T
-from bgcapsule.config import AblationConfig, ModelConfig
+from bgcapsule.config import ModelConfig
 from bgcapsule.model import TextClassifier
 from bgcapsule.synthetic import separable_corpus
 from bgcapsule.text import build_vocab, encode_docs, random_embeddings, tokenize_lower

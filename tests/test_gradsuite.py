@@ -134,3 +134,27 @@ def test_every_config_field_has_a_package_reader():
               for cls in (config.ModelConfig, config.AblationConfig)
               for field in dataclasses.fields(cls) if field.name not in read}
     assert unread == set(FIXED_CONFIG_FIELDS), f"fields no package module reads: {sorted(unread)}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # names listed in __all__ count as read; __future__ imports bind no name
+    root = Path(tensor.__file__).parent
+    unused = set()
+    for path in sorted([*root.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update({alias.asname or alias.name.split(".")[0]: node.lineno
+                              for alias in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update({alias.asname or alias.name: node.lineno for alias in node.names})
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                    for t in node.targets):
+                read |= {ast.literal_eval(item) for item in node.value.elts}
+        unused |= {f"{path.parent.name}/{path.name}:{bound[name]} {name}"
+                   for name in set(bound) - read}
+    assert not unused, f"imported but never read: {sorted(unused)}"

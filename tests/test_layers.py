@@ -237,8 +237,8 @@ def test_run_gru_matches_gru_step_unroll(reverse, masked):
 def padded_sequence(rng, leads=(2, 4, 5)):
     """[3,7,4] with ``leads`` leading all-zero rows per row and one zero row mid-sequence.
 
-    The default makes 12 of 21 positions padding, so ``run_gru`` skips
-    them; with (0, 1, 2) it projects every row.
+    The default makes 12 of 21 positions padding; (0, 1, 2) makes 4 of
+    21, so most rows hold text.
     """
     seq = rng.normal(size=(3, 7, 4))
     for row, lead in enumerate(leads):
@@ -326,14 +326,14 @@ def test_untaped_run_gru_matches_gru_scan(case, reverse):
     npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-# run_gru projects only the rows with text when they are half the rows or
-# fewer, and a step where no row has text reads the bias alone. Per case:
+# run_gru projects only the rows with text, and a step where no row has
+# text reads the bias alone. Per case:
 # each row's count of leading padding positions, and the positions that are
 # zero in every row (one OOV word shared by the batch), over T=8.
 STEP_MAP_CASES = {
     "shared_oov_step": ((3, 4, 4), (5,)),  # 10 of 24 rows live, step 5 has none
-    "half_live": ((4, 4), ()),  # 8 of 16: the most rows that still skip padding
-    "one_over_half_live": ((4, 3), ()),  # 9 of 16: every row is projected
+    "half_live": ((4, 4), ()),  # 8 of 16 rows live
+    "one_over_half_live": ((4, 3), ()),  # 9 of 16: most rows hold text
     "all_padding": ((8, 8, 8), ()),
     "one_row": ((3,), (5,)),
 }

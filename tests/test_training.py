@@ -8,7 +8,6 @@ from bgcapsule import tensor as T
 from bgcapsule import training
 from bgcapsule.ablation import run_ablation
 from bgcapsule.artifact import load_model, save_model
-from bgcapsule.config import AblationConfig
 from bgcapsule.errors import ConfigError, ContractError, DataError
 from bgcapsule.model import recurrent_dropout_mask
 from bgcapsule.synthetic import separable_corpus
@@ -269,9 +268,11 @@ def test_evaluate_deterministic_and_class_counts(separable_docs):
     assert np.all(m1.class_correct <= m1.class_total)
 
 
-def test_evaluate_in_batches_matches_one_document_at_a_time():
-    # short docs share a padding prefix, which batched eval scans once per batch
-    docs = separable_corpus(12, seed=5, min_len=3, max_len=10)
+@pytest.mark.parametrize("lengths", [(3, 10), (12, 24)], ids=["short", "long"])
+def test_evaluate_in_batches_matches_one_document_at_a_time(lengths):
+    # short docs share a padding prefix, which batched eval scans once per
+    # batch; long ones fill 12 or more of the 16 positions, some truncated
+    docs = separable_corpus(12, seed=5, min_len=lengths[0], max_len=lengths[1])
     model, encoded = build_toy_model(docs, toy_config(), dtype=np.float64)
     randomize_gru_biases(model, 5)
     metrics = training.evaluate(model, encoded, 4)
