@@ -70,6 +70,18 @@ def embedding_forward(table: Tensor, token_ids: np.ndarray) -> Tensor:
 class GruParams:
     """Gate and candidate weights over the [h, x] concatenation.
 
+    The three weights are column views of one [H+F, 3H] array per
+    direction, ``pack`` = [w_z | w_r | w_h], laid out as ``run_gru``'s
+    GEMMs read it: its x-rows ``pack[H:]`` project the input, its h-rows
+    ``pack[:H, :2H]`` and ``pack[:H, 2H:]`` are each step's U_zr and U_h.
+    ``packed()`` builds it at the first scan, not at construction, so
+    building or loading a model copies no weight, and builds it again,
+    with the weights rebound to its columns, whenever a weight's
+    ``.data`` is no longer the view it was given: after an optimizer
+    step, a restored state or a cast, which all rebind it. A write into
+    a weight's ``.data`` lands in the pack itself. Names, shapes and
+    values are those of separate weights.
+
     ``padding`` is ``run_gru``'s memo of the states over all-padding
     input: (dtype, copies of the arrays they came from, states).
     """
@@ -81,6 +93,8 @@ class GruParams:
     b_r: Tensor
     b_h: Tensor
     padding: tuple | None = field(default=None, repr=False, compare=False)
+    pack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _views: tuple = field(default=(None,) * 3, init=False, repr=False, compare=False)
 
     @property
     def hidden_size(self) -> int:
@@ -94,6 +108,24 @@ class GruParams:
         yield f"{prefix}.b_r", self.b_r
         yield f"{prefix}.b_h", self.b_h
 
+    def packed(self) -> np.ndarray:
+        """``pack``, built again if some weight was rebound; checks every shape
+        against ``w_z``'s and raises ``DimensionError`` naming the one that
+        differs."""
+        hid = self.hidden_size
+        for name in ("w_r", "w_h", "b_z", "b_r", "b_h"):
+            shape, want = getattr(self, name).shape, self.w_z.shape if name[0] == "w" else (hid,)
+            if shape != want:
+                raise DimensionError(f"GRU {name} has shape {shape}, but w_z {self.w_z.shape} "
+                                     f"needs {want}")
+        weights = (self.w_z, self.w_r, self.w_h)
+        if any(w.data is not view for w, view in zip(weights, self._views)):
+            self.pack = np.concatenate([w.data for w in weights], axis=1)
+            self._views = tuple(self.pack[:, k * hid:(k + 1) * hid] for k in range(3))
+            for w, view in zip(weights, self._views):
+                w.data = view
+        return self.pack
+
 
 def gru_params(param, prefix: str, input_size: int, hidden_size: int) -> GruParams:
     """One GRU's tensors, asked of ``param(name, shape)`` as ``<prefix>.w_z`` etc."""
@@ -106,8 +138,27 @@ def init_gru(rng, input_size: int, hidden_size: int, dtype=np.float32) -> GruPar
     return gru_params(drawing(rng, dtype), "gru", input_size, hidden_size)
 
 
+@dataclass
+class TextRows:
+    """The rows of an [N,T,F] batch that hold text (any nonzero input), in
+    time-major order: batch row ``row[i]`` reads ``x[i]`` at step ``at[i]``.
+    ``steps`` [T] marks the steps where some row has text."""
+
+    at: np.ndarray
+    row: np.ndarray
+    x: np.ndarray  # [L,F]
+    steps: np.ndarray
+
+
+def text_rows(seq: np.ndarray) -> TextRows:
+    """``TextRows`` of the [N,T,F] array ``seq``, from one [T,N] reduction."""
+    text = seq.any(axis=2).T
+    at, row = np.nonzero(text)
+    return TextRows(at=at, row=row, x=seq[row, at], steps=text.any(axis=1))
+
+
 def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
-            mask: np.ndarray | None = None) -> Tensor:
+            mask: np.ndarray | None = None, rows: TextRows | None = None) -> Tensor:
     """Scan a GRU over [N,T,F] -> [N,T,H] from h = 0, as one tape op.
 
     At each position, with h the previous state, x the input and
@@ -122,28 +173,35 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     their original positions. ``mask`` (recurrent dropout, an [N,H]
     array, not an op input) is the mask above: it reaches the gates and
     the candidate but not the state carried through the interpolation.
+    ``rows`` is ``text_rows(seq.data)``, found once by a caller whose
+    scans all read the same batch (``model.BiGruEnsemble``); without it
+    the call finds them itself.
 
-    Forward: each weight splits into h-rows ``U`` and x-rows ``W``.
+    Forward: the weights are read as views of ``params.packed()``, the
+    [H+F,3H] array [w_z | w_r | w_h], so nothing is concatenated per
+    call: its x-rows W_x, and its h-rows U_zr = [U_z|U_r] and U_h.
     sigmoid(a) is computed as (1 + tanh(a/2)) / 2, which cannot
-    overflow; the 1/2 is folded once per call into the z|r columns of
-    ``W``, ``U`` and the biases. One [N,T] reduction of ``seq`` finds
-    the L rows with text (any nonzero input). Before the loop they are
-    gathered from ``seq`` in time-major order and projected by one
-    [L,F]x[F,3H] GEMM over ``W_z|W_r|W_h`` plus the biases, then
-    scattered into an [S,N,3H] buffer over the S steps where some row
-    has text. A padding row in that buffer holds the biases, and a step
-    without text reads the biases as one broadcast row: both are what
-    the GEMM gives an all-zero row. Each step runs one
+    overflow. Its 1/2 scales the z|r columns of the projection after
+    the GEMM, of the biases, and of one copy of U_zr per call; a power
+    of two scales exactly, except on subnormals. The L rows with text
+    are projected by one [L,F]x[F,3H] GEMM over W_x, plus the biases,
+    and scattered into an [S,N,3H] buffer over the S steps where some
+    row has text. A padding row in that buffer holds the biases, and a
+    step without text reads the biases as one broadcast row: both are
+    what the GEMM gives an all-zero row. The z|r and c parts of each
+    step's projection and of the bias row, and the z and r views of the
+    step's gate buffer, are sliced once per call. Each step runs one
     ``h_in.[U_z|U_r]`` and one ``(r*h_in).U_h`` GEMM, and does its
     pointwise work in place on [N,2H] and [N,H] arrays allocated once
     per call, so a step allocates nothing. The output is the state
     buffer seen as [N,T,H], a transposed view, not a copy. Saved for
-    the backward, all time-major: the L input rows (for dW_x), the gate
-    outputs z|r|c as [T,N,3H] (each step copies its own in; kept only
-    when the op is recorded), the states as [T+1,N,H] (position t reads
-    its previous state from one end and writes its own to the other;
-    the output views them too), and the masked states h_in as [T,N,H]
-    when there is a mask.
+    the backward, all time-major: the L input rows (for dW_x, shared
+    with the other scans given the same ``rows``), the gate outputs
+    z|r|c as [T,N,3H] (each step copies its own in; kept only when the
+    op is recorded), the states as [T+1,N,H] (position t reads its
+    previous state from one end and writes its own to the other; the
+    output views them too), and the masked states h_in as [T,N,H] when
+    there is a mask.
 
     Backward: BPTT runs the steps in reverse scan order on [N,H] and
     [N,2H] arrays allocated once per backward. Each step copies its z,
@@ -177,36 +235,34 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     may sum in another order than an N-row one. A recorded scan (training,
     or the taped pass of a gradient check) scans all rows at every step.
     """
-    if seq.ndim != 3 or seq.shape[2] + params.hidden_size != params.w_z.shape[0]:
+    pack = params.packed()
+    hid = params.hidden_size
+    if seq.ndim != 3 or seq.shape[2] + hid != pack.shape[0]:
         raise DimensionError(
             f"GRU with weights {params.w_z.shape} cannot scan a sequence of shape {seq.shape}"
         )
     n, t_len, feat = seq.shape
-    hid = params.hidden_size
     dtype = seq.dtype
-    weights = (params.w_z, params.w_r, params.w_h)
-    inputs = (seq, *weights, params.b_z, params.b_r, params.b_h)
-    w_x = np.concatenate([w.data[hid:] for w in weights], axis=1)
-    u_zr = np.concatenate([w.data[:hid] for w in weights[:2]], axis=1)
-    u_h = params.w_h.data[:hid]
-    # sigmoid(a) = (1 + tanh(a/2)) / 2: the 1/2 is folded into the z|r columns
+    inputs = (seq, params.w_z, params.w_r, params.w_h, params.b_z, params.b_r, params.b_h)
+    w_x, u_zr, u_h = pack[hid:], pack[:hid, :2 * hid], pack[:hid, 2 * hid:]
+    # sigmoid(a) = (1 + tanh(a/2)) / 2: the 1/2 scales the z|r columns
     half = np.repeat(np.array([0.5, 0.5, 1.0], dtype), hid)
     raw_bias = np.concatenate([params.b_z.data, params.b_r.data, params.b_h.data])
     bias = raw_bias * half
-    rows = t_len * n
-    text = seq.data.any(axis=2).T  # [T,N]: which rows hold text, time-major
-    text_at = text.any(axis=1)
-    at, row = np.nonzero(text)  # the rows with text, time-major
-    x_rows = seq.data[row, at]  # all dW_x needs
-    proj = x_rows @ (w_x * half)
+    if rows is None:
+        rows = text_rows(seq.data)
+    proj = rows.x @ w_x
+    proj[:, :2 * hid] *= 0.5
     proj += bias
-    bias_row = bias[None]  # what the GEMM gives an all-zero (padding) row
-    slot = np.cumsum(text_at) - 1
-    text_rows = np.full((np.count_nonzero(text_at), n, 3 * hid), bias, proj.dtype)
-    text_rows[slot[at], row] = proj
+    slot = np.cumsum(rows.steps) - 1
+    text_proj = np.full((np.count_nonzero(rows.steps), n, 3 * hid), bias, proj.dtype)
+    text_proj[slot[rows.at], rows.row] = proj
     del proj
-    # the steps where some row has text; any other step reads bias_row
-    proj_at = dict(zip(np.flatnonzero(text_at).tolist(), text_rows))
+    # each step's z|r and c projections; a step without text reads the bias row's,
+    # which is what the GEMM gives an all-zero (padding) row
+    bias_parts = (bias[None, :2 * hid], bias[None, 2 * hid:])
+    step_parts = dict(zip(np.flatnonzero(rows.steps).tolist(),
+                          zip(text_proj[:, :, :2 * hid], text_proj[:, :, 2 * hid:])))
     seq_grad = T.needs_grad(seq)
 
     recorded = any(T.needs_grad(x) for x in inputs)
@@ -218,18 +274,19 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
     h_in_all = states[src:src + t_len] if mask is None else np.empty((t_len, n, hid), dtype)
     u_zr_half = u_zr * 0.5
     zr_buf, c_buf, tmp_buf = (np.empty((n, w), dtype) for w in (2 * hid, hid, hid))
+    # the step's work arrays: z|r, its z and r views, c and a scratch array
+    bufs = (zr_buf, zr_buf[:, :hid], zr_buf[:, hid:], c_buf, tmp_buf)
 
-    def step(h_prev, h_in, proj_t, h_out, zr, c, tmp):
+    def step(h_prev, h_in, p_zr, p_c, h_out, zr, z, r, c, tmp):
         """One step for the rows of ``h_prev``; leaves z|r in ``zr`` and c in ``c``."""
         np.matmul(h_in, u_zr_half, out=zr)
-        zr += proj_t[:, :2 * hid]
+        zr += p_zr
         np.tanh(zr, out=zr)
         zr *= 0.5
         zr += 0.5
-        z, r = zr[:, :hid], zr[:, hid:]
         np.multiply(r, h_in, out=tmp)
         np.matmul(tmp, u_h, out=c)
-        c += proj_t[:, 2 * hid:]
+        c += p_c
         np.tanh(c, out=c)
         # h' = (1 - z) * h + z * c = h + z * (c - h)
         np.subtract(c, h_prev, out=tmp)
@@ -238,36 +295,41 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
 
     start = 0  # leading steps, in scan order, whose states are the padding trajectory
     if mask is None and not recorded:
-        start = int(np.append(text_at[steps], True).argmax())
+        start = int(np.append(rows.steps[steps], True).argmax())
     if start:
-        key = (u_zr, u_h, raw_bias)
+        key = (pack[:hid], raw_bias)
         memo = params.padding
         if (memo is None or memo[0] != dtype or len(memo[2]) <= start
                 or not all(a.dtype == b.dtype and np.array_equal(a, b)
                            for a, b in zip(memo[1], key))):
             trajectory = np.zeros((t_len + 1, 1, hid), dtype)
+            one_row = tuple(b[:1] for b in bufs)
             for i in range(t_len):
-                step(trajectory[i], trajectory[i], bias_row, trajectory[i + 1],
-                     zr_buf[:1], c_buf[:1], tmp_buf[:1])
-            memo = params.padding = (dtype, (u_zr, u_h.copy(), raw_bias), trajectory)
+                step(trajectory[i], trajectory[i], *bias_parts, trajectory[i + 1], *one_row)
+            memo = params.padding = (dtype, (pack[:hid].copy(), raw_bias), trajectory)
         states[np.asarray(steps[:start]) + dst] = memo[2][1:start + 1]
+    if recorded:
+        gates_zr, gates_c = gates[:, :, :2 * hid], gates[:, :, 2 * hid:]
     for t in steps[start:]:
         h_prev = states[t + src]
         h_in = h_prev if mask is None else np.multiply(h_prev, mask, out=h_in_all[t])
-        step(h_prev, h_in, proj_at.get(t, bias_row), states[t + dst], zr_buf, c_buf, tmp_buf)
+        step(h_prev, h_in, *step_parts.get(t, bias_parts), states[t + dst], *bufs)
         if recorded:
-            gates[t, :, :2 * hid] = zr_buf
-            gates[t, :, 2 * hid:] = c_buf
+            gates_zr[t] = zr_buf
+            gates_c[t] = c_buf
     out = states[dst:dst + t_len].transpose(1, 0, 2)
 
     def back(g):
         u_h_t, u_zr_t = np.ascontiguousarray(u_h.T), np.ascontiguousarray(u_zr.T)
         d_pre = np.empty((t_len, n, 3 * hid), dtype)  # d(pre-activation) of z | r | c
+        d_pre_zr, d_pre_c = d_pre[:, :, :2 * hid], d_pre[:, :, 2 * hid:]
+        g_z, g_r, g_c = (gates[:, :, k * hid:(k + 1) * hid] for k in range(3))
         d_zr = np.empty((n, 2 * hid), dtype)
+        d_z, d_r = d_zr[:, :hid], d_zr[:, hid:]
         z, r, c, q, dh, d_c, d_rh, dh_in, a = (np.empty((n, hid), dtype) for _ in range(9))
         dh[:] = 0.0
         for t in reversed(steps):
-            z[:], r[:], c[:] = gates[t, :, :hid], gates[t, :, hid:2 * hid], gates[t, :, 2 * hid:]
+            z[:], r[:], c[:] = g_z[t], g_r[t], g_c[t]
             h_in = h_in_all[t]
             dh += g[:, t]
             # d(c pre) = q * (1 - c^2), with q = dh * z
@@ -281,28 +343,28 @@ def run_gru(seq: Tensor, params: GruParams, reverse: bool = False,
             # d(z pre) = dh * (c - h_prev) * z * (1 - z)
             np.subtract(c, states[t + src], out=a)
             a *= dh
-            np.multiply(a, z, out=d_zr[:, :hid])
+            np.multiply(a, z, out=d_z)
             # d(r pre) = d_rh * h_in * r * (1 - r)
             np.subtract(1.0, r, out=a)
             a *= r
             a *= h_in
-            np.multiply(a, d_rh, out=d_zr[:, hid:])
+            np.multiply(a, d_rh, out=d_r)
             np.matmul(d_zr, u_zr_t, out=dh_in)
             np.multiply(d_rh, r, out=a)
             dh_in += a
             if mask is not None:
                 dh_in *= mask
             dh += dh_in
-            d_pre[t, :, :2 * hid] = d_zr
-            d_pre[t, :, 2 * hid:] = d_c
+            d_pre_zr[t] = d_zr
+            d_pre_c[t] = d_c
 
-        flat = d_pre.reshape(rows, 3 * hid)
-        rh = gates[:, :, hid:2 * hid] * h_in_all
+        flat = d_pre.reshape(t_len * n, 3 * hid)
+        rh = g_r * h_in_all
         d_u = np.concatenate([
-            h_in_all.reshape(rows, hid).T @ flat[:, :2 * hid],
-            rh.reshape(rows, hid).T @ flat[:, 2 * hid:],
+            h_in_all.reshape(-1, hid).T @ flat[:, :2 * hid],
+            rh.reshape(-1, hid).T @ flat[:, 2 * hid:],
         ], axis=1)
-        d_wx = x_rows.T @ d_pre[at, row]
+        d_wx = rows.x.T @ d_pre[rows.at, rows.row]
         d_w = [np.concatenate([d_u[:, k * hid:(k + 1) * hid], d_wx[:, k * hid:(k + 1) * hid]])
                for k in range(3)]
         d_b = np.split(flat.sum(axis=0), 3)

@@ -64,9 +64,11 @@ class BiGruEnsemble:
             shape = (embedded.shape[0], gru.hidden_size)
             return recurrent_dropout_mask(shape, self.dropout, dropout_rng).astype(embedded.dtype)
 
-        # each call gets the model's own GruParams as its second argument, by
-        # which perfbench's tracer names the direction
-        outputs = [L.run_gru(embedded, gru, reverse, mask(gru))
+        # the four scans read the same rows with text, found once; each call
+        # gets the model's own GruParams as its second argument, by which
+        # perfbench's tracer names the direction
+        rows = L.text_rows(embedded.data)
+        outputs = [L.run_gru(embedded, gru, reverse, mask(gru), rows)
                    for gru_pair in (self.bigru1, self.bigru2)
                    for gru, reverse in zip(gru_pair, (False, True))]
         return T.concat(outputs, axis=2), None

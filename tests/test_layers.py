@@ -433,17 +433,36 @@ def test_run_gru_rejects_input_width_its_weights_do_not_take():
         L.run_gru(f64(np.zeros((1, 2, 4))), params)
 
 
-def test_ensemble_channel_counts_and_concat_fidelity():
+@pytest.mark.parametrize("name, shape", [("w_r", (8, 4)), ("b_h", (4,))])
+def test_run_gru_names_a_tensor_whose_shape_differs_from_w_z(name, shape):
+    params = L.init_gru(np.random.default_rng(13), 5, 3)
+    getattr(params, name).data = np.zeros(shape, np.float32)
+    want = (8, 3) if name[0] == "w" else (3,)
+    with pytest.raises(DimensionError, match=re.escape(
+            f"GRU {name} has shape {shape}, but w_z (8, 3) needs {want}")):
+        L.run_gru(T.Tensor(np.ones((1, 2, 5), np.float32)), params)
+
+
+def test_ensemble_channel_counts_and_concat_fidelity(monkeypatch):
     cfg = ModelConfig(embed_dim=2, bigru_sizes=[4, 3], dropout=0.0)
     ensemble = BiGruEnsemble(cfg, AblationConfig(), 2, L.drawing(np.random.default_rng(8),
                                                                   np.float64))
-    seq = f64(np.random.default_rng(9).normal(size=(1, 3, 2)))
+    seq = np.random.default_rng(9).normal(size=(2, 3, 2))
+    seq[1, 0] = 0.0
+    seq = f64(seq)
+    found = []
+    real = L.text_rows
+    monkeypatch.setattr(L, "text_rows", lambda data: found.append(data) or real(data))
     out, live = ensemble.forward(seq, None)
-    assert out.shape == (1, 3, 14) and ensemble.width == 14 and live is None
-    # bigru1 forward, bigru1 backward, bigru2 forward, bigru2 backward
+    assert out.shape == (2, 3, 14) and ensemble.width == 14 and live is None
+    # the four scans share one reduction of the batch to its rows with text
+    assert len(found) == 1 and found[0] is seq.data
+    # bigru1 forward, bigru1 backward, bigru2 forward, bigru2 backward, each
+    # finding the same rows on its own
     (f1, b1), (f2, b2) = ensemble.bigru1, ensemble.bigru2
     parts = [L.run_gru(seq, f1), L.run_gru(seq, b1, reverse=True),
              L.run_gru(seq, f2), L.run_gru(seq, b2, reverse=True)]
+    assert len(found) == 5
     npt.assert_array_equal(out.data, np.concatenate([p.data for p in parts], axis=2))
 
 

@@ -4,12 +4,13 @@ import pytest
 
 from bgcapsule import layers as L
 from bgcapsule import tensor as T
+from bgcapsule.artifact import load_model, save_model
 from bgcapsule.config import VARIANTS, AblationConfig, ModelConfig
 from bgcapsule.errors import ConfigError
 from bgcapsule.model import TextClassifier
 from bgcapsule.synthetic import separable_corpus
-from bgcapsule.text import (LabeledText, batch_of, build_vocab, encode_docs, random_embeddings,
-                            tokenize_lower)
+from bgcapsule.text import (EmbeddingTable, LabeledText, batch_of, build_vocab, encode_docs,
+                            random_embeddings, tokenize_lower)
 from bgcapsule.training import softmax_cross_entropy
 
 from conftest import build_toy_model, randomize_gru_biases, toy_config
@@ -304,3 +305,86 @@ def test_bgcapsule_step_keeps_the_gru_states_and_features_without_copies(separab
     features = caps.inputs[0].data
     assert features.shape == (8, model.config.max_len, model.extractor.width)
     assert features.flags.c_contiguous
+
+
+def gru_directions(model):
+    return [*model.extractor.bigru1, *model.extractor.bigru2]
+
+
+def assert_gru_weights_view_one_pack_per_direction(model):
+    for gru in gru_directions(model):
+        hid, weights = gru.hidden_size, (gru.w_z, gru.w_r, gru.w_h)
+        assert gru.pack.shape == (hid + model.config.embed_dim, 3 * hid)
+        for k, w in enumerate(weights):
+            assert w.data.base is gru.pack
+            npt.assert_array_equal(w.data, gru.pack[:, k * hid:(k + 1) * hid])
+        assert not any(np.shares_memory(a.data, b.data)
+                       for a, b in zip(weights, weights[1:] + weights[:1]))
+
+
+def test_gru_weights_are_column_views_of_one_pack_after_a_build_and_a_load(tmp_path):
+    # the pack is built by the first forward, so a build or a load copies no weight
+    model, encoded = build_toy_model(separable_corpus(20, seed=3))
+    ids = batch_of(encoded[:2]).token_ids
+    save_model(model, tmp_path / "model.bgc")
+    for built in (model, load_model(tmp_path / "model.bgc")):
+        assert all(gru.pack is None for gru in gru_directions(built))
+        built.forward(ids)
+        assert_gru_weights_view_one_pack_per_direction(built)
+
+
+def test_forwards_on_unchanged_weights_repack_nothing():
+    model, encoded = build_toy_model(separable_corpus(20, seed=3))
+    batch = batch_of(encoded[:8])
+    model.forward(batch.token_ids)
+    arrays = {name: t.data for name, t in model.state_tensors().items()}
+    packs = [gru.pack for gru in gru_directions(model)]
+    model.forward(batch.token_ids)
+    with T.Tape() as tape:
+        tape.watch(*model.parameters().values())
+        tape.backward(softmax_cross_entropy(model.logits(batch.token_ids), batch.labels))
+    assert all(t.data is arrays[name] for name, t in model.state_tensors().items())
+    assert all(gru.pack is pack for gru, pack in zip(gru_directions(model), packs))
+
+
+def rebind_w_r(model):
+    gru = model.extractor.bigru1[0]
+    rng = np.random.default_rng(6)
+    gru.w_r.data = rng.normal(scale=0.5, size=gru.w_r.shape).astype(gru.w_r.dtype)
+
+
+def shift_x_row_in_place(model):
+    gru = model.extractor.bigru1[0]
+    gru.w_z.data[gru.hidden_size] += 0.25
+
+
+def forward_outputs(model, encoded):
+    """Untaped probabilities and taped logits and gradients at N=1 and N=8."""
+    params = model.parameters()
+    out = []
+    for batch in (batch_of(encoded[:1]), batch_of(encoded[:8])):
+        out.append(model.forward(batch.token_ids).data)
+        with T.Tape() as tape:
+            tape.watch(*params.values())
+            logits = model.logits(batch.token_ids)
+            tape.backward(softmax_cross_entropy(logits, batch.labels))
+        out += [logits.data] + [tape.grad(p).data for p in params.values()]
+    return out
+
+
+@pytest.mark.parametrize("change, dtype", [(rebind_w_r, np.float32),
+                                           (rebind_w_r, np.float64),
+                                           (shift_x_row_in_place, np.float32)])
+def test_gru_weights_changed_after_a_forward_match_a_model_built_from_copies(change, dtype):
+    # short docs: untaped scans take their padding prefix from the trajectory memo
+    docs = separable_corpus(8, seed=4, min_len=3, max_len=8)
+    model, encoded = build_toy_model(docs, toy_config(), dtype=dtype)
+    randomize_gru_biases(model, 4)
+    forward_outputs(model, encoded)
+    change(model)
+    got = forward_outputs(model, encoded)
+    arrays = {name: t.data.copy() for name, t in model.state_tensors().items()}
+    table = EmbeddingTable(vectors=arrays["embedding"], dim=model.config.embed_dim)
+    twin = TextClassifier(model.config, model.vocab, table, model.ablation, dtype, arrays)
+    for g, w in zip(got, forward_outputs(twin, encoded)):
+        npt.assert_array_equal(g, w)
