@@ -5,8 +5,8 @@ Shapes use N for batch, T for sequence length, F for features, I/J for
 capsule counts in the lower/upper layer, and D for capsule dimension.
 Every op here is recorded on the active tape and passes the
 finite-difference checks of ``tests/gradsuite.py``. A GRU scans a whole
-sequence as one op, and each convolution width is one op over the
-batch's distinct positions.
+sequence as one op, and the CNN's convolutions of every width, with
+their ReLU, are one op over the batch's distinct positions.
 """
 
 from __future__ import annotations
@@ -415,12 +415,13 @@ class DistinctPositions:
     than K entries, the batch's largest count, are padded with entries
     that read position 0 again and count zero.
 
-    ``cnn_feature_extractor`` computes its features over this layout,
-    [N,K,F], and ``CapsuleRouting`` projects, votes and routes them as
-    they are. An entry's gradient is then the sum of what the positions
-    it stands for would get; a padding entry gets none, as
-    ``dynamic_routing`` gives a zero-weight capsule. With every position
-    live each position is its own entry, in order.
+    ``cnn_feature_extractor`` finds ``live`` once, from each position's
+    widest window, computes its features over this layout, [N,K,F], and
+    ``CapsuleRouting`` projects, votes and routes them as they are. An
+    entry's gradient is then the sum of what the positions it stands for
+    would get; a padding entry gets none, as ``dynamic_routing`` gives a
+    zero-weight capsule. With every position live each position is its
+    own entry, in order.
     """
 
     rows: np.ndarray  # [N*K] flat row n*T + t that each entry reads
@@ -640,118 +641,94 @@ def max_pool_routing(features: Tensor, window: int) -> Tensor:
     return record_op(out, (features,), back)
 
 
-def _pad_rows(x: np.ndarray, left: int, right: int):
-    """[N,T,F] zero-padded by ``left`` and ``right`` rows per document and
-    flattened, [N*(left+T+right), F], and which padded rows are nonzero,
-    [N, left+T+right]."""
-    n, t_len, feat = x.shape
-    padded = np.zeros((n, left + t_len + right, feat), dtype=x.dtype)
-    padded[:, left:left + t_len, :] = x
-    row_live = np.zeros(padded.shape[:2], dtype=bool)
-    row_live[:, left:left + t_len] = x.any(axis=2)
-    return padded.reshape(-1, feat), row_live
-
-
-def _windows_live(row_live: np.ndarray, start: int, width: int, t_len: int) -> np.ndarray:
-    """[N,T]: whether window t, padded rows start+t .. start+t+width-1, holds a nonzero row."""
-    rows = row_live[:, start:start + t_len + width - 1]
-    return np.lib.stride_tricks.sliding_window_view(rows, width, axis=1).any(axis=2)
-
-
-def _conv_padded(x: Tensor, padded: np.ndarray, row_live: np.ndarray, start: int,
-                 kernel: Tensor, bias: Tensor, layout: DistinctPositions) -> Tensor:
-    """The 1-d convolution of ``x`` with zero same-padding, read from
-    ``_pad_rows(x)``, in which the kernel's window for position t starts
-    at padded row start+t, and written over the entries of ``layout``:
-    [N,T,F] with kernel [w,F,C] -> [N,K,C], entry k of document n holding
-    the output at the position it reads. Position t's window covers rows
-    t - (w-1)//2 .. t + w//2 of ``x``.
-
-    Forward: a window is live when any of its w rows is nonzero; the
-    live windows, L of them, are gathered into one [L, w*F] im2col matrix
-    and multiplied by the kernel reshaped to [w*F, C] in one GEMM. The
-    position of a live window must be its own entry, as in the layout
-    ``cnn_feature_extractor`` builds from every width's windows. The
-    results are scattered to the entries that read them, in a buffer
-    pre-filled with the bias, which is what the GEMM gives an all-zero
-    window.
-
-    Backward: an entry's gradient is the sum over the positions it stands
-    for, and a padding entry's is zero (see ``DistinctPositions``). The
-    im2col matrix is not kept. The kernel gradient reads the L live
-    windows only, since an all-zero window adds nothing to it: for each
-    offset d, the [L,F] rows at d of the live windows are gathered again
-    from the padded buffer and multiplied by their entries' gradient. The
-    bias gradient sums the entries' gradient, accumulated in float64. The
-    input gradient gives each position its entry's share, gradient /
-    count: for each offset d, ``share . kernel[d]^T`` is taken over the
-    entries and gathered to the positions. Every window passes it back,
-    live or not, since a window that sees only padding still moves the
-    rows it covers. It is skipped when ``x`` needs none
-    (``tensor.needs_grad``).
-    """
-    if kernel.ndim != 3 or kernel.shape[1] != x.shape[2]:
-        raise DimensionError(f"conv kernel {kernel.shape} does not match input {x.shape}")
-    n, t_len, feat = x.shape
-    width, _, out_ch = kernel.shape
-    left = (width - 1) // 2
-    span = row_live.shape[1]  # padded rows per document
-    live = np.flatnonzero(_windows_live(row_live, start, width, t_len))  # window i*T + t
-    first = live + live // t_len * (span - t_len) + start  # its first padded row
-
-    cols = padded[first[:, None] + np.arange(width)].reshape(len(live), width * feat)
-    live_out = cols @ kernel.data.reshape(width * feat, out_ch)
-    live_out += bias.data
-    del cols  # before the output is allocated; the backward gathers again
-    window = np.full(n * t_len, -1)
-    window[live] = np.arange(len(live))
-    reads = window[layout.rows]  # the live window each entry reads, or -1
-    hit = np.flatnonzero(reads >= 0)
-    out = np.empty((len(layout.rows), out_ch), dtype=live_out.dtype)
-    out[:] = bias.data  # what the GEMM gives an all-zero window
-    out[hit] = live_out[reads[hit]]
-    out = out.reshape(n, -1, out_ch)
-    to_entry = layout.entry_rows
-    x_grad = T.needs_grad(x)
-
-    def back(g):
-        g_rows = g.reshape(-1, out_ch)
-        g_live = g_rows[to_entry[live]]
-        grad_k = np.stack([padded[first + d].T @ g_live for d in range(width)])
-        grad_b = g_rows.sum(axis=0, dtype=np.float64).astype(g.dtype)
-        if not x_grad:
-            return (None, grad_k, grad_b)
-        share = g_rows / np.maximum(layout.counts, 1).reshape(-1, 1).astype(g.dtype)
-        grad_pad = np.zeros((n, t_len + width - 1, feat), dtype=g.dtype)
-        for d in range(width):
-            grad_pad[:, d:d + t_len, :] += (share @ kernel.data[d].T)[to_entry].reshape(
-                n, t_len, feat)
-        return (grad_pad[:, left:left + t_len, :], grad_k, grad_b)
-
-    return record_op(out, (x, kernel, bias), back)
-
-
 def cnn_feature_extractor(embedded: Tensor, kernels, biases) -> tuple[Tensor, DistinctPositions]:
     """Parallel same-padded convolutions with ReLU, channel-concatenated,
-    over the batch's distinct positions.
+    over the batch's distinct positions, as one op.
 
-    [N,T,E] -> [N,K,sum of filter counts] over the entries of
-    ``distinct_positions(live)``, which it also returns. A position is
-    live when a window of some width there covers a nonzero row; at a
-    dead one every convolution gives its bias alone, so every dead
-    position of a document has the same features and one entry stands
-    for them all. Padding entries repeat their document's entry 0.
-    ``embedded`` is zero-padded once, by the widest margins any kernel
-    needs, and its nonzero rows are found once; every width's
-    convolution gathers its windows from that one buffer, which its
-    backward keeps.
+    [N,T,E] with one kernel [w,E,C] and one bias [C] per width -> [N,K,sum
+    of C] over the entries of ``distinct_positions(live)``, which it also
+    returns. Position t's window of width w covers rows t - (w-1)//2 ..
+    t + w//2 of ``embedded``, and its widest window, W rows, covers every
+    width's: width w's rows start at offset start_w of it. A position is
+    live when its widest window holds a nonzero row; at a dead one every
+    convolution gives its bias alone, so every dead position of a
+    document has the same features and one entry stands for them all.
+    Padding entries repeat their document's entry 0.
+
+    Forward: ``embedded`` is zero-padded once, by the widest margins. The
+    widest windows of the L entries that read a live position (padding
+    entries that read a live position 0 among them) are gathered into one
+    [L, W*E] im2col matrix. Each width runs one GEMM on its own column
+    range of it and writes into its channel slice of one [N*K, sum of C]
+    output, pre-filled with each width's bias, which is what the GEMM
+    gives an all-zero window. The ReLU is applied in place.
+
+    Backward: the ReLU mask is the output's sign. An entry's gradient is
+    the sum over the positions it stands for, and a padding entry's is
+    zero (see ``DistinctPositions``). The im2col matrix is not kept: for
+    each width and offset d, the kernel gradient gathers the [L,E] rows
+    at start_w + d of the L windows again from the padded buffer, which
+    the backward keeps, and multiplies them by the entries' gradient. The
+    bias gradient sums the entries' gradient, accumulated in float64. The
+    input gradient gives each position its entry's share, gradient /
+    count: for each width and offset d, ``share . kernel[d]^T`` is taken
+    over the entries and gathered to the positions. Every window passes
+    it back, live or not, since a window that sees only padding still
+    moves the rows it covers. It is skipped when ``embedded`` needs none
+    (``tensor.needs_grad``).
     """
+    if not kernels:
+        raise DimensionError("the CNN has no kernels")
+    if len(kernels) != len(biases):
+        raise DimensionError(f"the CNN has {len(kernels)} kernels but {len(biases)} biases")
+    n, t_len, feat = embedded.shape
+    for i, (k, b) in enumerate(zip(kernels, biases)):
+        if k.ndim != 3 or k.shape[1] != feat:
+            raise DimensionError(
+                f"CNN kernels[{i}] {k.shape} does not match input {embedded.shape}")
+        if b.shape != k.shape[2:]:
+            raise DimensionError(f"CNN biases[{i}] {b.shape} does not match kernels[{i}] {k.shape}")
     widths = [k.shape[0] for k in kernels]
     left = max((w - 1) // 2 for w in widths)
-    right = max(w // 2 for w in widths)
-    padded, row_live = _pad_rows(embedded.data, left, right)
-    distinct = distinct_positions(_windows_live(row_live, 0, left + right + 1, embedded.shape[1]))
-    outputs = [T.relu(_conv_padded(embedded, padded, row_live, left - (k.shape[0] - 1) // 2,
-                                   k, b, distinct))
-               for k, b in zip(kernels, biases)]
-    return T.concat(outputs, axis=2), distinct
+    span = left + max(w // 2 for w in widths) + 1  # W
+    starts = [left - (w - 1) // 2 for w in widths]
+    chans = np.cumsum([0] + [k.shape[2] for k in kernels])
+    padded = np.zeros((n, t_len + span - 1, feat), embedded.dtype)
+    padded[:, left:left + t_len] = embedded.data
+    live = np.lib.stride_tricks.sliding_window_view(padded.any(axis=2), span, axis=1).any(axis=2)
+    layout = distinct_positions(live)
+    padded = padded.reshape(-1, feat)
+    reads = np.flatnonzero(live.reshape(-1)[layout.rows])  # the L entries
+    at = layout.rows[reads]
+    first = at + at // t_len * (span - 1)  # each one's first padded row
+
+    cols = padded[first[:, None] + np.arange(span)].reshape(len(reads), span * feat)
+    dtype = np.result_type(padded, *[k.data for k in kernels])
+    out = np.empty((len(layout.rows), chans[-1]), dtype)
+    for k, b, s, c0, c1 in zip(kernels, biases, starts, chans, chans[1:]):
+        out_w = cols[:, s * feat:(s + k.shape[0]) * feat] @ k.data.reshape(-1, c1 - c0)
+        out_w += b.data
+        out[:, c0:c1] = b.data
+        out[reads, c0:c1] = out_w
+    del cols, out_w
+    np.maximum(out, 0, out=out)
+    to_entry = layout.entry_rows
+    x_grad = T.needs_grad(embedded)
+
+    def back(g):
+        g = g.reshape(out.shape) * (out > 0)
+        g_read = g[reads]
+        grad_k = [np.stack([padded[first + s + d].T @ g_read[:, c0:c1] for d in range(k.shape[0])])
+                  for k, s, c0, c1 in zip(kernels, starts, chans, chans[1:])]
+        grad_b = np.split(g.sum(axis=0, dtype=np.float64).astype(g.dtype), chans[1:-1])
+        if not x_grad:
+            return (None, *grad_k, *grad_b)
+        share = g / np.maximum(layout.counts, 1).reshape(-1, 1).astype(g.dtype)
+        grad_pad = np.zeros((n, t_len + span - 1, feat), g.dtype)
+        for k, s, c0, c1 in zip(kernels, starts, chans, chans[1:]):
+            for d in range(k.shape[0]):
+                to_pos = (share[:, c0:c1] @ k.data[d].T)[to_entry]
+                grad_pad[:, s + d:s + d + t_len] += to_pos.reshape(n, t_len, feat)
+        return (grad_pad[:, left:left + t_len], *grad_k, *grad_b)
+
+    return record_op(out.reshape(n, -1, chans[-1]), (embedded, *kernels, *biases), back), layout

@@ -15,10 +15,11 @@ keeps each tensor as handed out. A stage holds ``width`` and ``forward``.
 An extractor's ``forward`` hands the aggregator its features and their
 layout: [N,T,F] and None when every position may differ (the BiGRU
 ensemble: a GRU state depends on everything before it), or, for the CNN,
-whose dead positions all hold the same features, [N,K,F] over the
-entries of a ``layers.DistinctPositions``, each document's dead
-positions computed once as one entry. Capsule routing then projects,
-votes and routes those entries as they are.
+[N,K,F] over the entries of a ``layers.DistinctPositions``. A CNN
+position is dead when its widest window holds only zero rows; every
+dead position of a document has the same features, its biases after the
+ReLU, so they are computed once, as one entry. Capsule routing then
+projects, votes and routes those entries as they are.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ class BiGruEnsemble:
 
 
 class CnnExtractor:
-    """Same-padded convolutions of each filter width, ReLU, concatenated."""
+    """Same-padded convolutions of each filter width, ReLU, concatenated, as
+    one op (``layers.cnn_feature_extractor``)."""
 
     def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
         widths, count = ablation.cnn_filter_widths, ablation.cnn_filter_count

@@ -37,7 +37,7 @@ class Tensor:
     """Immutable-by-convention n-d float array, optionally on a tape.
 
     ``node_id`` is the index of the op that produced this tensor on the
-    active tape, or None for leaves / untaped values.
+    tape that recorded it, or None for leaves / untaped values.
     """
 
     __slots__ = ("data", "node_id")
@@ -158,13 +158,18 @@ def active_tape() -> Tape | None:
 
 
 def needs_grad(t: Tensor) -> bool:
-    """True when a tape is active and ``t`` is watched or a recorded op's output.
+    """True when a tape is active and ``t`` is watched by it or the output of
+    an op it recorded.
 
     Anything else is a constant to the active tape, so no gradient of it
-    can be read.
+    can be read: an output recorded on an earlier tape too.
     """
     tape = active_tape()
-    return tape is not None and (t.node_id is not None or id(t) in tape._watched)
+    if tape is None:
+        return False
+    i = t.node_id
+    recorded = i is not None and i < len(tape.nodes) and tape.nodes[i].output is t
+    return recorded or id(t) in tape._watched
 
 
 def record_op(out_data: np.ndarray, inputs, backward_fn) -> Tensor:

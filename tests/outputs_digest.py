@@ -1,4 +1,4 @@
-"""Print one SHA-256 per variant and corpus over its desk-scale outputs.
+"""Print two SHA-256 digests per variant and corpus over its desk-scale outputs.
 
 Run from the root of a checkout:
 
@@ -7,15 +7,21 @@ Run from the root of a checkout:
 For each variant it builds a desk-scale model (``ModelConfig()``
 defaults) on each of two corpora generated here, a short-text one (about
 20 tokens in 200 positions, as in MR) and a long-text one (mostly text,
-some of it truncated, as in Yelp), and hashes, in this order: the
-weights after two training steps, the ``evaluate`` loss and accuracy,
-batch ``forward`` at N=32 and N=7, and ``predict_text`` on 20 texts.
+some of it truncated, as in Yelp). It prints two lines for each, named
+by variant, corpus and part:
+
+- ``part=forward`` hashes, in this order, the freshly built model's
+  ``evaluate`` loss and accuracy, its batch ``forward`` at N=32 and N=7,
+  and ``predict_text`` on 20 texts;
+- ``part=trained`` then hashes, after two training steps of the same
+  model, its weights, followed by the same outputs.
+
 Held-out texts carry words the vocabulary lacks, so zero (OOV) rows sit
-inside the text. Each line names its variant and corpus, so a changed
-digest shows which corpus moved. Two checkouts that print the same lines
-give bitwise the same outputs and training; BLAS runs on one thread so that its sums
-do not depend on the machine's core count. The script is not a pytest
-module; tier-1 does not collect it.
+inside the text. Two checkouts that print the same lines give bitwise
+the same outputs and training; a change that moves only gradients keeps
+the ``part=forward`` lines and moves ``part=trained`` ones. BLAS runs on
+one thread so that its sums do not depend on the machine's core count.
+The script is not a pytest module; tier-1 does not collect it.
 """
 
 from __future__ import annotations
@@ -51,8 +57,24 @@ def corpus(rng, count: int, lengths: tuple[int, int], words: list[str]) -> list[
     return docs
 
 
-def digest(variant: str, k: int) -> str:
-    """The SHA-256 of ``variant``'s outputs on corpus ``CORPORA[k]``."""
+def outputs(model, held_out, held_docs, batch_size: int) -> list[np.ndarray]:
+    """``evaluate``'s loss and accuracy, batch ``forward`` at N=32 and N=7,
+    and ``predict_text`` on 20 texts."""
+    metrics = evaluate(model, held_docs, batch_size)
+    arrays = [np.array([metrics.loss, metrics.accuracy])]
+    arrays += [model.forward(batch_of(held_docs[:n]).token_ids).data for n in (32, 7)]
+    return arrays + [model.predict_text(doc.text)[1] for doc in held_out[:20]]
+
+
+def sha256(arrays) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()
+
+
+def digests(variant: str, k: int) -> dict[str, str]:
+    """The SHA-256 of ``variant``'s outputs on corpus ``CORPORA[k]``, per part."""
     rng = np.random.default_rng([20, k])
     lengths = CORPORA[k][1:]
     known = [f"w{i}" for i in range(300)]
@@ -63,19 +85,15 @@ def digest(variant: str, k: int) -> str:
     config = ModelConfig(epochs=1)
     vocab, table, train_docs, (held_docs,) = prepare_split(train_raw, [held_out], config)
     model = TextClassifier(config, vocab, table, AblationConfig(variant=variant))
+    forward = sha256(outputs(model, held_out, held_docs, config.batch_size))
     train(model, train_docs, [], config)
-    metrics = evaluate(model, held_docs, config.batch_size)
-    outputs = [tensor.data for tensor in model.state_tensors().values()]
-    outputs.append(np.array([metrics.loss, metrics.accuracy]))
-    outputs += [model.forward(batch_of(held_docs[:n]).token_ids).data for n in (32, 7)]
-    outputs += [model.predict_text(doc.text)[1] for doc in held_out[:20]]
-    sha = hashlib.sha256()
-    for array in outputs:
-        sha.update(np.ascontiguousarray(array).tobytes())
-    return sha.hexdigest()
+    weights = [tensor.data for tensor in model.state_tensors().values()]
+    trained = sha256(weights + outputs(model, held_out, held_docs, config.batch_size))
+    return {"forward": forward, "trained": trained}
 
 
 if __name__ == "__main__":
     for variant in VARIANTS:
         for k, (name, *_) in enumerate(CORPORA):
-            print(f"variant={variant} corpus={name} sha256={digest(variant, k)}", flush=True)
+            for part, sha in digests(variant, k).items():
+                print(f"variant={variant} corpus={name} part={part} sha256={sha}", flush=True)

@@ -1089,3 +1089,27 @@ def test_cnn_feature_extractor_live_positions():
             assert (dead == dead[0]).all() and counts[n, dead[0]] == len(dead)
             assert dead[0] not in own
         assert counts[n].sum() == 12
+
+
+def test_cnn_feature_extractor_is_one_tape_op():
+    rng = np.random.default_rng(36)
+    x = f64(padded_batch(rng, 3))
+    kernels = [f64(rng.normal(size=(w, 3, 2))) for w in (3, 4, 5)]
+    biases = [f64(rng.normal(size=2)) for _ in kernels]
+    with T.Tape() as tape:
+        tape.watch(x, *kernels, *biases)
+        out, _ = L.cnn_feature_extractor(x, kernels, biases)
+    assert len(tape.nodes) == 1 and tape.nodes[0].output is out
+
+
+@pytest.mark.parametrize("kernel_shapes, bias_sizes, match", [
+    ([(3, 3, 4), (3, 3, 4)], [4], "2 kernels but 1 biases"),
+    ([(3, 3, 4)], [5], r"biases\[0\] \(5,\)"),
+    ([], [], "no kernels"),
+    ([(3, 3, 4), (4, 2, 4)], [4, 4], r"kernels\[1\] \(4, 2, 4\)"),
+], ids=["bias_missing", "bias_size", "no_kernel", "kernel_input_width"])
+def test_cnn_feature_extractor_names_a_mismatched_tensor(kernel_shapes, bias_sizes, match):
+    kernels = [T.zeros(shape) for shape in kernel_shapes]
+    biases = [T.zeros((size,)) for size in bias_sizes]
+    with pytest.raises(DimensionError, match=match):
+        L.cnn_feature_extractor(T.zeros((1, 6, 3)), kernels, biases)

@@ -164,6 +164,25 @@ def test_needs_grad_only_for_watched_or_recorded_tensors_on_a_tape():
     assert not T.needs_grad(x)
 
 
+def test_an_output_recorded_on_an_earlier_tape_is_a_constant_to_a_later_one():
+    # the later tape watches nothing, so no op on y records a node there, and
+    # run_gru takes the padding trajectory it takes on a constant sequence
+    rng = np.random.default_rng(40)
+    x = T.Tensor(rng.normal(size=(2, 6, 3)))
+    x.data[:, :3] = 0.0
+    with T.Tape() as first:
+        first.watch(x)
+        y = T.reshape(x, x.shape)
+        assert T.needs_grad(y)
+    params = L.init_gru(rng, 3, 4)
+    with T.Tape() as later:
+        assert not T.needs_grad(y)
+        T.relu(y)
+        L.run_gru(y, params)
+    assert later.nodes == []
+    assert params.padding is not None
+
+
 def test_watch_after_an_op_consumed_the_tensor_raises():
     with T.Tape() as tape:
         x, late = T.Tensor([1.0, 2.0]), T.Tensor([3.0, 4.0])
