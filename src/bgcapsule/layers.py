@@ -649,33 +649,38 @@ def cnn_feature_extractor(embedded: Tensor, kernels, biases) -> tuple[Tensor, Di
     of C] over the entries of ``distinct_positions(live)``, which it also
     returns. Position t's window of width w covers rows t - (w-1)//2 ..
     t + w//2 of ``embedded``, and its widest window, W rows, covers every
-    width's: width w's rows start at offset start_w of it. A position is
-    live when its widest window holds a nonzero row; at a dead one every
-    convolution gives its bias alone, so every dead position of a
-    document has the same features and one entry stands for them all.
-    Padding entries repeat their document's entry 0.
+    width's: width w's rows start at offset start_w of it. Rows beyond a
+    document's ends read as zero. A position is live when its widest
+    window holds a nonzero row; at a dead one every convolution gives its
+    bias alone, so every dead position of a document has the same features
+    and one entry stands for them all. Padding entries repeat their
+    document's entry 0.
 
-    Forward: ``embedded`` is zero-padded once, by the widest margins. The
-    widest windows of the L entries that read a live position (padding
-    entries that read a live position 0 among them) are gathered into one
-    [L, W*E] im2col matrix. Each width runs one GEMM on its own column
-    range of it and writes into its channel slice of one [N*K, sum of C]
-    output, pre-filled with each width's bias, which is what the GEMM
-    gives an all-zero window. The ReLU is applied in place.
+    Forward: no padded copy of ``embedded`` is made. Liveness comes from
+    its nonzero rows with False margins. The widest windows of the L
+    entries that read a live position (padding entries that read a live
+    position 0 among them) are gathered from the flat batch into one
+    [L, W*E] im2col matrix, rows outside the document zeroed. Each width
+    runs one GEMM on its own column range of it, straight into its channel
+    slice of one [L, sum of C] buffer; bias and ReLU are applied to those
+    L rows, which are scattered once into the [N*K, sum of C] output. The
+    other entries get ReLU(bias), which is what the GEMM gives an
+    all-zero window.
 
     Backward: the ReLU mask is the output's sign. An entry's gradient is
     the sum over the positions it stands for, and a padding entry's is
     zero (see ``DistinctPositions``). The im2col matrix is not kept: for
-    each width and offset d, the kernel gradient gathers the [L,E] rows
-    at start_w + d of the L windows again from the padded buffer, which
-    the backward keeps, and multiplies them by the entries' gradient. The
-    bias gradient sums the entries' gradient, accumulated in float64. The
-    input gradient gives each position its entry's share, gradient /
-    count: for each width and offset d, ``share . kernel[d]^T`` is taken
-    over the entries and gathered to the positions. Every window passes
-    it back, live or not, since a window that sees only padding still
-    moves the rows it covers. It is skipped when ``embedded`` needs none
-    (``tensor.needs_grad``).
+    each absolute offset j of the widest window, the [L,E] rows at j of
+    the L windows are gathered again from ``embedded`` and multiplied, in
+    one GEMM, by the entries' gradient over the channels of the widths
+    that cover j, which gives row j - start_w of each such width's kernel
+    gradient. The bias gradient sums the entries' gradient, accumulated
+    in float64. The input gradient gives each position its entry's share,
+    gradient / count: for each width and offset d, ``share . kernel[d]^T``
+    is taken over the entries and gathered to the positions. Every window
+    passes it back, live or not, since a window that sees only padding
+    still moves the rows it covers. It is skipped when ``embedded`` needs
+    none (``tensor.needs_grad``).
     """
     if not kernels:
         raise DimensionError("the CNN has no kernels")
@@ -693,33 +698,53 @@ def cnn_feature_extractor(embedded: Tensor, kernels, biases) -> tuple[Tensor, Di
     span = left + max(w // 2 for w in widths) + 1  # W
     starts = [left - (w - 1) // 2 for w in widths]
     chans = np.cumsum([0] + [k.shape[2] for k in kernels])
-    padded = np.zeros((n, t_len + span - 1, feat), embedded.dtype)
-    padded[:, left:left + t_len] = embedded.data
-    live = np.lib.stride_tricks.sliding_window_view(padded.any(axis=2), span, axis=1).any(axis=2)
+    has_text = np.zeros((n, t_len + span - 1), bool)
+    has_text[:, left:left + t_len] = embedded.data.any(axis=2)
+    live = np.lib.stride_tricks.sliding_window_view(has_text, span, axis=1).any(axis=2)
     layout = distinct_positions(live)
-    padded = padded.reshape(-1, feat)
-    reads = np.flatnonzero(live.reshape(-1)[layout.rows])  # the L entries
+    flat = embedded.data.reshape(-1, feat)
+    read = live.reshape(-1)[layout.rows]
+    reads = np.flatnonzero(read)  # the L entries
     at = layout.rows[reads]
-    first = at + at // t_len * (span - 1)  # each one's first padded row
+    offsets = np.arange(span) - left
+    pos = (at % t_len)[:, None] + offsets
+    inside = (pos >= 0) & (pos < t_len)  # [L, W] window rows within the document
+    rows = np.where(inside, at[:, None] + offsets, 0)
 
-    cols = padded[first[:, None] + np.arange(span)].reshape(len(reads), span * feat)
-    dtype = np.result_type(padded, *[k.data for k in kernels])
+    def window_rows(j=slice(None)):
+        """The rows at offset j of the L windows, zero outside the document."""
+        x = flat[rows[:, j]]
+        x[~inside[:, j]] = 0
+        return x
+
+    cols = window_rows().reshape(len(reads), span * feat)
+    dtype = np.result_type(embedded.data, *[k.data for k in kernels])
+    conv = np.empty((len(reads), chans[-1]), dtype)
+    for k, s, c0, c1 in zip(kernels, starts, chans, chans[1:]):
+        np.matmul(cols[:, s * feat:(s + k.shape[0]) * feat], k.data.reshape(-1, c1 - c0),
+                  out=conv[:, c0:c1])
+    del cols
+    bias = np.concatenate([b.data for b in biases])
+    conv += bias
+    np.maximum(conv, 0, out=conv)
     out = np.empty((len(layout.rows), chans[-1]), dtype)
-    for k, b, s, c0, c1 in zip(kernels, biases, starts, chans, chans[1:]):
-        out_w = cols[:, s * feat:(s + k.shape[0]) * feat] @ k.data.reshape(-1, c1 - c0)
-        out_w += b.data
-        out[:, c0:c1] = b.data
-        out[reads, c0:c1] = out_w
-    del cols, out_w
-    np.maximum(out, 0, out=out)
+    out[reads] = conv
+    out[~read] = np.maximum(bias, 0)
+    # for each offset j of the widest window, the widths whose window covers it
+    covers = [[i for i, (w, s) in enumerate(zip(widths, starts)) if s <= j < s + w]
+              for j in range(span)]
     to_entry = layout.entry_rows
     x_grad = T.needs_grad(embedded)
 
     def back(g):
         g = g.reshape(out.shape) * (out > 0)
         g_read = g[reads]
-        grad_k = [np.stack([padded[first + s + d].T @ g_read[:, c0:c1] for d in range(k.shape[0])])
-                  for k, s, c0, c1 in zip(kernels, starts, chans, chans[1:])]
+        grad_k = [np.empty(k.shape, g.dtype) for k in kernels]
+        for j, cover in enumerate(covers):
+            lo, hi = chans[cover[0]], chans[cover[-1] + 1]
+            prod = window_rows(j).T @ g_read[:, lo:hi]
+            for i in cover:
+                grad_k[i][j - starts[i]] = prod[:, chans[i] - lo:chans[i + 1] - lo]
         grad_b = np.split(g.sum(axis=0, dtype=np.float64).astype(g.dtype), chans[1:-1])
         if not x_grad:
             return (None, *grad_k, *grad_b)

@@ -77,7 +77,10 @@ class BiGruEnsemble:
 
 class CnnExtractor:
     """Same-padded convolutions of each filter width, ReLU, concatenated, as
-    one op (``layers.cnn_feature_extractor``)."""
+    one op (``layers.cnn_feature_extractor``) over the batch's distinct
+    positions: each entry that reads a nonzero row has its widest window
+    gathered once, straight from the embedded batch, and every width runs
+    one GEMM on it; the other entries read ReLU(bias)."""
 
     def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
         widths, count = ablation.cnn_filter_widths, ablation.cnn_filter_count

@@ -178,25 +178,38 @@ def random_embeddings(vocab: Vocabulary, dim: int, seed: int = 0) -> EmbeddingTa
 # dataset loaders
 
 
+# A class index above both this and its file's record count is refused. A
+# file cannot show more classes than it has records, but a small file may
+# name a class it holds no record of.
+CLASS_INDEX_FLOOR = 1000
+
+
 def _read_zhang_csv(path) -> tuple[list[LabeledText], int]:
     docs = []
-    max_label = -1
+    top = top_record = 0  # the largest 1-based class index, and its first record
     with open(path, "r", encoding="utf-8", errors="replace", newline="") as handle:
-        reader = csv.reader(handle)
-        for record_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ParseError(f"{path}: record {record_no}: expected class and text fields")
-            try:
-                label = int(row[0]) - 1
-            except ValueError as exc:
-                raise ParseError(f"{path}: record {record_no}: bad class index {row[0]!r}") from exc
-            if label < 0:
-                raise DataError(f"{path}: record {record_no}: class index {row[0]} out of range")
-            docs.append(LabeledText(text=" ".join(row[1:]), label=label))
-            max_label = max(max_label, label)
-    return docs, max_label + 1
+        record_no = 0
+        try:
+            for record_no, row in enumerate(csv.reader(handle, strict=True), start=1):
+                if not row:
+                    continue
+                if len(row) < 2:
+                    raise ParseError(f"{path}: record {record_no}: expected class and text fields")
+                try:
+                    index = int(row[0])
+                except ValueError as exc:
+                    raise ParseError(f"{path}: record {record_no}: bad class index {row[0]!r}") from exc
+                if index < 1:
+                    raise DataError(f"{path}: record {record_no}: class index {row[0]} out of range")
+                docs.append(LabeledText(text=" ".join(row[1:]), label=index - 1))
+                if index > top:
+                    top, top_record = index, record_no
+        except csv.Error as exc:
+            raise ParseError(f"{path}: record {record_no + 1}: {exc}") from exc
+    if top > max(len(docs), CLASS_INDEX_FLOOR):
+        raise DataError(f"{path}: record {top_record}: class index {top} exceeds both the file's "
+                        f"{len(docs)} records and {CLASS_INDEX_FLOOR}")
+    return docs, top
 
 
 def _load_zhang(path) -> DatasetSplit:

@@ -2,7 +2,12 @@
 
 Run from the root of a checkout:
 
-    python3 tests/outputs_digest.py
+    python3 tests/outputs_digest.py [SRC]
+
+It imports ``bgcapsule`` from ``SRC``, by default this checkout's
+``src/``. Run against another checkout's ``src/`` (say, the parent
+commit's), it hashes that code's outputs with this script's format, so
+two trees compare even when the script itself changed between them.
 
 For each variant it builds a desk-scale model (``ModelConfig()``
 defaults) on each of two corpora generated here, a short-text one (about
@@ -35,7 +40,8 @@ os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC.resolve()))
 
 from bgcapsule.config import VARIANTS, AblationConfig, ModelConfig  # noqa: E402
 from bgcapsule.model import TextClassifier  # noqa: E402

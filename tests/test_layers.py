@@ -1021,17 +1021,16 @@ def padded_batch(rng, feat):
     return x
 
 
-@pytest.mark.parametrize("watched", [False, True])
-def test_cnn_feature_extractor_pads_once_as_each_width_would(watched):
-    # one buffer padded by the widest margins, written over the batch's
-    # distinct positions, gives each width's convolution at every position,
-    # as ``conv_taped`` composes it of tape ops, to rounding: the outputs at
-    # each entry's position, and the gradients of kernels, biases and input
-    # when an entry's upstream gradient is the sum of its positions' (dyadic
-    # values, so that every sum is exact)
-    rng = np.random.default_rng(34)
+def merged_and_each_width(rng, widths, watched):
+    """Check ``cnn_feature_extractor`` over ``padded_batch``, one kernel per
+    width, against the same widths composed of tape ops by ``conv_taped``,
+    each ReLU'd and concatenated, at every position: the outputs at each
+    entry's position, and the gradients of input, kernels and biases when
+    an entry's upstream gradient is the sum of its positions' (dyadic
+    values, so that every sum is exact), equal to rounding. Returns the
+    op's outputs and gradients, and its layout."""
     x = f64(padded_batch(rng, 3))
-    kernels = [f64(rng.normal(size=(w, 3, 2))) for w in (2, 3, 4, 5)]
+    kernels = [f64(rng.normal(size=(w, 3, 2))) for w in widths]
     biases = [f64(rng.normal(size=2)) for _ in kernels]
     results = []
     for merged in (True, False):
@@ -1051,19 +1050,35 @@ def test_cnn_feature_extractor_pads_once_as_each_width_would(watched):
             tape.backward(inner(out, upstream.reshape(out.shape)))
         results.append([got.reshape(-1, channels)]
                        + [tape.gradients.get(id(t)) for t in (x, *kernels, *biases)])
-    assert (distinct.counts > 1).any()
     for got, want in zip(*results):
         if want is None:
             assert got is None
         else:
             npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+    return results[0], distinct
+
+
+@pytest.mark.parametrize("watched", [False, True])
+def test_cnn_feature_extractor_pads_once_as_each_width_would(watched):
+    # the batch's widest windows, gathered once, give each width's
+    # convolution at every position, as ``conv_taped`` composes it, to
+    # rounding: outputs and every gradient
+    (entries, *_), distinct = merged_and_each_width(np.random.default_rng(34), (2, 3, 4, 5),
+                                                    watched)
+    assert (distinct.counts > 1).any()
     # padding entries repeat entry 0, as dynamic_routing wants of a
     # zero-weight capsule; doc 6 is live there, doc 2 dead
     padding = distinct.counts == 0
     assert padding[6].any() and distinct.counts[6, 0] == 1 and padding[2].any()
-    entries = results[0][0].reshape(7, -1, channels)
+    entries = entries.reshape(7, distinct.counts.shape[1], -1)
     npt.assert_array_equal(entries[padding],
                            np.broadcast_to(entries[:, :1], entries.shape)[padding])
+
+
+def test_cnn_feature_extractor_takes_widths_in_any_order():
+    # each width's columns of the shared im2col and its channels of the
+    # output follow the order the kernels are given in, not their widths
+    merged_and_each_width(np.random.default_rng(37), (5, 2, 4, 3), watched=True)
 
 
 def test_cnn_feature_extractor_live_positions():

@@ -192,6 +192,35 @@ def test_zhang_csv_zero_label_out_of_range(tmp_path):
         text.load_dataset(path, "zhang_csv")
 
 
+def test_zhang_csv_strict_quoting_reads_doubled_quotes_and_quoted_newlines(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('1,"say ""hi""","line one\nline two"\n2,"x"\n')
+    split = text.load_dataset(path, "zhang_csv")
+    assert [d.text for d in split.train] == ['say "hi" line one\nline two', "x"]
+    assert [d.label for d in split.train] == [0, 1]
+
+
+@pytest.mark.parametrize("content, record", [
+    ('1,"unterminated\n2,"x"\n', 1),  # read loosely, record 2 joins record 1's text
+    ('1,"x"\n2,"' + "a" * 131_073 + '"\n', 2),  # over the csv module's field limit
+], ids=["unterminated_quote", "overlong_field"])
+def test_zhang_csv_malformed_record_is_a_parse_error_naming_it(tmp_path, content, record):
+    path = tmp_path / "data.csv"
+    path.write_text(content)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: record {record}: "):
+        text.load_dataset(path, "zhang_csv")
+
+
+def test_zhang_csv_class_index_beyond_the_record_count_is_refused(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text('1,"a"\n1000000000,"hello"\n')
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: record 2: class index 1000000000"):
+        text.load_dataset(path, "zhang_csv")
+    # a small file may still name a class it holds no record of
+    path.write_text(f'1,"a"\n{text.CLASS_INDEX_FLOOR},"hello"\n')
+    assert text.load_dataset(path, "zhang_csv").class_count == text.CLASS_INDEX_FLOOR
+
+
 def test_mr_polarity_loader(tmp_path):
     (tmp_path / "reviews.pos").write_text("great movie\nloved it\n")
     (tmp_path / "reviews.neg").write_text("terrible\n")
