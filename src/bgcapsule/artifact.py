@@ -129,7 +129,7 @@ def load_model(path) -> TextClassifier:
         header_len = reader.u64("header length")
         try:
             header = json.loads(reader.read(header_len, "header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # deep nesting
             raise DataError(f"{path}: corrupt header: {exc}") from exc
         if not isinstance(header, dict):
             raise DataError(f"{path}: header is not a JSON object")

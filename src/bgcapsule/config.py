@@ -11,7 +11,7 @@ fails loudly instead of silently training the default.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
@@ -37,10 +37,19 @@ class _DictConvertible:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    # keys that older files carry, each at the one value it may still hold
+    retired = {}
+
     @classmethod
     def from_dict(cls, data):
         if not isinstance(data, dict):
             raise ConfigError(f"{cls.__name__} needs a mapping, got {type(data).__name__}")
+        for key, only in cls.retired.items():
+            value = data.get(key, only)
+            if type(value) is not type(only) or value != only:  # 1 is not true
+                raise ConfigError(f"{cls.__name__}.{key} must be {json.dumps(only)}, "
+                                  f"got {value!r}: the paper's model only")
+        data = {key: value for key, value in data.items() if key not in cls.retired}
         types = {f.name: f.type for f in fields(cls)}
         unknown = set(data) - set(types)
         if unknown:
@@ -58,8 +67,10 @@ class ModelConfig(_DictConvertible):
     Defaults are desk-scale where that differs from the published
     setup; the published one trains at batch 1000.
 
-    ``head_activation`` and ``softmax_axis`` are fixed to the paper's ReLU head and
-    couplings over upper capsules; they stay so that saved files keep their bytes.
+    The head is always one ReLU layer, each input capsule's couplings are
+    always a softmax over the upper capsules, and the vote weights are
+    always shared. Older config files and artifact headers carry these as
+    the keys of ``retired``, which load only at their one value.
     """
 
     max_len: int = 200
@@ -77,10 +88,14 @@ class ModelConfig(_DictConvertible):
     epochs: int = 20
     lr: float = 1e-3
     seed: int = 0
-    head_activation: str = "relu"
-    softmax_axis: str = "output_caps"
     embed_trainable: bool = False
     truncate_keep: str = "first"
+
+    # not fields: perfbench/checks.py reads these two
+    head_activation = "relu"
+    softmax_axis = "output_caps"
+    retired = {"share_pair_weights": True, "head_activation": head_activation,
+               "softmax_axis": softmax_axis}
 
     def validate(self) -> "ModelConfig":
         positive = (
@@ -97,11 +112,8 @@ class ModelConfig(_DictConvertible):
             raise ConfigError(f"bigru_sizes needs two positive sizes, got {self.bigru_sizes}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        if not 0 < self.lr <= sys.float_info.max:  # exact for an int too large for a float
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        for name, only in (("head_activation", "relu"), ("softmax_axis", "output_caps")):
-            if getattr(self, name) != only:
-                raise ConfigError(f"ModelConfig.{name} must be {only!r}: the paper's model only")
         if self.truncate_keep not in TRUNCATION_SIDES:
             raise ConfigError(f"truncate_keep must be one of {TRUNCATION_SIDES}")
         return self
@@ -140,12 +152,7 @@ def read_run_entries(data) -> tuple[ModelConfig, AblationConfig]:
     """Both configs from a mapping holding the ``run_entries`` pair; other keys are ignored."""
     if not isinstance(data, dict) or not all(key in data for key in RUN_KEYS):
         raise ConfigError(f"a run configuration needs a mapping with the keys {list(RUN_KEYS)}")
-    config = data["config"]
-    if isinstance(config, dict) and "share_pair_weights" in config:  # older files carry true
-        config = dict(config)
-        if config.pop("share_pair_weights") is not True:
-            raise ConfigError("ModelConfig.share_pair_weights must be true: shared weights only")
-    return ModelConfig.from_dict(config), AblationConfig.from_dict(data["ablation"])
+    return ModelConfig.from_dict(data["config"]), AblationConfig.from_dict(data["ablation"])
 
 
 def _unique_keys(pairs) -> dict:
@@ -159,14 +166,14 @@ def _unique_keys(pairs) -> dict:
 def load_config_file(path) -> tuple[ModelConfig, AblationConfig]:
     """Read a file written by ``save_config_file``; every error names ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             data = json.load(handle, object_pairs_hook=_unique_keys)
         configs = read_run_entries(data)
         unknown = sorted(set(data) - set(RUN_KEYS))
         if unknown:
             raise ConfigError(f"unknown keys: {unknown}")
         return configs
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -92,7 +92,7 @@ class GruParams:
     b_z: Tensor  # (hidden,)
     b_r: Tensor
     b_h: Tensor
-    padding: tuple | None = field(default=None, repr=False, compare=False)
+    padding: tuple | None = field(default=None, init=False, repr=False, compare=False)
     pack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _views: tuple = field(default=(None,) * 3, init=False, repr=False, compare=False)
 

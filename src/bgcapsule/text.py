@@ -133,7 +133,7 @@ def load_glove(path, vocab: Vocabulary, dim: int, oov_seed: int = 0):
     """
     table = random_embeddings(vocab, dim, oov_seed)
     filled = np.zeros(len(vocab) + 1, dtype=bool)
-    with open(path, "r", encoding="utf-8", errors="replace") as handle, np.errstate(over="ignore"):
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as handle, np.errstate(over="ignore"):
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -159,7 +159,7 @@ def load_glove(path, vocab: Vocabulary, dim: int, oov_seed: int = 0):
 
 def glove_file_dim(path) -> int:
     """Vector width of a GloVe text file, read off its first data line."""
-    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as handle:
         for line in handle:
             if line.strip():
                 return len(line.rstrip("\n").split(" ")) - 1
@@ -187,7 +187,7 @@ CLASS_INDEX_FLOOR = 1000
 def _read_zhang_csv(path) -> tuple[list[LabeledText], int]:
     docs = []
     top = top_record = 0  # the largest 1-based class index, and its first record
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", errors="replace", newline="") as handle:
         record_no = 0
         try:
             for record_no, row in enumerate(csv.reader(handle, strict=True), start=1):
@@ -197,6 +197,8 @@ def _read_zhang_csv(path) -> tuple[list[LabeledText], int]:
                     raise ParseError(f"{path}: record {record_no}: expected class and text fields")
                 try:
                     index = int(row[0])
+                    if str(index) != row[0]:  # int() also reads " +1_0" and non-ASCII digits
+                        raise ValueError
                 except ValueError as exc:
                     raise ParseError(f"{path}: record {record_no}: bad class index {row[0]!r}") from exc
                 if index < 1:
@@ -236,7 +238,7 @@ def _load_mr(path) -> DatasetSplit:
         raise DataError(f"{path}: need exactly one .pos and one .neg file")
     docs = []
     for file_path, label in ((pos_files[0], 1), (neg_files[0], 0)):
-        with open(file_path, "r", encoding="utf-8", errors="replace") as handle:
+        with open(file_path, "r", encoding="utf-8-sig", errors="replace") as handle:
             for line in handle:
                 line = line.strip()
                 if line:

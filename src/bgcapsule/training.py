@@ -91,16 +91,16 @@ def predicted_class(logits: Tensor) -> np.ndarray:
     return T.softmax(logits, axis=1).data.argmax(axis=1)
 
 
+# Adam's moment decays and denominator floor, as Kingma and Ba (arXiv 1412.6980) give them
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Standard Adam with bias correction; one state slot per parameter."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -111,11 +111,11 @@ class Adam:
             g = grads[name].data
             if g.shape != param.shape:
                 raise ContractError(f"gradient shape {g.shape} != param {param.shape} for {name}")
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m = self.m[name] = BETA1 * self.m[name] + (1.0 - BETA1) * g
+            v = self.v[name] = BETA2 * self.v[name] + (1.0 - BETA2) * (g * g)
+            m_hat = m / (1.0 - BETA1 ** self.t)
+            v_hat = v / (1.0 - BETA2 ** self.t)
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @dataclass
@@ -133,8 +133,6 @@ class EpochRecord:
 class EvalMetrics:
     loss: float
     accuracy: float
-    class_total: np.ndarray  # docs per true class
-    class_correct: np.ndarray
 
 
 @dataclass
@@ -224,20 +222,12 @@ def evaluate(model, docs, batch_size: int) -> EvalMetrics:
     change of the weights (``layers.run_gru``), and scan only the rest."""
     if not docs:
         raise ContractError("evaluation set is empty")
-    classes = model.config.class_count
     total_loss, correct = 0.0, 0.0
-    class_total = np.zeros(classes, dtype=np.int64)
-    class_correct = np.zeros(classes, dtype=np.int64)
     for batch in iter_batches(docs, batch_size):
         logits = model.logits(batch.token_ids)
         total_loss += softmax_cross_entropy(logits, batch.labels).item() * len(batch.labels)
-        predicted = predicted_class(logits)
-        hits = batch.labels[predicted == batch.labels]
-        class_total += np.bincount(batch.labels, minlength=classes)
-        class_correct += np.bincount(hits, minlength=classes)
-        correct += float(len(hits))
-    return EvalMetrics(loss=total_loss / len(docs), accuracy=correct / len(docs),
-                       class_total=class_total, class_correct=class_correct)
+        correct += float((predicted_class(logits) == batch.labels).sum())
+    return EvalMetrics(loss=total_loss / len(docs), accuracy=correct / len(docs))
 
 
 def fit_and_test(train_raw, test_raw, config: ModelConfig, ablations, glove_path=None,

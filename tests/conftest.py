@@ -1,8 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bgcapsule import tensor as T
 from bgcapsule.config import ModelConfig
+from bgcapsule.errors import BgcError
 from bgcapsule.model import TextClassifier
 from bgcapsule.synthetic import separable_corpus
 from bgcapsule.text import build_vocab, encode_docs, random_embeddings, tokenize_lower
@@ -71,3 +75,41 @@ def inner(a, b=None):
     assert b.shape == a.shape, f"inner of {a.shape} and {b.shape}"
     k = a.size
     return T.reshape(T.matmul(T.reshape(a, (1, k)), T.reshape(b, (k, 1))), ())
+
+
+DEEP = b"[" * 100_000  # JSON nested past any interpreter's recursion limit
+
+
+def _edit(blob: bytes, edit) -> bytes:
+    kind, where, arg = edit
+    at = int(where * len(blob))
+    if kind == "flip" and blob:
+        return blob[:at] + bytes([blob[at] ^ arg]) + blob[at + 1:]
+    if kind == "insert":
+        return blob[:at] + arg + blob[at:]
+    if kind == "repeat":
+        return blob[:at] + blob[at:at + 1] * arg + blob[at:]
+    return blob[:at]  # cut
+
+
+def mangled(blob: bytes):
+    """Strategy: ``blob`` after one to four edits, each a flipped byte, an
+    inserted quote, NUL, byte-order mark, newline, comma or deep nesting,
+    a byte repeated into an overlong field (past the csv module's 131,072
+    characters at most), or the end cut off."""
+    where = st.floats(0, 1, exclude_max=True)
+    inserts = [b'"', b"\0", b"\xef\xbb\xbf", b"\n", b",", DEEP]
+    edit = st.one_of(st.tuples(st.just("flip"), where, st.integers(1, 255)),
+                     st.tuples(st.just("insert"), where, st.sampled_from(inserts)),
+                     st.tuples(st.just("repeat"), where, st.sampled_from([300, 140_000])),
+                     st.tuples(st.just("cut"), where, st.none()))
+    return st.lists(edit, min_size=1, max_size=4).map(lambda edits: reduce(_edit, edits, blob))
+
+
+def loads_or_names(load, path):
+    """``load()``'s result, or None if it raised a package error naming ``path``."""
+    try:
+        return load()
+    except BgcError as exc:
+        assert str(path) in str(exc), f"{type(exc).__name__} without the file: {exc}"
+        return None

@@ -15,7 +15,7 @@ from bgcapsule.config import save_config_file
 from bgcapsule.errors import ContractError, DataError
 from bgcapsule.synthetic import separable_corpus
 
-from conftest import build_toy_model
+from conftest import DEEP, build_toy_model
 
 
 @pytest.fixture
@@ -173,6 +173,7 @@ HEADER_MUTATIONS = {
     "unknown_variant": lambda h: h["ablation"].update(variant="transformer"),
     "selu_head": lambda h: h["config"].update(head_activation="selu"),
     "softmax_over_inputs": lambda h: h["config"].update(softmax_axis="input_caps"),
+    "per_pair_weights_as_int": lambda h: h["config"].update(share_pair_weights=1),
     "config_as_list": lambda h: h.update(config=[1, 2]),
     "ablation_missing": lambda h: h.pop("ablation"),
     "vocab_as_list": lambda h: h.update(vocab=list(h["vocab"])),
@@ -191,6 +192,15 @@ def test_bad_header_value_raises_data_error_naming_file(saved, mutation):
         load_model(path)
 
 
+def test_header_nested_too_deep_raises_data_error_naming_file(saved):
+    _, path, _ = saved
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 4)
+    path.write_bytes(blob[:4] + struct.pack("<Q", len(DEEP)) + DEEP + blob[12 + header_len:])
+    with pytest.raises(DataError, match=re.escape(f"{path}: corrupt header")):
+        load_model(path)
+
+
 def test_config_file_holds_the_config_entries_of_the_header(saved, tmp_path):
     model, path, _ = saved
     blob = path.read_bytes()
@@ -202,10 +212,11 @@ def test_config_file_holds_the_config_entries_of_the_header(saved, tmp_path):
         "config": header["config"], "ablation": header["ablation"]}
 
 
-def test_header_with_the_old_shared_weights_key_loads_the_same_model(saved):
+def test_header_with_the_retired_keys_at_their_values_loads_the_same_model(saved):
     _, path, ids = saved
     want = load_model(path)
-    rewrite_header(path, lambda h: h["config"].update(share_pair_weights=True))
+    rewrite_header(path, lambda h: h["config"].update(
+        share_pair_weights=True, head_activation="relu", softmax_axis="output_caps"))
     loaded = load_model(path)
     assert loaded.config == want.config
     assert loaded.forward(ids).data.tobytes() == want.forward(ids).data.tobytes()

@@ -2,11 +2,12 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
 
-from bgcapsule.config import AblationConfig, ModelConfig, load_config_file, save_config_file
+from bgcapsule.config import AblationConfig, ModelConfig, load_config_file, run_entries, save_config_file
 from bgcapsule.errors import ConfigError
 
-from conftest import toy_config
+from conftest import DEEP, loads_or_names, mangled, toy_config
 
 
 def write_config(tmp_path, text):
@@ -54,7 +55,7 @@ def test_config_file_bad_value_names_path_and_field(tmp_path, key, value):
 
 
 def test_config_file_rejects_non_finite_lr(tmp_path):
-    for literal in ("NaN", "Infinity"):
+    for literal in ("NaN", "Infinity", "1" + "0" * 400):  # the last is an int, past float range
         path = write_config(tmp_path, f'{{"config": {{"lr": {literal}}}, "ablation": {{}}}}')
         with pytest.raises(ConfigError, match=re.escape(f"{path}: lr must be positive")):
             load_config_file(path)
@@ -81,7 +82,8 @@ def test_config_file_rejects_a_repeated_key(tmp_path, text, repeated):
     ("[1, 2]", "needs a mapping"),
     ('{"config": {}}', "needs a mapping with the keys ['config', 'ablation']"),
     ('{"config": [], "ablation": {}}', "ModelConfig needs a mapping"),
-], ids=["flat_format", "list", "no_ablation", "config_as_list"])
+    (DEEP.decode(), "maximum recursion depth"),
+], ids=["flat_format", "list", "no_ablation", "config_as_list", "nested_too_deep"])
 def test_config_file_that_is_not_the_json_pair_names_path(tmp_path, text, message):
     path = write_config(tmp_path, text)
     with pytest.raises(ConfigError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
@@ -128,10 +130,12 @@ def test_from_dict_rejects_unknown_keys_and_non_mappings(cls):
         cls.from_dict([("max_len", 16)])
 
 
-def test_config_file_with_the_old_shared_weights_key_loads(tmp_path):
-    path = write_config(tmp_path, '{"config": {"max_len": 16, "share_pair_weights": true}, '
+def test_config_file_with_the_retired_keys_at_their_values_loads(tmp_path):
+    path = write_config(tmp_path, '{"config": {"max_len": 16, "head_activation": "relu", '
+                                  '"softmax_axis": "output_caps", "share_pair_weights": true}, '
                                   '"ablation": {}}')
     assert load_config_file(path) == (ModelConfig(max_len=16), AblationConfig())
+    assert not {"head_activation", "softmax_axis"} & set(ModelConfig().to_dict())
 
 
 @pytest.mark.parametrize("value", [False, 1, "true", None])
@@ -141,3 +145,23 @@ def test_config_file_asking_for_per_pair_weights_names_path_and_key(tmp_path, va
     with pytest.raises(ConfigError,
                        match=re.escape(f"{path}: ModelConfig.share_pair_weights must be true")):
         load_config_file(path)
+
+
+def test_config_file_with_a_byte_order_mark_loads(tmp_path):
+    path = write_config(tmp_path, '\ufeff{"config": {"max_len": 16}, "ablation": {}}')
+    assert load_config_file(path) == (ModelConfig(max_len=16), AblationConfig())
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "run.json"
+
+
+CONFIG_FILE = json.dumps(run_entries(toy_config(), AblationConfig()), indent=2).encode()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(blob=mangled(CONFIG_FILE))
+def test_mangled_config_file_loads_or_raises_naming_it(fuzz_path, blob):
+    fuzz_path.write_bytes(blob)
+    loads_or_names(lambda: load_config_file(fuzz_path), fuzz_path)

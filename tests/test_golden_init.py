@@ -5,8 +5,8 @@ built from stages. Equal hashes show the stages draw their random
 parameters in the same order, under the same names, and that saved
 artifacts keep their layout, so artifacts written before still load.
 Their tensor records re-save unchanged; their header loses the
-``share_pair_weights`` key, which older files carry and the file digests
-below were re-taken without.
+``share_pair_weights``, ``head_activation`` and ``softmax_axis`` keys,
+which older files carry and the file digests below were re-taken without.
 """
 
 import hashlib
@@ -105,9 +105,9 @@ PARAMETERS = {
 
 # sha256 of the whole artifact file
 ARTIFACTS = {
-    "bgcapsule": "be8a8042e6ffd6ba900664a24a6eed9979d1c6f8035d3fd5b024493ff172f74e",
-    "bigru_maxpool": "8d7513b1c31b67d8cc51e8f5e08d5006d3b2037d62880441109e8e14e5c6b913",
-    "cnn_capsule": "de6b305d627081530ca842f41f454b826479298f05362cac3eec7caf4632c92c",
+    "bgcapsule": "ac06a57b95edb31915a3bf69bb99202c3103dd54586344af346e597ef552b2db",
+    "bigru_maxpool": "2811a3953620fc748b8e2018387824fe3cf6c0e6bc7a83d5717a8dac66093e68",
+    "cnn_capsule": "4afd00676e744fd72ed06afb1f7f001b3b1372c06ed5c34d82add35517089bb8",
 }
 
 

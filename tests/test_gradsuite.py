@@ -1,5 +1,7 @@
 import ast
 import dataclasses
+import functools
+import importlib
 import sys
 from pathlib import Path
 
@@ -41,25 +43,33 @@ def _top_level_names(module):
     return {name for name in names if not name.startswith("_")}
 
 
+@functools.cache
+def _reads(path):
+    """What the file ``path`` reads: the names it loads, its relative
+    imports as (module, name, bound name), and its ``name.attr`` reads."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    loads = {node.id for node in nodes
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    imports = [(node.module, alias.name, alias.asname or alias.name) for node in nodes
+               if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+    attrs = {(node.value.id, node.attr) for node in nodes
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    return loads, imports, attrs
+
+
 def _names_read(path, module):
     """Top-level names of ``module`` that the code of the package file
     ``path`` reads: any name in ``module`` itself; elsewhere ``alias.name``
     after ``from . import <module> as alias``, or a name brought in by
     ``from .<module> import``."""
-    tree = ast.parse(path.read_text())
+    loads, imports, attrs = _reads(path)
     stem = Path(module.__file__).stem
-    loads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
-             and isinstance(node.ctx, ast.Load)]
     if path.stem == stem:
-        return {node.id for node in loads}
-    imports = [(node.module, alias) for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
-    aliases = {alias.asname or alias.name for src, alias in imports
-               if src is None and alias.name == stem}
-    imported = {alias.asname or alias.name: alias.name for src, alias in imports if src == stem}
-    return ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-             and getattr(node.value, "id", None) in aliases}
-            | {imported[node.id] for node in loads if node.id in imported})
+        return set(loads)
+    aliases = {bound for src, name, bound in imports if src is None and name == stem}
+    imported = {bound: name for src, name, bound in imports if src == stem}
+    return ({attr for alias, attr in attrs if alias in aliases}
+            | {imported[name] for name in loads if name in imported})
 
 
 def test_every_gradsuite_check_passes(monkeypatch):
@@ -100,28 +110,33 @@ def test_every_tensor_op_has_a_model_caller():
     assert ops and not ops - used, f"tape ops with no model caller: {sorted(ops - used)}"
 
 
-# public compute names that only callers outside the package keep, and why
-OUTSIDE_CALLERS = {"layers.init_gru": "perfbench/test_smoke.py draws its GRUs with it"}
+# public names that no package module reads, each kept for a caller outside it
+OUTSIDE_CALLERS = {
+    "artifact.load_model": "user entry point",
+    "artifact.save_model": "user entry point",
+    "ablation.run_ablation": "waits for the experiment entry point (ROADMAP item 4)",
+    "ablation.write_ablation_csv": "waits for the experiment entry point (ROADMAP item 4)",
+    "config.load_config_file": "waits for the experiment entry point (ROADMAP item 4)",
+    "config.save_config_file": "waits for the experiment entry point (ROADMAP item 4)",
+    "text.load_dataset": "waits for the experiment entry point (ROADMAP item 4)",
+    "text.glove_file_dim": "waits for the experiment entry point (ROADMAP item 4)",
+    "training.cross_validate": "waits for the experiment entry point (ROADMAP item 4)",
+    "layers.init_gru": "perfbench/test_smoke.py draws its GRUs with it",
+    "training.cross_entropy": "perfbench/checks.py takes its check loss on probabilities",
+    "synthetic.separable_corpus": "the tests' corpus, which the order corpus joins "
+                                  "(ROADMAP item 9)",
+}
 
 
 def test_every_public_compute_name_has_a_package_caller():
-    # test-only helpers belong in tests/, not in the two compute modules
+    # test-only helpers belong in tests/, not in the package
     package = sorted(Path(tensor.__file__).parent.glob("*.py"))
     unused = set()
-    for module in (tensor, layers):
-        read = set().union(*(_names_read(path, module) for path in package))
-        unused |= {f"{Path(module.__file__).stem}.{name}"
-                   for name in _top_level_names(module) - read}
+    for path in package:
+        module = importlib.import_module(f"bgcapsule.{path.stem}".removesuffix(".__init__"))
+        read = set().union(*(_names_read(other, module) for other in package))
+        unused |= {f"{path.stem}.{name}" for name in _top_level_names(module) - read}
     assert unused == set(OUTSIDE_CALLERS), f"public names no package module reads: {sorted(unused)}"
-
-
-# config fields that no package module reads, and why they are kept
-FIXED_CONFIG_FIELDS = {
-    "ModelConfig.head_activation": "fixed to 'relu'; perfbench/checks.py reads it, and config "
-                                   "files and artifact headers carry it",
-    "ModelConfig.softmax_axis": "fixed to 'output_caps'; perfbench/checks.py reads it, and "
-                                "config files and artifact headers carry it",
-}
 
 
 def test_every_config_field_has_a_package_reader():
@@ -133,7 +148,7 @@ def test_every_config_field_has_a_package_reader():
     unread = {f"{cls.__name__}.{field.name}"
               for cls in (config.ModelConfig, config.AblationConfig)
               for field in dataclasses.fields(cls) if field.name not in read}
-    assert unread == set(FIXED_CONFIG_FIELDS), f"fields no package module reads: {sorted(unread)}"
+    assert not unread, f"fields no package module reads: {sorted(unread)}"
 
 
 def test_no_module_imports_a_name_it_never_reads():

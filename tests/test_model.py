@@ -164,7 +164,7 @@ def test_config_validation():
         ModelConfig(epochs=0).validate()
     for field, value in (("head_activation", "selu"), ("softmax_axis", "input_caps")):
         with pytest.raises(ConfigError, match=f"ModelConfig.{field} must be"):
-            ModelConfig(**{field: value}).validate()
+            ModelConfig.from_dict({field: value})
     with pytest.raises(ConfigError):
         ModelConfig(bigru_sizes=[5]).validate()
     with pytest.raises(ConfigError, match="seed"):

@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 from bgcapsule import text
 from bgcapsule.errors import ConfigError, ContractError, DataError, ParseError
 
+from conftest import loads_or_names, mangled
+
+BOM = "\ufeff"  # a UTF-8 byte-order mark, as some editors write one
+
 
 # golden tokenizer behavior, frozen by hand from the lowering + punctuation-detach rule
 TOKENIZER_GOLDEN = [
@@ -151,6 +155,17 @@ def test_glove_file_dim(tmp_path):
     assert text.glove_file_dim(path) == 3
 
 
+def test_glove_with_a_byte_order_mark_finds_its_first_word(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_text(BOM + "the 1 2\ncat 3 4\n", encoding="utf-8")
+    vocab = text.build_vocab([["the", "cat"]])
+    table, report = text.load_glove(path, vocab, dim=2)
+    assert (report.found, report.oov) == (2, 0)
+    npt.assert_array_equal(table.vectors[vocab.lookup("the")], [1, 2])
+    path.write_text(BOM + "\nthe 1 2\n", encoding="utf-8")  # the mark alone on a blank line
+    assert text.glove_file_dim(path) == 2
+
+
 def test_random_embeddings_pad_row_zero():
     vocab = text.build_vocab([["a", "b"]])
     table = text.random_embeddings(vocab, dim=7, seed=1)
@@ -179,10 +194,11 @@ def test_zhang_csv_doubled_quotes_and_test_file(tmp_path):
 
 def test_zhang_csv_bad_label(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text('"x","t","d"\n')
-    with pytest.raises(ParseError) as err:
-        text.load_dataset(path, "zhang_csv")
-    assert "record 1" in str(err.value)
+    for label in ("x", "1_0", " +2", "\u0663", "01"):  # \u0663 is an Arabic-Indic 3
+        path.write_text(f'"{label}","t","d"\n', encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            text.load_dataset(path, "zhang_csv")
+        assert "record 1" in str(err.value)
 
 
 def test_zhang_csv_zero_label_out_of_range(tmp_path):
@@ -221,6 +237,13 @@ def test_zhang_csv_class_index_beyond_the_record_count_is_refused(tmp_path):
     assert text.load_dataset(path, "zhang_csv").class_count == text.CLASS_INDEX_FLOOR
 
 
+def test_zhang_csv_with_a_byte_order_mark_reads_its_first_record(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(BOM + '"1","first"\n"2","second"\n', encoding="utf-8")
+    split = text.load_dataset(path, "zhang_csv")
+    assert [(d.label, d.text) for d in split.train] == [(0, "first"), (1, "second")]
+
+
 def test_mr_polarity_loader(tmp_path):
     (tmp_path / "reviews.pos").write_text("great movie\nloved it\n")
     (tmp_path / "reviews.neg").write_text("terrible\n")
@@ -229,6 +252,13 @@ def test_mr_polarity_loader(tmp_path):
     labels = [d.label for d in split.train]
     assert labels == [1, 1, 0]
     assert split.test == []
+
+
+def test_mr_polarity_with_a_byte_order_mark_keeps_the_first_review_clean(tmp_path):
+    (tmp_path / "reviews.pos").write_text(BOM + "great movie\n", encoding="utf-8")
+    (tmp_path / "reviews.neg").write_text(BOM + "terrible\n", encoding="utf-8")
+    split = text.load_dataset(tmp_path, "mr_polarity")
+    assert [d.text for d in split.train] == ["great movie", "terrible"]
 
 
 def test_load_dataset_unknown_format(tmp_path):
@@ -306,3 +336,45 @@ def test_iter_batches_deterministic_shuffle():
     assert a == b
     sizes = [len(chunk) for chunk in a]
     assert sizes == [3, 3, 3, 1]
+
+
+# ---------------------------------------------------------------------------
+# mangled files: each reader loads them or raises a package error naming the file
+
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@FUZZ
+@given(blob=mangled(b'1,"good film, ""fine"" cast"\n2,"bad plot\nbad acting",more\n1,plain\n'))
+def test_mangled_zhang_csv_loads_or_raises_naming_it(fuzz_dir, blob):
+    path = fuzz_dir / "data.csv"
+    path.write_bytes(blob)
+    split = loads_or_names(lambda: text.load_dataset(path, "zhang_csv"), path)
+    if split is not None:
+        assert all(0 <= d.label < split.class_count for d in split.train)
+
+
+@FUZZ
+@given(blob=mangled(b"great movie\nloved it , truly\n"))
+def test_mangled_mr_review_file_loads_or_raises_naming_it(fuzz_dir, blob):
+    (fuzz_dir / "reviews.neg").write_bytes(b"terrible\n")
+    path = fuzz_dir / "reviews.pos"
+    path.write_bytes(blob)
+    loads_or_names(lambda: text.load_dataset(fuzz_dir, "mr_polarity"), path)
+
+
+@FUZZ
+@given(blob=mangled(b"the 0.5 -1.25 3\ncat 1e-3 2 -0.0\n\nsat 1 2 3\n"))
+def test_mangled_glove_file_loads_or_raises_naming_it(fuzz_dir, blob):
+    path = fuzz_dir / "vectors.txt"
+    path.write_bytes(blob)
+    vocab = text.build_vocab([["the", "cat", "sat"]])
+    loaded = loads_or_names(lambda: text.load_glove(path, vocab, dim=3), path)
+    if loaded is not None:
+        assert np.isfinite(loaded[0].vectors).all()
+    loads_or_names(lambda: text.glove_file_dim(path), path)
