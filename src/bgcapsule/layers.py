@@ -415,13 +415,14 @@ class DistinctPositions:
     than K entries, the batch's largest count, are padded with entries
     that read position 0 again and count zero.
 
-    ``cnn_feature_extractor`` finds ``live`` once, from each position's
-    widest window, computes its features over this layout, [N,K,F], and
-    ``CapsuleRouting`` projects, votes and routes them as they are. An
-    entry's gradient is then the sum of what the positions it stands for
-    would get; a padding entry gets none, as ``dynamic_routing`` gives a
-    zero-weight capsule. With every position live each position is its
-    own entry, in order.
+    It is the one form in which an extractor hands over its features,
+    [N,K,F]. ``cnn_feature_extractor`` finds ``live`` once, from each
+    position's widest window; the BiGRU ensemble gives every position
+    live, and then each position is its own entry, in order, counted once.
+    ``CapsuleRouting`` projects, votes and routes the entries as they are.
+    An entry's gradient is then the sum of what the positions it stands
+    for would get; a padding entry gets none, as ``dynamic_routing`` gives
+    a zero-count capsule.
     """
 
     rows: np.ndarray  # [N*K] flat row n*T + t that each entry reads
@@ -471,9 +472,9 @@ def primary_capsules(features: Tensor, weight: Tensor, bias: Tensor,
                      caps_per_pos: int, caps_dim: int) -> Tensor:
     """Project features into capsules, row by row, and squash.
 
-    [N,R,F] with weight [F, caps_per_pos*caps_dim] -> [N, R*caps_per_pos, caps_dim],
-    where the R rows are every position, or the entries of a
-    ``DistinctPositions``, whose capsules routing then weighs by count.
+    [N,K,F] with weight [F, caps_per_pos*caps_dim] -> [N, K*caps_per_pos, caps_dim]
+    over the K entries of a ``DistinctPositions``, whose capsules routing
+    then weighs by count.
     The projection (GEMM and bias) is one op.
     """
     n, rows, feat = features.shape
@@ -524,7 +525,7 @@ class RoutingInfo:
 
 
 def dynamic_routing(u_hat: Tensor, iterations: int,
-                    weights: np.ndarray | None = None) -> tuple[Tensor, RoutingInfo]:
+                    counts: np.ndarray) -> tuple[Tensor, RoutingInfo]:
     """Agreement routing over prediction vectors [N, J, I, D'], as one op.
 
     Logits start at zero; each round takes the couplings, each input
@@ -532,10 +533,11 @@ def dynamic_routing(u_hat: Tensor, iterations: int,
     sum per upper capsule, squashes it, and adds the vote/output dot
     products back into the logits.
 
-    ``weights`` [N, I], if given, counts the identical input capsules each
-    one stands for and scales its coupled vote, so routing I distinct
-    capsules with their counts gives what routing every copy would. A
-    zero-weight capsule changes no output and gets no gradient.
+    ``counts`` [N, I] counts the identical input capsules each one stands
+    for (1 for each when every capsule is distinct) and scales its coupled
+    vote, so routing I distinct capsules with their counts gives what
+    routing every copy would. A zero-count capsule changes no output and
+    gets no gradient.
 
     Logits are kept as [N, J, I], so the vote sum and the agreements are
     batched ``matmul`` calls on ``u_hat``; ``RoutingInfo`` holds them as
@@ -549,14 +551,14 @@ def dynamic_routing(u_hat: Tensor, iterations: int,
         raise ContractError(f"routing needs at least 1 iteration, got {iterations}")
     u = u_hat.data
     n, j_count, i_count, _ = u.shape
-    w = None if weights is None else np.asarray(weights, u.dtype).reshape(n, 1, i_count)
+    w = np.asarray(counts, u.dtype).reshape(n, 1, i_count)
     grad = T.needs_grad(u_hat)
     b = np.zeros((n, j_count, i_count), u.dtype)
     history, saved = [], []
     for _ in range(iterations):
         e = np.exp(b - b.max(axis=1, keepdims=True))
         c = e / e.sum(axis=1, keepdims=True)
-        cw = c if w is None else c * w
+        cw = c * w
         s = np.matmul(cw[:, :, None, :], u)[:, :, 0, :]
         v, parts = _squash_parts(s)
         b = b + np.matmul(u, v[:, :, :, None])[:, :, :, 0]

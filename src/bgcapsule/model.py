@@ -12,14 +12,15 @@ its artifact name: drawn in call order for a new model, or, given
 must have that shape; a record no stage asks for is an error. The model
 keeps each tensor as handed out. A stage holds ``width`` and ``forward``.
 
-An extractor's ``forward`` hands the aggregator its features and their
-layout: [N,T,F] and None when every position may differ (the BiGRU
-ensemble: a GRU state depends on everything before it), or, for the CNN,
-[N,K,F] over the entries of a ``layers.DistinctPositions``. A CNN
-position is dead when its widest window holds only zero rows; every
-dead position of a document has the same features, its biases after the
-ReLU, so they are computed once, as one entry. Capsule routing then
-projects, votes and routes those entries as they are.
+An extractor's ``forward`` hands the aggregator its features [N,K,F]
+over the entries of a ``layers.DistinctPositions``, and that layout. For
+the BiGRU ensemble every position is its own entry (a GRU state depends
+on everything before it). A CNN position is dead when its widest window
+holds only zero rows; every dead position of a document has the same
+features, its biases after the ReLU, so they are computed once, as one
+entry. Capsule routing then projects, votes and routes those entries as
+they are, and lays its couplings out over the positions only when
+``TextClassifier.last_routing`` is read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from . import layers as L
 from . import tensor as T
 from .config import AblationConfig, ModelConfig
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, DimensionError
 from .tensor import Tensor
 from .text import EmbeddingTable, Vocabulary, encode_ids
 
@@ -58,7 +59,7 @@ class BiGruEnsemble:
         self.width = 2 * sum(cfg.bigru_sizes)
         self.dropout = cfg.dropout
 
-    def forward(self, embedded: Tensor, dropout_rng) -> tuple[Tensor, None]:
+    def forward(self, embedded: Tensor, dropout_rng) -> tuple[Tensor, L.DistinctPositions]:
         def mask(gru):
             if dropout_rng is None or self.dropout == 0.0:
                 return None
@@ -72,7 +73,7 @@ class BiGruEnsemble:
         outputs = [L.run_gru(embedded, gru, reverse, mask(gru), rows)
                    for gru_pair in (self.bigru1, self.bigru2)
                    for gru, reverse in zip(gru_pair, (False, True))]
-        return T.concat(outputs, axis=2), None
+        return T.concat(outputs, axis=2), L.distinct_positions(np.ones(embedded.shape[:2], bool))
 
 
 class CnnExtractor:
@@ -102,11 +103,11 @@ class CapsuleRouting:
     equal capsules, votes and couplings: each entry is projected, voted and
     routed once, weighed by the count of positions it stands for.
 
-    ``last_routing`` holds the couplings of the latest forward pass, over
-    every position's capsules [N, T*P, J] either way.
+    ``routed`` holds the latest forward pass's routing over the entries'
+    capsules [N, K*P, J] and the layout of those entries.
     """
 
-    last_routing: L.RoutingInfo | None = None
+    routed: tuple[L.RoutingInfo, L.DistinctPositions] | None = None
 
     def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
         self.cfg = cfg
@@ -116,21 +117,21 @@ class CapsuleRouting:
         self.pair_w = param("routing.pair_w", (cfg.routed_caps, cfg.caps_dim, cfg.routed_caps_dim))
         self.width = cfg.routed_caps * cfg.routed_caps_dim
 
-    def forward(self, features: Tensor, distinct: L.DistinctPositions | None = None) -> Tensor:
-        cfg = self.cfg
-        per_pos = cfg.primary_caps_per_pos
-        caps = L.primary_capsules(features, self.caps_w, self.caps_b, per_pos, cfg.caps_dim)
-        counts = None if distinct is None else np.repeat(distinct.counts, per_pos, axis=1)
-        v, routing = L.dynamic_routing(L.predict_vectors(caps, self.pair_w), cfg.routing_iters,
-                                       counts)
-        self.last_routing = routing if distinct is None else distinct.expand(routing, per_pos)
+    def forward(self, features: Tensor, layout: L.DistinctPositions) -> Tensor:
+        per_pos = self.cfg.primary_caps_per_pos
+        caps = L.primary_capsules(features, self.caps_w, self.caps_b, per_pos, self.cfg.caps_dim)
+        v, routing = L.dynamic_routing(L.predict_vectors(caps, self.pair_w), self.cfg.routing_iters,
+                                       np.repeat(layout.counts, per_pos, axis=1))
+        self.routed = routing, layout
         return T.reshape(v, (v.shape[0], -1))
 
 
 class MaxPooling:
-    """Max over non-overlapping position windows, flattened; no parameters."""
+    """Max over non-overlapping position windows, flattened; no parameters.
+    Its extractor, the BiGRU ensemble, makes every position its own entry,
+    so the features are every position's and the layout is not read."""
 
-    last_routing = None
+    routed = None
 
     def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
         self.window = ablation.pool_window
@@ -138,7 +139,7 @@ class MaxPooling:
             raise ConfigError(f"pool window {self.window} exceeds max_len {cfg.max_len}")
         self.width = cfg.max_len // self.window * in_width
 
-    def forward(self, features: Tensor, distinct: L.DistinctPositions | None = None) -> Tensor:
+    def forward(self, features: Tensor, layout: L.DistinctPositions) -> Tensor:
         pooled = L.max_pool_routing(features, self.window)
         return T.reshape(pooled, (pooled.shape[0], -1))
 
@@ -200,8 +201,11 @@ class TextClassifier:
 
     @property
     def last_routing(self) -> L.RoutingInfo | None:
-        """Routing couplings of the latest forward pass; None without capsules."""
-        return self.aggregator.last_routing
+        """The latest forward pass's routing over every position; None without capsules."""
+        if self.aggregator.routed is None:
+            return None
+        routing, layout = self.aggregator.routed
+        return layout.expand(routing, self.config.primary_caps_per_pos)
 
     # -- parameter access ---------------------------------------------
 
@@ -222,11 +226,17 @@ class TextClassifier:
     def logits(self, token_ids: np.ndarray, dropout_rng=None) -> Tensor:
         """Token ids [N, max_len] -> class logits [N, C], through every stage.
 
-        Recurrent dropout is drawn from ``dropout_rng`` when given (training).
-        The embedding gets a gradient only if the tape watches it."""
-        embedded = L.embedding_forward(self.embedding, np.asarray(token_ids))
-        features, distinct = self.extractor.forward(embedded, dropout_rng)
-        return self.head.forward(self.aggregator.forward(features, distinct))
+        The ids must be an integer array with N >= 1; anything else is a
+        ``DimensionError``. Recurrent dropout is drawn from ``dropout_rng``
+        when given (training). The embedding gets a gradient only if the
+        tape watches it."""
+        ids = np.asarray(token_ids)
+        if not (np.issubdtype(ids.dtype, np.integer) and ids.ndim == 2 and len(ids)
+                and ids.shape[1] == self.config.max_len):
+            raise DimensionError(f"token ids must be integers [N >= 1, {self.config.max_len}], "
+                                 f"got {ids.dtype} {ids.shape}")
+        extracted = self.extractor.forward(L.embedding_forward(self.embedding, ids), dropout_rng)
+        return self.head.forward(self.aggregator.forward(*extracted))
 
     def forward(self, token_ids: np.ndarray) -> Tensor:
         """Token ids [N, max_len] -> class probabilities [N, C], in eval mode."""

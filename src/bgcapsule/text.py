@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +105,11 @@ class Batch:
 @dataclass
 class EmbeddingTable:
     vectors: np.ndarray  # [|V|+1, dim] float32, row 0 all zeros
-    dim: int
+    dim: InitVar[int]  # checked against the vectors, not kept
+
+    def __post_init__(self, dim: int):
+        if self.vectors.shape[1:] != (dim,):
+            raise ConfigError(f"embedding vectors {self.vectors.shape} are not dim={dim} wide")
 
 
 @dataclass

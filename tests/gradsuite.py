@@ -93,12 +93,12 @@ def _op_checks() -> list[GradCheckReport]:
     check("predict_vectors/weights", lambda t: _sq(L.predict_vectors(u, t)),
           rng.normal(size=(2, 3, 4)))
 
-    # weights as capsule merging gives them: counts, and 0 on a padding entry
+    # each capsule once, and counts as capsule merging gives them, 0 on a padding entry
     u_hat = rng.normal(size=(2, 2, 3, 4))
-    counts = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 1.0]])
-    for suffix, weights in (("", None), ("/weighted", counts)):
+    merged = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 1.0]])
+    for suffix, counts in (("", np.ones((2, 3))), ("/weighted", merged)):
         check(f"dynamic_routing{suffix}",
-              lambda t, w=weights: _sq(L.dynamic_routing(t, 3, w)[0]), u_hat)
+              lambda t, c=counts: _sq(L.dynamic_routing(t, 3, c)[0]), u_hat)
 
     head = L.head_params(L.drawing(rng, np.float64), 5, 4, 3)
     head_x = Tensor(rng.normal(size=(2, 5)), dtype=np.float64)

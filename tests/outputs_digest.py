@@ -16,8 +16,10 @@ some of it truncated, as in Yelp). It prints two lines for each, named
 by variant, corpus and part:
 
 - ``part=forward`` hashes, in this order, the freshly built model's
-  ``evaluate`` loss and accuracy, its batch ``forward`` at N=32 and N=7,
-  and ``predict_text`` on 20 texts;
+  ``evaluate`` loss and accuracy, its batch ``forward`` at N=32, for the
+  capsule variants the ``last_routing`` logits and coupling history of
+  that forward, its batch ``forward`` at N=7, and ``predict_text`` on 20
+  texts;
 - ``part=trained`` then hashes, after two training steps of the same
   model, its weights, followed by the same outputs.
 
@@ -64,11 +66,16 @@ def corpus(rng, count: int, lengths: tuple[int, int], words: list[str]) -> list[
 
 
 def outputs(model, held_out, held_docs, batch_size: int) -> list[np.ndarray]:
-    """``evaluate``'s loss and accuracy, batch ``forward`` at N=32 and N=7,
-    and ``predict_text`` on 20 texts."""
+    """``evaluate``'s loss and accuracy, batch ``forward`` at N=32, its
+    routing (capsule variants), batch ``forward`` at N=7, and
+    ``predict_text`` on 20 texts."""
     metrics = evaluate(model, held_docs, batch_size)
     arrays = [np.array([metrics.loss, metrics.accuracy])]
-    arrays += [model.forward(batch_of(held_docs[:n]).token_ids).data for n in (32, 7)]
+    arrays.append(model.forward(batch_of(held_docs[:32]).token_ids).data)
+    routing = model.last_routing
+    if routing is not None:
+        arrays += [routing.logits, *routing.coupling_history]
+    arrays.append(model.forward(batch_of(held_docs[:7]).token_ids).data)
     return arrays + [model.predict_text(doc.text)[1] for doc in held_out[:20]]
 
 

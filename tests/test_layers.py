@@ -19,6 +19,11 @@ def f64(arr):
     return T.Tensor(np.asarray(arr), dtype=np.float64)
 
 
+def once(u_hat):
+    """Routing counts [N, I] of votes [N, J, I, D'] whose input capsules are all distinct."""
+    return np.ones((u_hat.shape[0], u_hat.shape[2]))
+
+
 def make_gru(rng, input_size, hidden, dtype=np.float64):
     return L.init_gru(rng, input_size, hidden, dtype)
 
@@ -453,8 +458,11 @@ def test_ensemble_channel_counts_and_concat_fidelity(monkeypatch):
     found = []
     real = L.text_rows
     monkeypatch.setattr(L, "text_rows", lambda data: found.append(data) or real(data))
-    out, live = ensemble.forward(seq, None)
-    assert out.shape == (2, 3, 14) and ensemble.width == 14 and live is None
+    out, layout = ensemble.forward(seq, None)
+    assert out.shape == (2, 3, 14) and ensemble.width == 14
+    # every position is its own entry, counted once
+    npt.assert_array_equal(layout.counts, np.ones((2, 3)))
+    npt.assert_array_equal(layout.entry, [[0, 1, 2]] * 2)
     # the four scans share one reduction of the batch to its rows with text
     assert len(found) == 1 and found[0] is seq.data
     # bigru1 forward, bigru1 backward, bigru2 forward, bigru2 backward, each
@@ -613,7 +621,7 @@ def test_routing_single_iteration_uniform_couplings():
     rng = np.random.default_rng(15)
     j_count = 4
     u_hat = rng.normal(size=(1, j_count, 3, 5))
-    v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), iterations=1)
+    v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), 1, once(u_hat))
     npt.assert_allclose(info.coupling_history[-1], np.full((1, 3, j_count), 1.0 / j_count),
                         atol=1e-12)
     for j in range(j_count):
@@ -623,7 +631,7 @@ def test_routing_single_iteration_uniform_couplings():
 
 def test_routing_degenerate_single_pair():
     u_hat = np.array([[[[3.0, 4.0]]]])  # N=1, J=1, I=1, D=2
-    v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), iterations=2)
+    v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), 2, once(u_hat))
     npt.assert_allclose(info.coupling_history[-1], np.ones((1, 1, 1)))
     npt.assert_allclose(v.data[0, 0], squash_vector([3.0, 4.0]), atol=1e-12)
 
@@ -633,7 +641,7 @@ def test_routing_matches_plain_loop_oracle(iterations):
     rng = np.random.default_rng(16 + iterations)
     i_count, j_count, dim = 5, 3, 8
     u_hat = rng.normal(size=(2, j_count, i_count, dim))
-    v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), iterations)
+    v, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), iterations, once(u_hat))
     for n in range(2):
         want_v, want_c, history = routing_plain_loops(u_hat[n], iterations)
         npt.assert_allclose(v.data[n], want_v, rtol=0, atol=1e-12)
@@ -645,7 +653,7 @@ def test_routing_matches_plain_loop_oracle(iterations):
 def test_routing_coupling_rows_sum_to_one_every_iteration():
     rng = np.random.default_rng(20)
     u_hat = T.Tensor(rng.normal(size=(3, 4, 6, 2)), dtype=np.float64)
-    _, info = L.dynamic_routing(u_hat, iterations=3)
+    _, info = L.dynamic_routing(u_hat, 3, once(u_hat))
     for c in info.coupling_history:
         npt.assert_allclose(c.sum(axis=2), np.ones((3, 6)), rtol=0, atol=1e-12)
 
@@ -654,8 +662,8 @@ def test_routing_permutation_invariance():
     rng = np.random.default_rng(21)
     u_hat = rng.normal(size=(1, 3, 6, 4))
     perm = rng.permutation(6)
-    v1, _ = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), 3)
-    v2, _ = L.dynamic_routing(T.Tensor(u_hat[:, :, perm, :], dtype=np.float64), 3)
+    v1, _ = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), 3, once(u_hat))
+    v2, _ = L.dynamic_routing(T.Tensor(u_hat[:, :, perm, :], dtype=np.float64), 3, once(u_hat))
     npt.assert_allclose(v1.data, v2.data, rtol=0, atol=1e-12)
 
 
@@ -669,9 +677,9 @@ def routing_and_grad(route, u_hat, upstream):
         return v.data, logits, history, tape.grad(u).data
 
 
-def fused(iterations, weights=None):
+def fused(iterations, counts):
     def route(u):
-        v, info = L.dynamic_routing(u, iterations, weights)
+        v, info = L.dynamic_routing(u, iterations, counts)
         return v, info.logits, info.coupling_history
     return route
 
@@ -680,7 +688,7 @@ def test_fused_routing_matches_taped_oracle():
     rng = np.random.default_rng(40)
     u_hat = rng.normal(size=(3, 4, 7, 5))
     upstream = rng.normal(size=(3, 4, 5))
-    got = routing_and_grad(fused(3), u_hat, upstream)
+    got = routing_and_grad(fused(3, once(u_hat)), u_hat, upstream)
     want = routing_and_grad(lambda u: routing_taped(u, 3), u_hat, upstream)
     for g, w in zip(got[:2], want[:2]):
         npt.assert_allclose(g, w, rtol=0, atol=1e-12)
@@ -692,7 +700,7 @@ def test_fused_routing_matches_taped_oracle():
 
 def test_routing_duplicates_equal_distinct_capsules_with_counts():
     # three distinct capsules standing for 3, 1 and 2 copies, plus a
-    # zero-weight entry that repeats the first, as batch padding does
+    # zero-count entry that repeats the first, as batch padding does
     rng = np.random.default_rng(41)
     distinct = rng.normal(size=(2, 3, 3, 4))
     copies = np.array([0, 2, 0, 1, 2, 0])  # distinct capsule of each copy
@@ -700,7 +708,7 @@ def test_routing_duplicates_equal_distinct_capsules_with_counts():
     counts = np.array([3.0, 1.0, 2.0, 0.0])
     upstream = rng.normal(size=(2, 3, 4))
     v, logits, history, grad = routing_and_grad(
-        fused(3), distinct[:, :, copies], upstream)
+        fused(3, np.ones((2, len(copies)))), distinct[:, :, copies], upstream)
     v_m, logits_m, history_m, grad_m = routing_and_grad(
         fused(3, np.tile(counts, (2, 1))), merged, upstream)
     npt.assert_allclose(v_m, v, rtol=0, atol=1e-12)
@@ -715,7 +723,7 @@ def test_routing_duplicates_equal_distinct_capsules_with_counts():
 def test_routing_without_gradient_records_nothing_to_replay():
     u_hat = f64(np.random.default_rng(42).normal(size=(1, 2, 3, 4)))
     with T.Tape() as tape:
-        v, _ = L.dynamic_routing(u_hat, 3)
+        v, _ = L.dynamic_routing(u_hat, 3, once(u_hat))
         tape.backward(inner(v, 1))
     assert id(u_hat) not in tape.gradients
 
@@ -724,7 +732,7 @@ def test_routing_identical_predictions_identical_coupling_rows():
     rng = np.random.default_rng(22)
     row = rng.normal(size=(1, 3, 1, 4))
     u_hat = np.tile(row, (1, 1, 5, 1))
-    _, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), 3)
+    _, info = L.dynamic_routing(T.Tensor(u_hat, dtype=np.float64), 3, once(u_hat))
     couplings = info.coupling_history[-1]
     for i in range(1, 5):
         npt.assert_allclose(couplings[0, i], couplings[0, 0], atol=1e-9)
@@ -732,15 +740,15 @@ def test_routing_identical_predictions_identical_coupling_rows():
 
 def test_routing_rejects_zero_iterations():
     with pytest.raises(ContractError):
-        L.dynamic_routing(T.zeros((1, 2, 2, 2)), 0)
+        L.dynamic_routing(T.zeros((1, 2, 2, 2)), 0, np.ones((1, 2)))
 
 
 def test_routing_full_unroll_gradient():
     rng = np.random.default_rng(23)
     u_hat = rng.normal(size=(2, 2, 3, 4))
-    for weights in (None, np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0]])):
+    for counts in (once(u_hat), np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0]])):
         def target(t):
-            v, _ = L.dynamic_routing(t, 3, weights)
+            v, _ = L.dynamic_routing(t, 3, counts)
             return inner(v)
 
         report = grad_check(target, f64(u_hat), name="dynamic_routing")
@@ -755,10 +763,11 @@ def routed_and_flat(cfg, features):
     """``CapsuleRouting``'s routed capsules [N,J,D'] and its flat output."""
     stage = CapsuleRouting(cfg, AblationConfig(), features.shape[2],
                            L.drawing(np.random.default_rng(30), np.float64))
-    flat = stage.forward(features)
+    flat = stage.forward(features, L.distinct_positions(np.ones(features.shape[:2], bool)))
     caps = L.primary_capsules(features, stage.caps_w, stage.caps_b,
                               cfg.primary_caps_per_pos, cfg.caps_dim)
-    v, _ = L.dynamic_routing(L.predict_vectors(caps, stage.pair_w), cfg.routing_iters)
+    u_hat = L.predict_vectors(caps, stage.pair_w)
+    v, _ = L.dynamic_routing(u_hat, cfg.routing_iters, once(u_hat))
     return v.data, flat
 
 

@@ -6,7 +6,7 @@ from bgcapsule import layers as L
 from bgcapsule import tensor as T
 from bgcapsule.artifact import load_model, save_model
 from bgcapsule.config import VARIANTS, AblationConfig, ModelConfig
-from bgcapsule.errors import ConfigError
+from bgcapsule.errors import ConfigError, DimensionError
 from bgcapsule.model import TextClassifier
 from bgcapsule.synthetic import separable_corpus
 from bgcapsule.text import (EmbeddingTable, LabeledText, batch_of, build_vocab, encode_docs,
@@ -150,6 +150,21 @@ def test_embedding_dim_mismatch_rejected(separable_docs):
         TextClassifier(cfg, vocab, table)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("ids, got", [
+    (np.ones((2, 16)), r"float64 \(2, 16\)"),
+    (np.full((2, 16), "1"), r"<U1 \(2, 16\)"),
+    (np.zeros((0, 16), np.int64), r"int64 \(0, 16\)"),
+    (np.ones((2, 3), np.int64), r"int64 \(2, 3\)"),
+    (np.ones(16, np.int64), r"int64 \(16,\)"),
+], ids=["float", "string", "empty", "narrow", "one_dim"])
+def test_token_ids_not_an_integer_batch_of_max_len_raise_dimension_error(separable_docs, variant,
+                                                                          ids, got):
+    model, _ = build_toy_model(separable_docs, ablation=AblationConfig(variant=variant))
+    with pytest.raises(DimensionError, match="token ids must be integers .N >= 1, 16., got " + got):
+        model.forward(ids)
+
+
 def test_pool_window_exceeding_max_len_rejected(separable_docs):
     cfg = toy_config(max_len=3)
     with pytest.raises(ConfigError):
@@ -203,13 +218,13 @@ def merge_model(filters=4):
 
 
 def routed(monkeypatch):
-    """Record the weights of every ``dynamic_routing`` call and its input capsule count."""
+    """Record the counts of every ``dynamic_routing`` call and its input capsule count."""
     calls = []
     real = L.dynamic_routing
 
-    def spy(u_hat, iterations, weights=None):
-        calls.append((u_hat.shape[2], weights))
-        return real(u_hat, iterations, weights)
+    def spy(u_hat, iterations, counts):
+        calls.append((u_hat.shape[2], counts))
+        return real(u_hat, iterations, counts)
 
     monkeypatch.setattr(L, "dynamic_routing", spy)
     return calls
@@ -219,7 +234,7 @@ def probs_routing_grads(model, ids, labels, merge):
     """Probabilities, routing and parameter gradients of the model's path, or
     of the same stages with features computed and routed at every position:
     each width's ``conv_taped``, ReLU and concat, then capsules of every
-    position (no ``DistinctPositions``)."""
+    position, each its own entry."""
     params = model.parameters()
     with T.Tape() as tape:
         tape.watch(*params.values())
@@ -230,7 +245,8 @@ def probs_routing_grads(model, ids, labels, merge):
             cnn = model.extractor
             features = T.concat([T.relu(conv_taped(embedded, k, b))
                                  for k, b in zip(cnn.kernels, cnn.biases)], axis=2)
-            logits = model.head.forward(model.aggregator.forward(features, None))
+            every = L.distinct_positions(np.ones(ids.shape, bool))
+            logits = model.head.forward(model.aggregator.forward(features, every))
         tape.backward(softmax_cross_entropy(logits, labels))
         grads = {name: tape.grad(p).data for name, p in params.items()}
     return T.softmax(logits, axis=1).data, model.last_routing, grads
@@ -259,9 +275,9 @@ def test_cnn_capsule_routes_dead_positions_once_with_the_same_result(monkeypatch
     for docs in (slice(None), slice(1, None)):  # with and without the doc that fills max_len
         ids, labels = batch.token_ids[docs], batch.labels[docs]
         assert_matches_every_position(model, ids, labels)
-        (merged_caps, weights), reference = calls[-2:]
-        assert weights is not None and weights.max() > 1 and (weights == 0).any()
-        assert reference == (t_caps, None)
+        (merged_caps, counts), (reference_caps, reference_counts) = calls[-2:]
+        assert counts.max() > 1 and (counts == 0).any()
+        assert reference_caps == t_caps and (reference_counts == 1).all()
     # without the full doc, fewer capsules are routed
     assert merged_caps < t_caps
 

@@ -223,7 +223,7 @@ def fused_layer_op(name, rng):
 
     if name == "dynamic_routing":
         u_hat = f32(2, 3, 4, 5)
-        return [u_hat], lambda: L.dynamic_routing(u_hat, 3)[0]
+        return [u_hat], lambda: L.dynamic_routing(u_hat, 3, np.ones((2, 4)))[0]
     if name == "cnn_feature_extractor":
         x = f32(2, 6, 3)
         x.data[0, :3] = 0.0  # padding, so some positions are dead

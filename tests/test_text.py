@@ -173,6 +173,11 @@ def test_random_embeddings_pad_row_zero():
     assert table.vectors.shape == (3, 7)
 
 
+def test_embedding_table_rejects_a_dim_its_vectors_lack():
+    with pytest.raises(ConfigError, match=r"vectors \(3, 4\) are not dim=99 wide"):
+        text.EmbeddingTable(vectors=np.zeros((3, 4), np.float32), dim=99)
+
+
 def test_zhang_csv_single_record(tmp_path):
     path = tmp_path / "train.csv"
     path.write_text('"3","t","d"\n')
