@@ -6,7 +6,8 @@ capsule counts in the lower/upper layer, and D for capsule dimension.
 Every op here is recorded on the active tape and passes the
 finite-difference checks of ``tests/gradsuite.py``. A GRU scans a whole
 sequence as one op, and the CNN's convolutions of every width, with
-their ReLU, are one op over the batch's distinct positions.
+their ReLU, are one op over the batch's distinct positions, whose
+forward multiplies each distinct embedded row by the kernels once.
 """
 
 from __future__ import annotations
@@ -659,30 +660,35 @@ def cnn_feature_extractor(embedded: Tensor, kernels, biases) -> tuple[Tensor, Di
     document's entry 0.
 
     Forward: no padded copy of ``embedded`` is made. Liveness comes from
-    its nonzero rows with False margins. The widest windows of the L
-    entries that read a live position (padding entries that read a live
-    position 0 among them) are gathered from the flat batch into one
-    [L, W*E] im2col matrix, rows outside the document zeroed. Each width
-    runs one GEMM on its own column range of it, straight into its channel
-    slice of one [L, sum of C] buffer; bias and ReLU are applied to those
-    L rows, which are scattered once into the [N*K, sum of C] output. The
-    other entries get ReLU(bias), which is what the GEMM gives an
-    all-zero window.
+    its nonzero rows (its rows with text) with False margins. Text repeats
+    its tokens, so the rows with text are matched by their bytes into U
+    distinct rows, and each width multiplies those by every row of its
+    kernel in one GEMM, [U,E] x [w,E,C] -> [w,U,C], with one zero row
+    added that stands for rows without text and rows beyond a document's
+    ends. Each of the L entries that read a live position (padding
+    entries that read a live position 0 among them) then takes width w's
+    convolution as the sum over d < w of row d of those products at the
+    key of its window's row start_w + d: one gather and one add per width
+    and offset, into the width's channel slice of one [L, sum of C]
+    buffer. Bias and ReLU are applied to those L rows, which are
+    scattered once into the [N*K, sum of C] output. The other entries get
+    ReLU(bias), which is what an all-zero window gives.
 
     Backward: the ReLU mask is the output's sign. An entry's gradient is
     the sum over the positions it stands for, and a padding entry's is
-    zero (see ``DistinctPositions``). The im2col matrix is not kept: for
-    each absolute offset j of the widest window, the [L,E] rows at j of
-    the L windows are gathered again from ``embedded`` and multiplied, in
-    one GEMM, by the entries' gradient over the channels of the widths
-    that cover j, which gives row j - start_w of each such width's kernel
-    gradient. The bias gradient sums the entries' gradient, accumulated
-    in float64. The input gradient gives each position its entry's share,
-    gradient / count: for each width and offset d, ``share . kernel[d]^T``
-    is taken over the entries and gathered to the positions. Every window
-    passes it back, live or not, since a window that sees only padding
-    still moves the rows it covers. It is skipped when ``embedded`` needs
-    none (``tensor.needs_grad``).
+    zero (see ``DistinctPositions``). For each absolute offset j of the
+    widest window, the [L,E] rows at j of the L windows are gathered from
+    ``embedded``, zero beyond the document's ends, and multiplied, in one
+    GEMM, by the entries' gradient over the channels of the widths that
+    cover j, which gives row j - start_w of each such width's kernel
+    gradient; summing the gradient by distinct row first was measured
+    slower than these GEMMs. The bias gradient sums the entries' gradient,
+    accumulated in float64. The input gradient gives each position its
+    entry's share, gradient / count: for each width and offset d,
+    ``share . kernel[d]^T`` is taken over the entries and gathered to the
+    positions. Every window passes it back, live or not, since a window
+    that sees only padding still moves the rows it covers. It is skipped
+    when ``embedded`` needs none (``tensor.needs_grad``).
     """
     if not kernels:
         raise DimensionError("the CNN has no kernels")
@@ -700,11 +706,22 @@ def cnn_feature_extractor(embedded: Tensor, kernels, biases) -> tuple[Tensor, Di
     span = left + max(w // 2 for w in widths) + 1  # W
     starts = [left - (w - 1) // 2 for w in widths]
     chans = np.cumsum([0] + [k.shape[2] for k in kernels])
+    text = embedded.data.any(axis=2)
     has_text = np.zeros((n, t_len + span - 1), bool)
-    has_text[:, left:left + t_len] = embedded.data.any(axis=2)
+    has_text[:, left:left + t_len] = text
     live = np.lib.stride_tricks.sliding_window_view(has_text, span, axis=1).any(axis=2)
     layout = distinct_positions(live)
     flat = embedded.data.reshape(-1, feat)
+    # each row with text keyed by its distinct row, matched on its bytes;
+    # key ``zero`` is the zero row, for rows without text
+    text_at = np.flatnonzero(text)
+    rows_text = flat[text_at]
+    as_bytes = rows_text.view(np.dtype((np.void, feat * rows_text.itemsize))).ravel()
+    _, first, inverse = np.unique(as_bytes, return_index=True, return_inverse=True)
+    distinct = rows_text[first]
+    zero = len(first)
+    key = np.full(n * t_len, zero)
+    key[text_at] = inverse
     read = live.reshape(-1)[layout.rows]
     reads = np.flatnonzero(read)  # the L entries
     at = layout.rows[reads]
@@ -712,20 +729,25 @@ def cnn_feature_extractor(embedded: Tensor, kernels, biases) -> tuple[Tensor, Di
     pos = (at % t_len)[:, None] + offsets
     inside = (pos >= 0) & (pos < t_len)  # [L, W] window rows within the document
     rows = np.where(inside, at[:, None] + offsets, 0)
+    keys = np.where(inside, key[rows], zero)
 
-    def window_rows(j=slice(None)):
+    def window_rows(j):
         """The rows at offset j of the L windows, zero outside the document."""
         x = flat[rows[:, j]]
         x[~inside[:, j]] = 0
         return x
 
-    cols = window_rows().reshape(len(reads), span * feat)
     dtype = np.result_type(embedded.data, *[k.data for k in kernels])
     conv = np.empty((len(reads), chans[-1]), dtype)
     for k, s, c0, c1 in zip(kernels, starts, chans, chans[1:]):
-        np.matmul(cols[:, s * feat:(s + k.shape[0]) * feat], k.data.reshape(-1, c1 - c0),
-                  out=conv[:, c0:c1])
-    del cols
+        # row u of prod[d]: distinct row u times kernel row d; the last is zero
+        prod = np.zeros((k.shape[0], zero + 1, c1 - c0), dtype)
+        np.matmul(distinct, k.data, out=prod[:, :zero])
+        acc = prod[0][keys[:, s]]
+        for d in range(1, k.shape[0]):
+            acc += prod[d][keys[:, s + d]]
+        conv[:, c0:c1] = acc
+    del prod, acc
     bias = np.concatenate([b.data for b in biases])
     conv += bias
     np.maximum(conv, 0, out=conv)

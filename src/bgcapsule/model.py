@@ -18,9 +18,11 @@ the BiGRU ensemble every position is its own entry (a GRU state depends
 on everything before it). A CNN position is dead when its widest window
 holds only zero rows; every dead position of a document has the same
 features, its biases after the ReLU, so they are computed once, as one
-entry. Capsule routing then projects, votes and routes those entries as
-they are, and lays its couplings out over the positions only when
-``TextClassifier.last_routing`` is read.
+entry. Text repeats its tokens, so the CNN multiplies each distinct
+embedded row by its kernels once, not each window. Capsule routing then
+projects, votes and routes the entries as they are, and lays its
+couplings out over the positions only when ``TextClassifier.last_routing``
+is read.
 """
 
 from __future__ import annotations
@@ -79,9 +81,9 @@ class BiGruEnsemble:
 class CnnExtractor:
     """Same-padded convolutions of each filter width, ReLU, concatenated, as
     one op (``layers.cnn_feature_extractor``) over the batch's distinct
-    positions: each entry that reads a nonzero row has its widest window
-    gathered once, straight from the embedded batch, and every width runs
-    one GEMM on it; the other entries read ReLU(bias)."""
+    positions: each distinct embedded row is multiplied by every kernel row
+    once, each entry that reads a nonzero row sums the products its windows
+    read, and the other entries read ReLU(bias)."""
 
     def __init__(self, cfg: ModelConfig, ablation: AblationConfig, in_width: int, param):
         widths, count = ablation.cnn_filter_widths, ablation.cnn_filter_count

@@ -142,6 +142,14 @@ def _op_checks() -> list[GradCheckReport]:
     check("cnn_capsules/kernel", lambda _: cnn_caps(cnn_x_t), cnn_kernels[1])
     check("cnn_capsules/bias", lambda _: cnn_caps(cnn_x_t), cnn_biases[0])
     check("cnn_capsules/wide_bias", lambda _: cnn_caps(cnn_x_t), cnn_biases[1])
+    # nonzero rows that repeat within and across documents, as token ids
+    # look them up: the forward convolves each distinct row once, and a
+    # difference step on one element of a repeated row splits it in two
+    rep_table = np.random.default_rng(10).normal(size=(4, 2))
+    rep_ids = np.array([[1, 2, 1, 1, 3, 2, 2, 1, 1],
+                        [3, 3, 1, 2, 3, 0, 0, 0, 1],
+                        [0, 0, 0, 2, 2, 1, 2, 2, 3]])
+    check("cnn_capsules/x_repeated", cnn_caps, rep_table[rep_ids])
 
     return reports
 

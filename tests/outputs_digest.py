@@ -2,12 +2,18 @@
 
 Run from the root of a checkout:
 
-    python3 tests/outputs_digest.py [SRC]
+    python3 tests/outputs_digest.py [SRC] [--save DIR]
+    python3 tests/outputs_digest.py --compare PARENT_DIR CHANGE_DIR
 
 It imports ``bgcapsule`` from ``SRC``, by default this checkout's
 ``src/``. Run against another checkout's ``src/`` (say, the parent
 commit's), it hashes that code's outputs with this script's format, so
 two trees compare even when the script itself changed between them.
+``--save DIR`` also writes the arrays behind each line to
+``DIR/<variant>-<corpus>-<part>.npz``. ``--compare`` reads two such
+directories and prints, for each line, the largest absolute difference
+between their arrays and the largest relative one, each array's
+difference taken relative to its largest magnitude in ``PARENT_DIR``.
 
 For each variant it builds a desk-scale model (``ModelConfig()``
 defaults) on each of two corpora generated here, a short-text one (about
@@ -33,6 +39,7 @@ The script is not a pytest module; tier-1 does not collect it.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
@@ -42,8 +49,12 @@ os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
 import numpy as np  # noqa: E402
 
-SRC = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent / "src"
-sys.path.insert(0, str(SRC.resolve()))
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("src", nargs="?", type=Path, default=Path(__file__).resolve().parent.parent / "src")
+parser.add_argument("--save", type=Path, metavar="DIR")
+parser.add_argument("--compare", nargs=2, type=Path, metavar=("PARENT_DIR", "CHANGE_DIR"))
+ARGS = parser.parse_args()
+sys.path.insert(0, str(ARGS.src.resolve()))
 
 from bgcapsule.config import VARIANTS, AblationConfig, ModelConfig  # noqa: E402
 from bgcapsule.model import TextClassifier  # noqa: E402
@@ -86,8 +97,8 @@ def sha256(arrays) -> str:
     return sha.hexdigest()
 
 
-def digests(variant: str, k: int) -> dict[str, str]:
-    """The SHA-256 of ``variant``'s outputs on corpus ``CORPORA[k]``, per part."""
+def outputs_of(variant: str, k: int) -> dict[str, list[np.ndarray]]:
+    """The arrays of ``variant``'s outputs on corpus ``CORPORA[k]``, per part."""
     rng = np.random.default_rng([20, k])
     lengths = CORPORA[k][1:]
     known = [f"w{i}" for i in range(300)]
@@ -98,15 +109,40 @@ def digests(variant: str, k: int) -> dict[str, str]:
     config = ModelConfig(epochs=1)
     vocab, table, train_docs, (held_docs,) = prepare_split(train_raw, [held_out], config)
     model = TextClassifier(config, vocab, table, AblationConfig(variant=variant))
-    forward = sha256(outputs(model, held_out, held_docs, config.batch_size))
+    forward = outputs(model, held_out, held_docs, config.batch_size)
     train(model, train_docs, [], config)
     weights = [tensor.data for tensor in model.state_tensors().values()]
-    trained = sha256(weights + outputs(model, held_out, held_docs, config.batch_size))
+    trained = weights + outputs(model, held_out, held_docs, config.batch_size)
     return {"forward": forward, "trained": trained}
+
+
+def differences(parent: list[np.ndarray], change: list[np.ndarray]) -> str:
+    """The largest absolute and relative difference over paired arrays."""
+    if [a.shape for a in parent] != [a.shape for a in change]:
+        return "shapes differ"
+    abs_max = rel_max = 0.0
+    for a, b in zip(parent, change):
+        diff = float(np.abs(a.astype(np.float64) - b).max(initial=0.0))
+        scale = float(np.abs(a).max(initial=0.0))
+        abs_max = max(abs_max, diff)
+        rel_max = max(rel_max, diff / scale if scale else np.inf if diff else 0.0)
+    return f"max_abs={abs_max:.3g} max_rel={rel_max:.3g}"
 
 
 if __name__ == "__main__":
     for variant in VARIANTS:
         for k, (name, *_) in enumerate(CORPORA):
-            for part, sha in digests(variant, k).items():
-                print(f"variant={variant} corpus={name} part={part} sha256={sha}", flush=True)
+            if ARGS.compare:
+                for part in ("forward", "trained"):
+                    parent, change = (np.load(d / f"{variant}-{name}-{part}.npz")
+                                      for d in ARGS.compare)
+                    print(f"variant={variant} corpus={name} part={part}",
+                          differences([parent[f] for f in parent.files],
+                                      [change[f] for f in change.files]))
+                continue
+            for part, arrays in outputs_of(variant, k).items():
+                if ARGS.save:
+                    ARGS.save.mkdir(parents=True, exist_ok=True)
+                    np.savez(ARGS.save / f"{variant}-{name}-{part}.npz", *arrays)
+                print(f"variant={variant} corpus={name} part={part} sha256={sha256(arrays)}",
+                      flush=True)

@@ -90,7 +90,7 @@ def test_every_gradsuite_check_passes(monkeypatch):
     for attr in ("seq", "masked_seq", "padded_seq", "padded_w_z",
                  "w_z", "w_r", "w_h", "b_z", "b_r", "b_h"):
         assert f"bigru/{attr}" in names
-    for attr in ("x", "kernel", "bias", "wide_bias"):
+    for attr in ("x", "x_repeated", "kernel", "bias", "wide_bias"):
         assert f"cnn_capsules/{attr}" in names
     for attr in ("u", "weights"):
         assert f"predict_vectors/{attr}" in names

@@ -1030,16 +1030,16 @@ def padded_batch(rng, feat):
     return x
 
 
-def merged_and_each_width(rng, widths, watched):
-    """Check ``cnn_feature_extractor`` over ``padded_batch``, one kernel per
-    width, against the same widths composed of tape ops by ``conv_taped``,
-    each ReLU'd and concatenated, at every position: the outputs at each
-    entry's position, and the gradients of input, kernels and biases when
-    an entry's upstream gradient is the sum of its positions' (dyadic
-    values, so that every sum is exact), equal to rounding. Returns the
-    op's outputs and gradients, and its layout."""
-    x = f64(padded_batch(rng, 3))
-    kernels = [f64(rng.normal(size=(w, 3, 2))) for w in widths]
+def merged_and_each_width(rng, batch, widths, watched):
+    """Check ``cnn_feature_extractor`` over ``batch``, one kernel per width,
+    against the same widths composed of tape ops by ``conv_taped``, each
+    ReLU'd and concatenated, at every position: the outputs at each entry's
+    position, and the gradients of input, kernels and biases when an
+    entry's upstream gradient is the sum of its positions' (dyadic values,
+    so that every sum is exact), equal to rounding. Returns the op's
+    outputs and gradients, and its layout."""
+    x = f64(batch)
+    kernels = [f64(rng.normal(size=(w, x.shape[2], 2))) for w in widths]
     biases = [f64(rng.normal(size=2)) for _ in kernels]
     results = []
     for merged in (True, False):
@@ -1072,7 +1072,8 @@ def test_cnn_feature_extractor_pads_once_as_each_width_would(watched):
     # the batch's widest windows, gathered once, give each width's
     # convolution at every position, as ``conv_taped`` composes it, to
     # rounding: outputs and every gradient
-    (entries, *_), distinct = merged_and_each_width(np.random.default_rng(34), (2, 3, 4, 5),
+    rng = np.random.default_rng(34)
+    (entries, *_), distinct = merged_and_each_width(rng, padded_batch(rng, 3), (2, 3, 4, 5),
                                                     watched)
     assert (distinct.counts > 1).any()
     # padding entries repeat entry 0, as dynamic_routing wants of a
@@ -1087,7 +1088,36 @@ def test_cnn_feature_extractor_pads_once_as_each_width_would(watched):
 def test_cnn_feature_extractor_takes_widths_in_any_order():
     # each width's columns of the shared im2col and its channels of the
     # output follow the order the kernels are given in, not their widths
-    merged_and_each_width(np.random.default_rng(37), (5, 2, 4, 3), watched=True)
+    rng = np.random.default_rng(37)
+    merged_and_each_width(rng, padded_batch(rng, 3), (5, 2, 4, 3), watched=True)
+
+
+def repeating_batch(rng):
+    """Four docs of 12 rows looked up from a small table, as token ids are:
+    rows repeat within a document and across documents, two rows differ
+    only in their last element, one row of -0.0 sits inside a text, and the
+    last document has no text."""
+    table = rng.normal(size=(6, 3))
+    table[0] = 0.0
+    table[4] = table[3]
+    table[4, -1] += 1.0
+    table[5] = -0.0
+    ids = np.array([[0, 0, 0, 1, 2, 1, 1, 3, 4, 3, 2, 1],
+                    [0, 3, 3, 5, 4, 4, 2, 1, 3, 1, 1, 2],
+                    [2, 2, 2, 2, 2, 0, 0, 0, 0, 0, 4, 3],
+                    [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]])
+    return table[ids]
+
+
+@pytest.mark.parametrize("watched", [False, True])
+def test_cnn_feature_extractor_convolves_repeated_rows_as_each_width_would(watched):
+    # each distinct row is convolved once, matched on all its elements:
+    # outputs and every gradient as ``conv_taped`` composes them, over rows
+    # that repeat, rows that differ in one element only, and a row of -0.0,
+    # and over a single document with no text at all
+    rng = np.random.default_rng(38)
+    merged_and_each_width(rng, repeating_batch(rng), (2, 3, 4, 5), watched)
+    merged_and_each_width(rng, np.zeros((1, 9, 3)), (3, 4, 5), watched)
 
 
 def test_cnn_feature_extractor_live_positions():

@@ -7,6 +7,7 @@ import pytest
 from bgcapsule import tensor as T
 from bgcapsule import training
 from bgcapsule.ablation import run_ablation
+from bgcapsule.config import AblationConfig
 from bgcapsule.artifact import load_model, save_model
 from bgcapsule.errors import ConfigError, ContractError, DataError
 from bgcapsule.model import recurrent_dropout_mask
@@ -161,6 +162,16 @@ def test_dropout_bad_rate():
 
 def test_train_reaches_95_percent(separable_docs):
     model, encoded = build_toy_model(separable_docs)
+    result = training.train(model, encoded, [], model.config)
+    assert result.final_train_acc >= 0.95
+
+
+def test_cnn_capsule_learns_with_a_frozen_embedding(separable_docs):
+    # the benchmark's configuration: no workload trains the embedding, so
+    # the CNN is trained through its frozen-input path, where its backward
+    # passes no gradient to the rows it reads
+    config = toy_config(embed_trainable=False)
+    model, encoded = build_toy_model(separable_docs, config, AblationConfig(variant="cnn_capsule"))
     result = training.train(model, encoded, [], model.config)
     assert result.final_train_acc >= 0.95
 
